@@ -172,8 +172,8 @@ def classification_report(sysdoc, tol, nmax, seed=None):
             "constant": constant, "profile": profile,
         }
 
-    series = sphere_sums(_first_edge_vector(nsys), _first_edge_vector(nsys),
-                         nmax)
+    f = _first_edge_vector(nsys)
+    series = sphere_sums(f, f, nmax)
     for n in haagerup_violations(series):
         diagnostics.append("sphere sum s_%d violates the (n+1)^2 bound" % n)
     measured = None

@@ -7,6 +7,11 @@ along geodesics by one block factor per step.  A canonical family of
 depth ``N`` stores one coefficient per forward edge ``(x, xb)`` with
 ``|x| = N``; functions differing only on finitely many vertices are
 identified, which is what makes the depth-``N`` encodings equivalent.
+
+:func:`canonicalize` computes a depth-``N`` family by walking each
+summand's half-tree outward from its head, one block product per vertex;
+:func:`mu_eval` evaluates a single summand at a single word from scratch
+and is kept as the pointwise reference for that walk.
 """
 
 from dataclasses import dataclass
@@ -78,8 +83,42 @@ def first_shell(nsys, vectors):
     return MultiplicativeFunction(system=nsys, depth=0, coeffs=coeffs)
 
 
+def _spread(nsys, s, radius):
+    """Values of the summand ``s`` on the sphere of radius ``radius``.
+
+    Walks the half-tree outward from the head ``xa``, never back across
+    the incoming edge, applying one block ``H[c|prev]`` per step; the
+    products are the ones :func:`mu_eval` forms, in the same order.  The
+    head lies within ``radius`` of the identity, so every walk reaches
+    the sphere from inside and stops there.
+    """
+    out = {}
+    stack = [(s.xa, s.letter, np.asarray(s.v.reshape(-1), dtype=complex))]
+    while stack:
+        y, prev, vec = stack.pop()
+        if len(y) == radius:
+            out[y] = vec
+            continue
+        for c in nsys.alphabet.letters:
+            if c == prev ^ 1:
+                continue
+            step = y[:-1] if y and y[-1] == c ^ 1 else y + (c,)
+            stack.append((step, c, nsys.h(c, prev) @ vec))
+    return out
+
+
 def canonicalize(nsys, summands, N):
     """Depth-``N`` canonical family of a finite sum of summands.
+
+    The forward edges ``(x, b)`` with ``|x| = N`` are the words
+    ``xb`` of the sphere of radius ``N + 1``, so each summand is walked
+    once over its half of the ball of radius ``N + 1`` (one block product
+    per vertex, see :func:`_spread`) and the values are added per word in
+    the order the summands are given.  Keys come out in the order of
+    ``sphere(N)`` × letters, which is the lexicographic order of the
+    words; a key whose sum has zero norm is dropped.  The result equals,
+    entry for entry, the sum of :func:`mu_eval` over the summands at each
+    key.
 
     Raises
     ------
@@ -97,17 +136,15 @@ def canonicalize(nsys, summands, N):
                 "depth %d below representable depth %d of a summand"
                 % (N, s.native_depth)
             )
+    sums = {}
+    for s in summands:
+        for y, val in _spread(nsys, s, N + 1).items():
+            # start from 0.0 like a sum over zeros would (-0.0 becomes 0.0)
+            sums[y] = sums.get(y, 0.0) + val
     coeffs = {}
-    for x in nsys.alphabet.sphere(N):
-        for b in nsys.alphabet.letters:
-            if x and b == x[-1] ^ 1:
-                continue
-            xb = x + (b,)
-            acc = np.zeros(nsys.dims[b], dtype=complex)
-            for s in summands:
-                acc = acc + mu_eval(nsys, s.x, s.letter, s.v.reshape(-1), xb)
-            if np.linalg.norm(acc):
-                coeffs[(x, b)] = acc
+    for y in sorted(sums):
+        if np.linalg.norm(sums[y]):
+            coeffs[(y[:-1], y[-1])] = sums[y]
     return MultiplicativeFunction(system=nsys, depth=N, coeffs=coeffs)
 
 

@@ -7,6 +7,7 @@ spectra, and this one keeps every formula a one-liner in numpy.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,12 @@ class DMatrix:
     matrix: np.ndarray
     slots: dict
     side: int
+
+    @cached_property
+    def eigenvalues(self):
+        """Eigenvalues of ``matrix``, solved once and shared by every
+        reader (the spectral radius and the eigenvalue-1 count)."""
+        return np.linalg.eigvals(self.matrix)
 
     def embed(self, i, tuple_of_mats):
         """Vector with ``tuple_of_mats`` in block-row ``i``, zeros elsewhere."""
@@ -137,7 +144,7 @@ def eigen_one(d, delta=DELTA):
         "ill-conditioned cluster" when the spectral gap around 1 is below
         ``10·δ``, making the multiplicity count unreliable.
     """
-    vals = np.linalg.eigvals(d.matrix)
+    vals = d.eigenvalues
     dist = np.abs(vals - 1.0)
     inside = dist < delta
     mult = int(np.sum(inside))
@@ -414,7 +421,7 @@ def classify(nsys):
     diagnostics = []
     pkg = twin_package(nsys)
     d = build_D(pkg)
-    rho_d = float(np.max(np.abs(np.linalg.eigvals(d.matrix))))
+    rho_d = float(np.max(np.abs(d.eigenvalues)))
     try:
         eig = eigen_one(d)
     except UndecidedError as err:

@@ -92,6 +92,47 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="dimension mismatch"):
             canonicalize(msys, [MuSummand((), A, bad)], 0)
 
+    def test_walk_matches_pointwise_reference(self):
+        # the walk must give, key for key and bit for bit, the sum of
+        # mu_eval over the summands at every forward edge of depth N
+        rng = np.random.default_rng(11)
+        kinds = set()
+        dims = set()
+        for seed, k, max_dim in ((60, 2, 1), (61, 2, 3), (62, 3, 3)):
+            nsys = normalize(generate.random_system(seed, k=k,
+                                                    max_dim=max_dim))
+            al = nsys.alphabet
+            dims.update(nsys.dims)
+            for N in range(4):
+                for _ in range(4):
+                    summands = []
+                    while len(summands) < int(rng.integers(1, 4)):
+                        x = al.random_word(rng, int(rng.integers(N + 2)))
+                        a = int(rng.integers(al.size))
+                        d = nsys.dims[a]
+                        s = MuSummand(x, a, rng.normal(size=d)
+                                      + 1j * rng.normal(size=d))
+                        if s.native_depth <= N:
+                            summands.append(s)
+                            kinds.add(len(s.xa) > len(x))
+                    want = {}
+                    for x in al.sphere(N):
+                        for b in al.letters:
+                            if x and b == x[-1] ^ 1:
+                                continue
+                            acc = np.zeros(nsys.dims[b], dtype=complex)
+                            for s in summands:
+                                acc = acc + mu_eval(nsys, s.x, s.letter, s.v,
+                                                    x + (b,))
+                            if np.linalg.norm(acc):
+                                want[(x, b)] = acc
+                    got = canonicalize(nsys, summands, N).coeffs
+                    assert list(got) == list(want)
+                    for key, val in want.items():
+                        assert np.array_equal(got[key], val)
+        assert kinds == {True, False}
+        assert dims == {1, 2, 3}
+
 
 class TestInnerProduct:
     def test_s0_unit_norm(self, s0_norm):

@@ -303,6 +303,23 @@ class TestClassify:
         assert report.realization_verdict == "monotony"
         assert report.Q is None
 
+    def test_single_eigensolve_of_D(self, monkeypatch):
+        nsys = normalize(generate.random_system(51, k=2, max_dim=2))
+        solves = []
+        eigvals = np.linalg.eigvals
+
+        def recording(m):
+            vals = eigvals(m)
+            solves.append((np.shape(m), vals))
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        report = classify(nsys)
+        side = report.dmatrix.side
+        of_d = [vals for shape, vals in solves if shape == (side, side)]
+        assert len(of_d) == 1
+        assert report.rho_D == float(np.max(np.abs(of_d[0])))
+
 
 class TestInstanceFamilies:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
