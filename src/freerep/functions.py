@@ -93,7 +93,7 @@ def _spread(nsys, s, radius):
     the sphere from inside and stops there.
     """
     out = {}
-    stack = [(s.xa, s.letter, np.asarray(s.v.reshape(-1), dtype=complex))]
+    stack = [(s.xa, s.letter, np.asarray(s.v, dtype=complex).reshape(-1))]
     while stack:
         y, prev, vec = stack.pop()
         if len(y) == radius:
@@ -116,7 +116,7 @@ def canonicalize(nsys, summands, N):
     per vertex, see :func:`_spread`) and the values are added per word in
     the order the summands are given.  Keys come out in the order of
     ``sphere(N)`` × letters, which is the lexicographic order of the
-    words; a key whose sum has zero norm is dropped.  The result equals,
+    words; a key whose sum is exactly zero is dropped.  The result equals,
     entry for entry, the sum of :func:`mu_eval` over the summands at each
     key.
 
@@ -143,7 +143,7 @@ def canonicalize(nsys, summands, N):
             sums[y] = sums.get(y, 0.0) + val
     coeffs = {}
     for y in sorted(sums):
-        if np.linalg.norm(sums[y]):
+        if sums[y].any():
             coeffs[(y[:-1], y[-1])] = sums[y]
     return MultiplicativeFunction(system=nsys, depth=N, coeffs=coeffs)
 

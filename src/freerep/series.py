@@ -1,15 +1,16 @@
 """Sphere sums of squared matrix coefficients, growth-exponent fits,
 Haagerup bound checks, and the good-vector probe.
 
-The sphere sums come from direct enumeration of reduced words with the
-geodesic block products extended one letter at a time; the three-part
-split of each coefficient (straight product, pairing bracket, backward
-product) makes a word's value computable from its parent's state in a
-few small matrix multiplies.
+The sphere sums come from a second-moment transfer recursion.  The
+coefficient of a reduced word ending in the letter ``c`` is ``φ = s·out_c``
+for a row vector ``s = (α, δ) ∈ V_c* ⊕ V_{c⁻¹}*`` that appending a letter
+``c'`` maps by ``s ← s·T_{c→c'}``; so the sum ``S_c`` of ``s†s`` over the
+words of length ``n`` ending in ``c`` obeys a linear recursion, and
+``s_n = Σ_c out_c† S_c out_c``.  Each step costs a few small matrix
+products, so the series is exact to any horizon without enumerating the
+``(2k−1)^n`` words.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,26 +18,14 @@ import numpy as np
 from .functions import norm as f_norm
 from .twin import e_maps
 
-# enumeration budget in node-cost units (nodes × max_dim³); covers k = 2
-# with 1-dim letters up to n = 12
-BUDGET = 1_062_880
-
-
-def default_threads():
-    """Worker count from FREEREP_THREADS; 1 when unset or invalid."""
-    raw = os.environ.get("FREEREP_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Sphere sums ``s_n = Σ_{|x|=n} |⟨v, π(x)w⟩|²``.
+    """Sphere sums ``s_n = Σ_{|x|=n} |⟨v, π(x)w⟩|²`` for ``n = 0..nmax``.
 
-    ``cutoff`` marks a series truncated by the enumeration budget; in that
-    case ``nmax`` is the last computed index, not the requested one.
+    ``cutoff`` is always false: the recursion computes every requested
+    term.  It stays so that readers of the series (and the report's
+    ``series_cutoff``) keep their shape.
     """
 
     s: tuple
@@ -44,22 +33,6 @@ class CoefficientSeries:
     w_norm: float
     cutoff: bool
     nmax: int
-
-
-def budget_nmax(nsys, nmax):
-    """Largest horizon whose cumulative enumeration cost fits the budget."""
-    size = nsys.alphabet.size
-    unit = max(nsys.dims) ** 3
-    total = 0
-    n = 0
-    nodes = size
-    while n < nmax:
-        total += nodes * unit
-        if total > BUDGET:
-            break
-        n += 1
-        nodes *= size - 1
-    return n
 
 
 def _first_shell_vectors(f):
@@ -73,126 +46,84 @@ def _first_shell_vectors(f):
     return out
 
 
-def _subtree_matrix(nsys, E, va, wa, r, u, first, nmax):
-    """Partial sums over words starting with ``first``; matrix blocks."""
-    acc = [0.0] * nmax
-    vf = va[first]
-    uf = u[first]
-    h = nsys.h
+def _moment_operator(nsys, E):
+    """Transfer matrix ``M`` with block ``(l, c)`` equal to ``T_{l→c}``,
+    and the mask of its diagonal blocks.
 
-    def rec(last, m, p, nm, n):
-        lastinv = last ^ 1
-        phi = ((m @ vf).conj() @ r[last]
-               + vf.conj() @ nm @ wa[lastinv]
-               + uf @ p @ wa[lastinv])
-        acc[n - 1] += abs(complex(phi)) ** 2
-        if n == nmax:
-            return
-        mh = m.conj().T
-        for c in nsys.alphabet.letters:
-            if c == lastinv:
-                continue
-            step = h(lastinv, c ^ 1)
-            rec(c, h(c, last) @ m, p @ step,
-                nm @ step + mh @ E[(lastinv, c ^ 1)], n + 1)
-
-    eye = np.eye(nsys.dims[first], dtype=complex)
-    eyeinv = np.eye(nsys.dims[first ^ 1], dtype=complex)
-    zero = np.zeros((nsys.dims[first], nsys.dims[first ^ 1]), dtype=complex)
-    rec(first, eye, eyeinv, zero, 1)
-    return acc
-
-
-def _subtree_scalar(nsys, E, va, wa, r, u, first, nmax):
-    """Same recursion with plain complex arithmetic (all letters 1-dim)."""
-    acc = [0.0] * nmax
-    size = nsys.alphabet.size
-    hs = {}
-    for b in nsys.alphabet.letters:
-        for a in nsys.alphabet.letters:
-            hs[(b, a)] = complex(nsys.h(b, a)[0, 0]) if b != a ^ 1 else 0j
-    es = {key: complex(val[0, 0]) for key, val in E.items()}
-    vf = complex(va[first][0])
-    uf = complex(u[first][0])
-    vfc = vf.conjugate()
-    rs = [complex(x[0]) for x in r]
-    ws = [complex(x[0]) for x in wa]
-    letters = tuple(range(size))
-
-    def rec(last, m, p, nm, n):
-        lastinv = last ^ 1
-        phi = (m * vf).conjugate() * rs[last] + vfc * nm * ws[lastinv] \
-            + uf * p * ws[lastinv]
-        acc[n - 1] += phi.real * phi.real + phi.imag * phi.imag
-        if n == nmax:
-            return
-        mc = m.conjugate()
+    The state of letter ``c`` occupies ``d_c + d_{c⁻¹}`` consecutive
+    coordinates, ``α`` then ``δ``;
+    ``T_{l→c} = [[H[c|l]†, E[(l⁻¹, c⁻¹)]], [0, H[l⁻¹|c⁻¹]]]``, and the
+    block is zero for ``l = c⁻¹``, where no reduced word continues.
+    """
+    letters = nsys.alphabet.letters
+    dims = nsys.dims
+    off = np.cumsum([0] + [dims[c] + dims[c ^ 1] for c in letters])
+    alpha = [slice(off[c], off[c] + dims[c]) for c in letters]
+    delta = [slice(off[c] + dims[c], off[c + 1]) for c in letters]
+    M = np.zeros((off[-1], off[-1]), dtype=complex)
+    diagonal = np.zeros(M.shape, dtype=bool)
+    for l in letters:
+        diagonal[off[l]:off[l + 1], off[l]:off[l + 1]] = True
         for c in letters:
-            if c == lastinv:
+            if l == c ^ 1:
                 continue
-            step = hs[(lastinv, c ^ 1)]
-            rec(c, hs[(c, last)] * m, p * step,
-                nm * step + mc * es[(lastinv, c ^ 1)], n + 1)
-
-    rec(first, 1.0 + 0j, 1.0 + 0j, 0j, 1)
-    return acc
+            M[alpha[l], alpha[c]] = nsys.h(c, l).conj().T
+            M[alpha[l], delta[c]] = E[(l ^ 1, c ^ 1)]
+            M[delta[l], delta[c]] = nsys.h(l ^ 1, c ^ 1)
+    return M, diagonal
 
 
-def sphere_sums(v, w, nmax, threads=None):
-    """Series of sphere sums for two depth-0 canonical families.
+def sphere_sums(v, w, nmax):
+    """Series ``s_0..s_nmax`` for two depth-0 canonical families.
 
-    Enumeration runs over reduced words up to the budgeted horizon; a
-    requested ``nmax`` beyond it yields a partial series with the
-    ``cutoff`` flag set.  Subtrees by first letter are independent and
-    reduced in fixed letter order, so results are deterministic for any
-    thread count.
+    One step of the recursion maps the block-diagonal moment matrix ``S``
+    (block ``c``: ``S_c``) to the diagonal blocks of ``M† S M``, which are
+    ``Σ_{l≠c⁻¹} T_{l→c}† S_l T_{l→c}``; it starts from ``S_c = x_c† x_c``
+    with ``x_c = (va[c]†, u[c])`` and reads ``s_n = out† S out`` with
+    ``out_c = (r[c]; wa[c⁻¹])``.
     """
     if v.system is not w.system:
         raise ValueError("system mismatch")
     if v.depth != 0 or w.depth != 0:
         raise ValueError("sphere sums require depth-0 canonical families")
     nsys = v.system
-    if threads is None:
-        threads = default_threads()
-    eff = budget_nmax(nsys, nmax)
-    E = e_maps(nsys)
+    letters = nsys.alphabet.letters
     va = _first_shell_vectors(v)
     wa = _first_shell_vectors(w)
     s0 = abs(sum(
         complex(va[a].conj() @ nsys.B[a] @ wa[a])
-        for a in nsys.alphabet.letters
+        for a in letters
     )) ** 2
     r = []
     u = []
-    for t in nsys.alphabet.letters:
+    for t in letters:
         r.append(sum(
             nsys.h(b, t).conj().T @ nsys.B[b] @ wa[b]
-            for b in nsys.alphabet.letters
+            for b in letters
         ))
         u.append(sum(
             va[a].conj() @ nsys.B[a] @ nsys.h(a, t ^ 1)
-            for a in nsys.alphabet.letters
+            for a in letters
         ))
-    subtree = _subtree_scalar if max(nsys.dims) == 1 else _subtree_matrix
-    args = [(nsys, E, va, wa, r, u, first, eff)
-            for first in nsys.alphabet.letters]
-    if eff == 0:
-        partials = []
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda a: subtree(*a), args))
-    else:
-        partials = [subtree(*a) for a in args]
-    sums = [0.0] * eff
-    for part in partials:
-        for n in range(eff):
-            sums[n] += part[n]
+    M, diagonal = _moment_operator(nsys, e_maps(nsys))
+    Mh = M.conj().T
+    x = np.concatenate([np.concatenate([va[c].conj(), u[c]])
+                        for c in letters])
+    out = np.concatenate([np.concatenate([r[c], wa[c ^ 1]])
+                          for c in letters])
+    outh = out.conj()
+    S = np.where(diagonal, np.outer(x.conj(), x), 0)
+    sums = []
+    for n in range(1, nmax + 1):
+        if n > 1:
+            S = np.where(diagonal, Mh @ S @ M, 0)
+        sums.append(float((outh @ S @ out).real))
     return CoefficientSeries(
         s=(s0,) + tuple(sums),
         v_norm=f_norm(v),
         w_norm=f_norm(w),
-        cutoff=eff < nmax,
-        nmax=eff,
+        cutoff=False,
+        nmax=nmax,
     )
 
 
@@ -221,21 +152,25 @@ class ExponentFit:
     residual_rms: float
 
 
-def exponent_fit(series, burn_in=3):
-    """Fit ``s_n ~ n^{p−1}`` over ``n ∈ [burn_in, nmax]``.
+def exponent_fit(series):
+    """Fit ``s_n ~ n^{p−1}`` over the tail window ``n ∈ [⌊N/2⌋, N]``.
+
+    The window follows the horizon ``N`` so that the transient of the
+    first terms weighs less as the series gets longer.
 
     Raises
     ------
     ValueError
         "all-zero series" or "series too short" (fewer than 6 usable
-        points beyond burn-in).
+        points in the window).
     """
     s = series.s
     top = max(s)
     if top <= 0.0:
         raise ValueError("all-zero series")
+    lo = max(1, (len(s) - 1) // 2)
     pts = [(n, sn) for n, sn in enumerate(s)
-           if n >= burn_in and sn > 1e-14 * top]
+           if n >= lo and sn > 1e-14 * top]
     if len(pts) < 6:
         raise ValueError("series too short")
     logn = np.log([p[0] for p in pts])
@@ -304,6 +239,6 @@ def good_vector_verdict(series):
     )
 
 
-def good_vector_probe(v, nmax, threads=None):
+def good_vector_probe(v, nmax):
     """Sphere sums of ``v`` against itself plus the boundedness verdict."""
-    return good_vector_verdict(sphere_sums(v, v, nmax, threads=threads))
+    return good_vector_verdict(sphere_sums(v, v, nmax))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from freerep import generate
+from freerep.cli import DEFAULT_NMAX
 from freerep.functions import first_shell, norm
 from freerep.intertwiner import (
     build_J,
@@ -102,23 +103,19 @@ def endpoint():
 
 @pytest.fixture(scope="module")
 def series_bank(ai_suite, bi_suite, aii_reports, endpoint):
-    """Every sphere-sum series the gate computes, with its prediction."""
+    """Every class instance's sphere-sum series at the CLI's default
+    horizon, with its prediction."""
+    named = [("%s-%d" % (label, seed), rep)
+             for label, suite in (("ai", ai_suite), ("bi", bi_suite))
+             for seed, rep, _ in suite]
+    named += [("aii-%d" % seed, rep)
+              for seed, rep in zip(AII_SEEDS, aii_reports)]
+    named.append(("endpoint", endpoint[1]))
     bank = []
-    for label, suite in (("ai", ai_suite), ("bi", bi_suite)):
-        for seed, rep, _ in suite:
-            nsys = rep.package.original
-            v = unit_edge(nsys)
-            bank.append(("%s-%d" % (label, seed), sphere_sums(v, v, 10),
-                         rep.predicted_exponent))
-    for seed, rep in zip(AII_SEEDS, aii_reports):
-        nsys = rep.package.original
-        v = unit_edge(nsys)
-        # AII series approach their asymptote too slowly inside the
-        # enumeration budget for a global log-log fit; keep them for the
-        # hard-bound check but exempt them from the agreement gate
-        bank.append(("aii-%d" % seed, sphere_sums(v, v, 10), None))
-    _, rep, series = endpoint
-    bank.append(("endpoint", series, rep.predicted_exponent))
+    for name, rep in named:
+        v = unit_edge(rep.package.original)
+        bank.append((name, sphere_sums(v, v, DEFAULT_NMAX),
+                     rep.predicted_exponent))
     return bank
 
 
@@ -255,13 +252,12 @@ def test_criterion_10_exponent_agreement(series_bank):
     worst = 0.0
     fitted = 0
     for name, series, predicted in series_bank:
-        if predicted is None or series.cutoff or series.nmax < 10:
-            continue
+        assert not series.cutoff and series.nmax == DEFAULT_NMAX, name
         fitted += 1
         fit = exponent_fit(series)
         gap = abs(fit.p_hat - predicted)
         worst = max(worst, gap)
         assert gap <= 0.3, (name, fit.p_hat, predicted)
-    assert fitted >= 11
+    assert fitted >= 14
     print("criterion 10: worst |p_hat - predicted| = %.3f on %d fits"
           % (worst, fitted))

@@ -7,7 +7,13 @@ import re
 import pytest
 
 from freerep import generate
-from freerep.cli import build_parser, classification_report, main
+from freerep.cli import (
+    NMAX_LIMIT,
+    build_parser,
+    classification_report,
+    default_threads,
+    main,
+)
 from freerep.sysio import SystemDocument, dump_json, system_to_doc, validate_report
 
 
@@ -196,8 +202,9 @@ class TestClassify:
         assert main(["classify", str(s0_file), "--tol", "1e-3"]) == 1
 
     def test_nmax_range_flagged(self, s0_file, capsys):
-        assert main(["classify", str(s0_file), "--nmax", "15"]) == 1
+        assert main(["classify", str(s0_file), "--nmax", "4097"]) == 1
         assert "nmax" in capsys.readouterr().err
+        assert NMAX_LIMIT == 4096
 
     def test_out_with_many_inputs_rejected(self, s0_file, ai_file, tmp_path,
                                            capsys):
@@ -227,19 +234,30 @@ class TestClassify:
         assert code == 1
         assert (out_dir / "s0.report.json").exists()
 
-    def test_budget_cutoff_exits_2_without_demotion(self, tmp_path, capsys):
+    def test_default_threads_env(self, monkeypatch):
+        monkeypatch.delenv("FREEREP_THREADS", raising=False)
+        assert default_threads() == 1
+        monkeypatch.setenv("FREEREP_THREADS", "3")
+        assert default_threads() == 3
+        monkeypatch.setenv("FREEREP_THREADS", "junk")
+        assert default_threads() == 1
+        monkeypatch.setenv("FREEREP_THREADS", "0")
+        assert default_threads() == 1
+
+    def test_long_horizon_k3_not_cut(self, tmp_path):
+        # k = 3 with dims up to 3 was cut at n = 6 by the old enumeration
+        # budget; the recursion computes the whole series
         doc = system_to_doc(generate.random_system(2, k=3, max_dim=3),
                             label="big")
         path = tmp_path / "big.json"
         path.write_text(dump_json(doc), encoding="utf-8")
         out = tmp_path / "big.report.json"
-        code = main(["classify", str(path), "--out", str(out),
-                     "--nmax", "14"])
-        assert code == 2
+        main(["classify", str(path), "--out", str(out), "--nmax", "14"])
         report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["series_cutoff"] is True
-        assert report["class"] is not None
-        assert any("budget" in d for d in report["diagnostics"])
+        validate_report(report)
+        assert report["series_cutoff"] is False
+        assert report["tolerances"]["nmax"] == 14
+        assert not any("budget" in d for d in report["diagnostics"])
 
 
 class TestSeries:
@@ -286,16 +304,21 @@ class TestSeries:
         # input survived untouched
         assert "generators" in json.loads(target.read_text(encoding="utf-8"))
 
-    def test_budget_cutoff_exits_2(self, tmp_path, capsys):
+    def test_long_horizon_k3_exits_0(self, tmp_path):
         doc = system_to_doc(generate.random_system(5, k=3, max_dim=3))
         path = tmp_path / "big.json"
         path.write_text(dump_json(doc), encoding="utf-8")
         out = tmp_path / "s.csv"
         code = main(["series", str(path), "--vector", "e|a",
                      "--nmax", "14", "--out", str(out)])
-        assert code == 2
-        assert "partial" in capsys.readouterr().err
-        assert out.exists()
+        assert code == 0
+        with out.open(encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 15
+        mirror = json.loads(
+            out.with_suffix(".json").read_text(encoding="utf-8"))
+        assert mirror["cutoff"] is False
+        assert mirror["nmax"] == 14
 
 
 class TestDemo:

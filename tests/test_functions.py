@@ -81,6 +81,13 @@ class TestCanonicalize:
             assert f.coeffs[((), c)][0] == pytest.approx(1 / np.sqrt(3),
                                                          abs=1e-12)
 
+    def test_list_vector_matches_ndarray(self, s0_norm):
+        from_list = canonicalize(s0_norm, [MuSummand((), A, [1.0])], 1)
+        from_array = canonicalize(s0_norm, [MuSummand((), A, np.ones(1))], 1)
+        assert list(from_list.coeffs) == list(from_array.coeffs)
+        for key, val in from_array.coeffs.items():
+            assert np.array_equal(from_list.coeffs[key], val)
+
     def test_below_representable_depth_raises(self, msys):
         s = MuSummand((A, B), BI, unit(msys, BI))
         assert s.native_depth == 1
