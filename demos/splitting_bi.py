@@ -77,7 +77,7 @@ print("eigenvalues %s and %s, product %s"
 print("\nrank of the (b, a) corner of J on W_1..W_5:")
 letters = nsys.alphabet.letters
 for a, b in itertools.permutations(letters[:2], 2):
-    fr = finite_rank_check(J, a, b, nmax=5, method="chain")
+    fr = finite_rank_check(J, a, b, nmax=5)
     print("  %s -> %s: ranks %s, cap %d"
           % (nsys.alphabet.letter_name(a), nsys.alphabet.letter_name(b),
              fr.ranks, fr.cap))

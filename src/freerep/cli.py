@@ -3,14 +3,11 @@ classification pipeline into machine-readable reports, export
 coefficient series, and run bundled demos.
 
 Exit codes: 0 success, 1 validation failure, 2 undecided verdict.
-``FREEREP_THREADS`` sets the worker count for multi-file ``classify``
-runs only; a single system always runs on one thread.
+Several ``classify`` inputs run one after the other, in the order given.
 """
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,7 +18,6 @@ from . import __version__, generate
 from .functions import MuSummand, canonicalize, norm
 from .intertwiner import (
     build_J,
-    fin_residual,
     finite_rank_check,
     split,
     verify_inverse_relations,
@@ -53,15 +49,6 @@ DEFAULT_NMAX = 128
 _NORMALIZATION = ("rho_T = 1; B Hermitian positive definite; "
                   "sum_a tr(B_a) = sum_a n_a")
 _DEMOS = ("endpoint-f2", "random-ai", "random-bi")
-
-
-def default_threads():
-    """Worker count from FREEREP_THREADS; 1 when unset or invalid."""
-    raw = os.environ.get("FREEREP_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _err(msg):
@@ -148,10 +135,9 @@ def classification_report(sysdoc, tol, nmax, seed=None):
         J = build_J(rep)
         residuals["inverse_relations"]["value"] = float(
             verify_inverse_relations(J).max)
-        residuals["word_identity"]["value"] = float(fin_residual(J,
-                                                                 word_max=4))
         depth = _checking_depth(nsys)
-        iso = verify_isometry_and_intertwining(J, depth=depth, word_max=2)
+        iso = verify_isometry_and_intertwining(J, depth=depth, word_max=4)
+        residuals["word_identity"]["value"] = float(iso.fin_residual)
         residuals["isometry"] = _entry(float(max(iso.gram_residuals)),
                                        10.0 * tol, depth=depth)
         residuals["intertwining"] = _entry(float(iso.intertwine_residual),
@@ -173,7 +159,7 @@ def classification_report(sysdoc, tol, nmax, seed=None):
             for b in alphabet.letters:
                 if a == b:
                     continue
-                fr = finite_rank_check(J, a, b, nmax=4, method="chain")
+                fr = finite_rank_check(J, a, b, nmax=4)
                 key = "%s|%s" % (alphabet.letter_name(b),
                                  alphabet.letter_name(a))
                 profile[key] = {"cap": int(fr.cap),
@@ -322,16 +308,10 @@ def cmd_classify(args):
     if len(args.paths) > 1 and args.out is not None:
         _err("--out needs a single input; use --out-dir for several")
         return EXIT_INVALID
-    workers = default_threads()
-    if len(args.paths) == 1 or workers == 1:
-        results = [_classify_one(p, args) for p in args.paths]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda p: _classify_one(p, args),
-                                    args.paths))
     invalid = False
     undecided = False
-    for path, (report, msg, code) in zip(args.paths, results):
+    for path in args.paths:
+        report, msg, code = _classify_one(path, args)
         if report is None:
             _err(msg)
             invalid = True

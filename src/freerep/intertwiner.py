@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freegroup import multiply
-from .functions import (
-    MultiplicativeFunction,
-    MuSummand,
-    act_indicator,
-    canonicalize,
-    deepen,
-)
+from .functions import MuSummand, _spread, canonicalize
 from .twin import e_lookup, e_maps
 
 # Hard cap on the dimension of any materialized W_N coordinate space.
@@ -71,21 +65,17 @@ def _form_diag(layout):
     return G
 
 
-def _embed(layout, f):
-    """Coefficient vector of ``f`` in the chart; deepens if needed."""
-    if f.depth != layout.n:
-        f = deepen(f, layout.n)
-    vec = np.zeros(layout.dim, dtype=complex)
-    for key, v in f.coeffs.items():
-        o = layout.offsets[key]
-        vec[o : o + len(v)] = v
-    return vec
+def _add_summand(layout, col, s):
+    """Add the chart coefficients of the summand ``s`` into ``col``.
 
-
-def _key_function(nsys, x, b, v):
-    return MultiplicativeFunction(
-        system=nsys, depth=len(x), coeffs={(x, b): np.asarray(v, dtype=complex)}
-    )
+    The forward edges of W_n are the words of the sphere of radius
+    ``n + 1``, so the values of ``s`` there are its coefficients.  Added
+    to a zero column they give, bit for bit, the coefficients
+    :func:`canonicalize` gives (it also adds each value to zero).
+    """
+    for y, val in _spread(layout.nsys, s, layout.n + 1).items():
+        o = layout.offsets[(y[:-1], y[-1])]
+        col[o : o + len(val)] += val
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +103,7 @@ def _pair_operator_matrix(nsys_in, nsys_out, n, same, flip):
     """Chart matrix of an edge-pair operator on W_n.
 
     The same-orientation part lands in the column's own slot; only the
-    reversed-edge part needs a canonical respread.
+    reversed-edge part is spread over the chart.
     """
     lin = w_layout(nsys_in, n)
     lout = w_layout(nsys_out, n)
@@ -124,25 +114,19 @@ def _pair_operator_matrix(nsys_in, nsys_out, n, same, flip):
         for i in range(nsys_in.dims[b]):
             e = np.zeros(nsys_in.dims[b], dtype=complex)
             e[i] = 1.0
-            col = np.zeros(lout.dim, dtype=complex)
+            col = M[:, col0 + i]
             sv = same[b] @ e
             col[oout : oout + len(sv)] = sv
             fv = flip[b] @ e
             if np.linalg.norm(fv):
-                g = canonicalize(
-                    nsys_out, [MuSummand(x=x + (b,), letter=b ^ 1, v=fv)], n
-                )
-                col += _embed(lout, g)
-            M[:, col0 + i] = col
+                flipped = MuSummand(x=x + (b,), letter=b ^ 1, v=fv)
+                _add_summand(lout, col, flipped)
     return M
 
 
 def translation_matrix(nsys, y, n):
-    """Chart matrix of ``π(y)`` from W_n into W_{n+1}.
-
-    Columns whose edge shifts without cancellation are plain slot moves;
-    the rest respread at their native depth and deepen back up.
-    """
+    """Chart matrix of ``π(y)`` from W_n into W_{n+1}: the basis column
+    at the edge ``(x, xb)`` is the summand on ``(yx, yxb)``."""
     nsys.alphabet.check_word(y)
     lin = w_layout(nsys, n)
     lout = w_layout(nsys, n + 1)
@@ -156,12 +140,28 @@ def translation_matrix(nsys, y, n):
             s = MuSummand(x=yx, letter=b, v=e)
             if s.native_depth > n + 1:
                 raise ValueError("translation target depth too small")
-            if s.native_depth == n + 1:
-                M[lout.offsets[(yx, b)] + i, col0 + i] = 1.0
-            else:
-                g = canonicalize(nsys, [s], s.native_depth)
-                M[:, col0 + i] = _embed(lout, deepen(g, n + 1))
+            _add_summand(lout, M[:, col0 + i], s)
     return M
+
+
+def _commutation_residual(nsys, nsys_hat, d, op, op_next, gram_next):
+    """Largest function norm, over the generators ``y`` and the W_d basis
+    columns, of the defect ``op_{d+1}·T_y − T̂_y·op_d``.
+
+    ``op`` and ``op_next`` are the chart matrices of one operator on W_d
+    and W_{d+1}; ``gram_next`` is the form of its target chart on
+    W_{d+1}.
+    """
+    worst = 0.0
+    for y in nsys.alphabet.generators:
+        ty = translation_matrix(nsys, (y,), d)
+        tyhat = ty
+        if nsys_hat is not nsys:
+            tyhat = translation_matrix(nsys_hat, (y,), d)
+        defect = op_next @ ty - tyhat @ op
+        sq = np.einsum("ij,ik,kj->j", defect.conj(), gram_next, defect)
+        worst = max(worst, float(np.sqrt(max(sq.real.max(), 0.0))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +408,11 @@ def verify_isometry_and_intertwining(J, depth=3, word_max=5):
         ghat[n] = _form_diag(lout)
         gap = t2 * (mats[n].conj().T @ ghat[n] @ mats[n]) - _form_diag(lin)
         grams.append(float(np.abs(gap).max()))
-    d = depth - 1
-    inter = 0.0
-    for y in nsys.alphabet.generators:
-        ty = translation_matrix(nsys, (y,), d)
-        tyhat = translation_matrix(tw, (y,), d)
-        defect = mats[depth] @ ty - tyhat @ mats[d]
-        sq = np.einsum("ij,ik,kj->j", defect.conj(), ghat[depth], defect)
-        inter = max(inter, float(np.sqrt(max(sq.real.max(), 0.0))))
     return IsometryReport(
         gram_residuals=tuple(grams),
-        intertwine_residual=inter,
+        intertwine_residual=_commutation_residual(
+            nsys, tw, depth - 1, mats[depth - 1], mats[depth], ghat[depth]
+        ),
         fin_residual=fin_residual(J, word_max),
         w_dims=tuple(dims),
     )
@@ -426,22 +420,6 @@ def verify_isometry_and_intertwining(J, depth=3, word_max=5):
 
 # ---------------------------------------------------------------------------
 # the full family of intertwiners
-
-
-def _intertwine_residual(pkg, same, flip, depth):
-    nsys = pkg.original
-    tw = pkg.twin
-    td = _pair_operator_matrix(nsys, tw, depth, same, flip)
-    td1 = _pair_operator_matrix(nsys, tw, depth + 1, same, flip)
-    gh = _form_diag(w_layout(tw, depth + 1))
-    worst = 0.0
-    for y in nsys.alphabet.generators:
-        ty = translation_matrix(nsys, (y,), depth)
-        tyhat = translation_matrix(tw, (y,), depth)
-        defect = td1 @ ty - tyhat @ td
-        sq = np.einsum("ij,ik,kj->j", defect.conj(), gh, defect)
-        worst = max(worst, float(np.sqrt(max(sq.real.max(), 0.0))))
-    return worst
 
 
 def general_intertwiner_family(J, lam, c):
@@ -466,7 +444,17 @@ def general_intertwiner_family(J, lam, c):
         Q = tuple(lam * J.Q[a] for a in range(size))
     B = tuple(lam * m for m in pkg.original.B)
     member = _assemble(pkg, Q, B)
-    residual = _intertwine_residual(pkg, tuple(-m for m in Q), B, 2)
+    nsys = pkg.original
+    tw = pkg.twin
+    same = tuple(-m for m in Q)
+    residual = _commutation_residual(
+        nsys,
+        tw,
+        2,
+        _pair_operator_matrix(nsys, tw, 2, same, B),
+        _pair_operator_matrix(nsys, tw, 3, same, B),
+        _form_diag(w_layout(tw, 3)),
+    )
     return member, residual
 
 
@@ -650,15 +638,14 @@ def split(J, K=None):
         flip[a ^ 1] = pp[: na[a], na[a] :]
     same = tuple(same[cc] for cc in nsys.alphabet.letters)
     flip = tuple(flip[cc] for cc in nsys.alphabet.letters)
-    p2 = _pair_operator_matrix(nsys, nsys, 2, same, flip)
-    p3 = _pair_operator_matrix(nsys, nsys, 3, same, flip)
-    g3 = _form_diag(w_layout(nsys, 3))
-    comm = 0.0
-    for y in nsys.alphabet.generators:
-        ty = translation_matrix(nsys, (y,), 2)
-        defect = p3 @ ty - ty @ p2
-        sq = np.einsum("ij,ik,kj->j", defect.conj(), g3, defect)
-        comm = max(comm, float(np.sqrt(max(sq.real.max(), 0.0))))
+    comm = _commutation_residual(
+        nsys,
+        nsys,
+        2,
+        _pair_operator_matrix(nsys, nsys, 2, same, flip),
+        _pair_operator_matrix(nsys, nsys, 3, same, flip),
+        _form_diag(w_layout(nsys, 3)),
+    )
     return SplitReport(
         c=c,
         lambda_plus=lam_p,
@@ -692,35 +679,6 @@ class FiniteRankReport:
     ranks: tuple
     hs_norms: tuple
     cap: int
-    methods: tuple
-
-
-def _rank_engine(J, a, b, n):
-    nsys = J.pkg.original
-    tw = J.pkg.twin
-    lout = w_layout(tw, n)
-    ghat = _form_diag(lout)
-    cols = []
-    hs2 = 0.0
-    for x in nsys.alphabet.sphere(n):
-        if x[0] != a:
-            continue
-        for d in nsys.alphabet.letters:
-            if d == x[-1] ^ 1:
-                continue
-            block = np.zeros((lout.dim, nsys.dims[d]), dtype=complex)
-            for i in range(nsys.dims[d]):
-                e = np.zeros(nsys.dims[d], dtype=complex)
-                e[i] = 1.0
-                g = act_indicator((b,), apply_J(J, _key_function(nsys, x, d, e)))
-                block[:, i] = _embed(lout, g)
-            hs2 += float(
-                np.trace(
-                    block.conj().T @ ghat @ block @ np.linalg.inv(nsys.B[d])
-                ).real
-            )
-            cols.append(block)
-    return _rank_of(np.hstack(cols)), float(np.sqrt(max(hs2, 0.0)))
 
 
 def _rank_chain(J, a, b, n):
@@ -761,37 +719,25 @@ def _rank_of(mat):
     return int(np.count_nonzero(sv > 1e-9 * sv[0]))
 
 
-def finite_rank_check(J, a, b, nmax=6, method="auto"):
+def finite_rank_check(J, a, b, nmax=6):
     """Rank profile of the compressed operator 1_b J 1_a over W_1..W_nmax.
 
-    ``method`` picks the per-depth evaluation: "engine" respreads every
-    basis image through the canonical machinery, "chain" uses the exact
-    cone-restriction transfer products, "auto" switches to the chain
-    beyond depth 3.  Both agree; the chain scales to deep spheres.
+    Every depth runs the cone-restriction chain (:func:`_rank_chain`),
+    one matrix product per word of the sphere, so deep spheres stay
+    cheap.
     """
     if a == b:
         raise ValueError("letters must differ")
-    if method not in ("auto", "engine", "chain"):
-        raise ValueError("unknown method %r" % method)
     ranks = []
     hs = []
-    methods = []
     for n in range(1, nmax + 1):
-        use = method
-        if method == "auto":
-            use = "engine" if n <= 3 else "chain"
-        if use == "engine":
-            r, h = _rank_engine(J, a, b, n)
-        else:
-            r, h = _rank_chain(J, a, b, n)
+        r, h = _rank_chain(J, a, b, n)
         ranks.append(r)
         hs.append(h)
-        methods.append(use)
     return FiniteRankReport(
         a=a,
         b=b,
         ranks=tuple(ranks),
         hs_norms=tuple(hs),
         cap=J.pkg.twin.dims[b],
-        methods=tuple(methods),
     )

@@ -362,7 +362,12 @@ def solve_Q(pkg, accept_tol=Q_ACCEPT_TOL):
     antisymmetrized (``Q_a ← (Q_a − Q_{a⁻¹}†)/2``, again a solution) and
     re-verified by substitution.
     """
-    Q, residual = q_least_squares(pkg)
+    return _accept_Q(pkg, *q_least_squares(pkg), accept_tol)
+
+
+def _accept_Q(pkg, Q, residual, accept_tol):
+    """The acceptance steps of :func:`solve_Q` on a least-squares
+    solution ``Q`` with relative residual ``residual``."""
     if residual >= accept_tol:
         return None
     Q = tuple((Q[c] - Q[c ^ 1].conj().T) / 2 for c in range(len(Q)))
@@ -434,8 +439,8 @@ def classify(nsys):
             diagnostics=[str(err)], package=pkg, dmatrix=d,
         )
     equivalent = pkg.equivalent
-    _, ls_residual = q_least_squares(pkg)
-    q = solve_Q(pkg)
+    ls_Q, ls_residual = q_least_squares(pkg)
+    q = _accept_Q(pkg, ls_Q, ls_residual, Q_ACCEPT_TOL)
     trace_val, trace_scale = (0j, 0.0)
     twin_trace = None
     diag_res = None

@@ -233,7 +233,7 @@ def test_criterion_08_finite_rank(ai_suite, bi_suite):
         letters = rep.package.original.alphabet.letters
         caps = J.pkg.twin.dims
         for a, b in itertools.permutations(letters, 2):
-            fr = finite_rank_check(J, a, b, nmax=6, method="chain")
+            fr = finite_rank_check(J, a, b, nmax=6)
             tail = fr.ranks[1:]  # n = 2..6
             assert len(set(tail)) == 1, (seed, a, b, fr.ranks)
             assert tail[0] <= caps[b], (seed, a, b, fr.ranks, caps[b])

@@ -11,7 +11,6 @@ from freerep.cli import (
     NMAX_LIMIT,
     build_parser,
     classification_report,
-    default_threads,
     main,
 )
 from freerep.sysio import SystemDocument, dump_json, system_to_doc, validate_report
@@ -214,9 +213,7 @@ class TestClassify:
         assert code == 1
         assert "--out-dir" in capsys.readouterr().err
 
-    def test_out_dir_many_inputs(self, s0_file, ai_file, tmp_path,
-                                 monkeypatch):
-        monkeypatch.setenv("FREEREP_THREADS", "2")
+    def test_out_dir_many_inputs(self, s0_file, ai_file, tmp_path):
         out_dir = tmp_path / "reports"
         code = main(["classify", str(s0_file), str(ai_file),
                      "--out-dir", str(out_dir), "--nmax", "6"])
@@ -233,16 +230,6 @@ class TestClassify:
                      "--out-dir", str(out_dir), "--nmax", "6"])
         assert code == 1
         assert (out_dir / "s0.report.json").exists()
-
-    def test_default_threads_env(self, monkeypatch):
-        monkeypatch.delenv("FREEREP_THREADS", raising=False)
-        assert default_threads() == 1
-        monkeypatch.setenv("FREEREP_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.setenv("FREEREP_THREADS", "junk")
-        assert default_threads() == 1
-        monkeypatch.setenv("FREEREP_THREADS", "0")
-        assert default_threads() == 1
 
     def test_long_horizon_k3_not_cut(self, tmp_path):
         # k = 3 with dims up to 3 was cut at n = 6 by the old enumeration

@@ -8,11 +8,20 @@ import numpy as np
 import pytest
 
 from freerep import generate
-from freerep.functions import MuSummand, act, canonicalize, deepen, norm
+from freerep.functions import (
+    MultiplicativeFunction,
+    MuSummand,
+    act,
+    act_indicator,
+    canonicalize,
+    deepen,
+    norm,
+)
 from freerep.intertwiner import (
-    _embed,
+    _apply_edge_operator,
     _form_diag,
     _pair_operator_matrix,
+    _rank_of,
     build_J,
     apply_J,
     apply_J_inverse,
@@ -51,16 +60,66 @@ def e0_J():
     return build_J(rep)
 
 
-def random_w2_function(nsys, seed=11):
+@pytest.fixture(scope="module")
+def matrix_letters():
+    nsys = normalize(generate.random_system(0, k=2, max_dim=3))
+    assert max(nsys.dims) > 1
+    return nsys
+
+
+def random_function(nsys, seed=11, depth=2):
     rng = np.random.default_rng(seed)
     summands = []
-    for x in nsys.alphabet.sphere(2):
+    for x in nsys.alphabet.sphere(depth):
         for b in nsys.alphabet.letters:
             if x[-1] == b ^ 1:
                 continue
             v = rng.normal(size=nsys.dims[b]) + 1j * rng.normal(size=nsys.dims[b])
             summands.append(MuSummand(x=x, letter=b, v=v))
-    return canonicalize(nsys, summands, 2)
+    return canonicalize(nsys, summands, depth)
+
+
+def _embed(layout, f):
+    """Coefficient vector of ``f`` in the chart; deepens if needed."""
+    if f.depth != layout.n:
+        f = deepen(f, layout.n)
+    vec = np.zeros(layout.dim, dtype=complex)
+    for key, v in f.coeffs.items():
+        o = layout.offsets[key]
+        vec[o : o + len(v)] = v
+    return vec
+
+
+def _rank_engine(J, a, b, n):
+    """Reference for the finite-rank chain: respreads the image of every
+    W_n basis column under J through the canonical machinery and
+    compresses it to the cone of ``b``."""
+    nsys = J.pkg.original
+    tw = J.pkg.twin
+    lout = w_layout(tw, n)
+    ghat = _form_diag(lout)
+    cols = []
+    hs2 = 0.0
+    for x in nsys.alphabet.sphere(n):
+        if x[0] != a:
+            continue
+        for d in nsys.alphabet.letters:
+            if d == x[-1] ^ 1:
+                continue
+            block = np.zeros((lout.dim, nsys.dims[d]), dtype=complex)
+            for i in range(nsys.dims[d]):
+                e = np.zeros(nsys.dims[d], dtype=complex)
+                e[i] = 1.0
+                f = MultiplicativeFunction(system=nsys, depth=n,
+                                           coeffs={(x, d): e})
+                block[:, i] = _embed(lout, act_indicator((b,), apply_J(J, f)))
+            hs2 += float(
+                np.trace(
+                    block.conj().T @ ghat @ block @ np.linalg.inv(nsys.B[d])
+                ).real
+            )
+            cols.append(block)
+    return _rank_of(np.hstack(cols)), float(np.sqrt(max(hs2, 0.0)))
 
 
 class TestBuild:
@@ -116,7 +175,7 @@ class TestBuild:
             build_J(rep)
 
     def test_apply_round_trip(self, ai_J):
-        f = random_w2_function(ai_J.pkg.original)
+        f = random_function(ai_J.pkg.original)
         g = apply_J_inverse(ai_J, apply_J(ai_J, f))
         assert g.depth == f.depth
         for key in set(f.coeffs) | set(g.coeffs):
@@ -297,18 +356,16 @@ class TestFiniteRank:
         rep = finite_rank_check(ai_J, *pair, nmax=6)
         assert rep.cap == ai_J.pkg.twin.dims[pair[1]]
         assert all(r <= rep.cap for r in rep.ranks)
-        assert rep.methods == ("engine", "engine", "engine",
-                               "chain", "chain", "chain")
 
     def test_engine_and_chain_agree(self, ai_J):
-        eng = finite_rank_check(ai_J, 0, 2, nmax=3, method="engine")
-        chn = finite_rank_check(ai_J, 0, 2, nmax=3, method="chain")
-        assert eng.ranks == chn.ranks
-        for he, hc in zip(eng.hs_norms, chn.hs_norms):
+        chn = finite_rank_check(ai_J, 0, 2, nmax=3)
+        for n, r, hc in zip((1, 2, 3), chn.ranks, chn.hs_norms):
+            r_eng, he = _rank_engine(ai_J, 0, 2, n)
+            assert r_eng == r
             assert he == pytest.approx(hc, rel=1e-8)
 
     def test_hs_norms_stable_in_depth(self, ai_J):
-        rep = finite_rank_check(ai_J, 0, 2, nmax=6, method="chain")
+        rep = finite_rank_check(ai_J, 0, 2, nmax=6)
         assert min(rep.hs_norms) > 0.1
         assert max(rep.hs_norms) / min(rep.hs_norms) < 1.0 + 1e-10
 
@@ -320,7 +377,7 @@ class TestFiniteRank:
 class TestMatrixMachinery:
     def test_translation_matches_action(self, ai_J):
         nsys = ai_J.pkg.original
-        f = random_w2_function(nsys)
+        f = random_function(nsys)
         lay2 = w_layout(nsys, 2)
         lay3 = w_layout(nsys, 3)
         for y in ((0,), (3,)):
@@ -332,12 +389,46 @@ class TestMatrixMachinery:
     def test_pair_operator_matches_apply(self, ai_J):
         nsys = ai_J.pkg.original
         tw = ai_J.pkg.twin
-        f = random_w2_function(nsys)
+        f = random_function(nsys)
         same = tuple(-q for q in ai_J.Q)
         mat = _pair_operator_matrix(nsys, tw, 2, same, nsys.B)
         lhs = mat @ _embed(w_layout(nsys, 2), f)
         rhs = _embed(w_layout(tw, 2), apply_J(ai_J, f))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_operator_matches_apply_on_matrix_letters(
+            self, matrix_letters, n):
+        nsys = matrix_letters
+        rng = np.random.default_rng(n)
+
+        def rand(rows, cols):
+            return (rng.normal(size=(rows, cols))
+                    + 1j * rng.normal(size=(rows, cols)))
+
+        same = tuple(rand(nsys.dims[b], nsys.dims[b])
+                     for b in nsys.alphabet.letters)
+        flip = tuple(rand(nsys.dims[b ^ 1], nsys.dims[b])
+                     for b in nsys.alphabet.letters)
+        lay = w_layout(nsys, n)
+        mat = _pair_operator_matrix(nsys, nsys, n, same, flip)
+        for seed in (5, 6):
+            f = random_function(nsys, seed=seed, depth=n)
+            lhs = mat @ _embed(lay, f)
+            rhs = _embed(lay, _apply_edge_operator(f, nsys, same, flip))
+            assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_translation_matches_action_on_matrix_letters(
+            self, matrix_letters, n):
+        nsys = matrix_letters
+        f = random_function(nsys, seed=n, depth=n)
+        vec = _embed(w_layout(nsys, n), f)
+        lay = w_layout(nsys, n + 1)
+        for y in nsys.alphabet.letters:
+            lhs = translation_matrix(nsys, (y,), n) @ vec
+            rhs = _embed(lay, act((y,), f))
+            assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
     def test_layout_guard(self, s0_norm):
         with pytest.raises(ValueError, match="memory budget"):
