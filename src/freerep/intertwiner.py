@@ -5,6 +5,12 @@ the unitarity identities on the depth-N subspaces, exposes the full
 family of intertwiners, splits the equivalent-twin case into the ±1
 eigenspaces of the associated involution, and bounds the rank of the
 cross-cone compressions that drive the realization count.
+
+The checks work on dense charts of the depth-N subspaces W_N.  The chart
+of a pair operator comes from one pass of matrix-valued messages over the
+ball, shared by all of its columns; a translation's columns are local and
+are walked one by one.  The finite-rank profile takes one walk per letter
+pair, with the transfer products of each depth stacked by last letter.
 """
 
 import dataclasses
@@ -102,25 +108,77 @@ def _apply_edge_operator(f, out_nsys, same, flip):
 def _pair_operator_matrix(nsys_in, nsys_out, n, same, flip):
     """Chart matrix of an edge-pair operator on W_n.
 
-    The same-orientation part lands in the column's own slot; only the
-    reversed-edge part is spread over the chart.
+    The columns at the forward edge ``(x, xb)`` hold ``same[b]`` in their
+    own slot, plus the reversed summand ``μ[xb, x, flip[b]]``, whose walk
+    starts at the head ``x`` as if it came from ``xb`` and never steps
+    back there.  All columns share one pass of matrix-valued messages
+    over the tree, each column carried by the message entries of its own
+    index; the columns reach a vertex along one path each, so every
+    entry is still the single product of blocks along its geodesic.
+
+    Up: the message a vertex sends to its parent depends only on its
+    radius and last letter, and covers the consecutive columns of the
+    heads below it, so one message per letter and radius serves the
+    whole sphere.  Down, depth first: the message from ``z`` to a child
+    ``zc`` is ``H[c|z_last]`` times the message from the parent, plus
+    the up messages of the other children, stepped to ``c``; at radius
+    ``n`` it is the chart block of the forward edge ``(z, c)``.
     """
     lin = w_layout(nsys_in, n)
     lout = w_layout(nsys_out, n)
+    letters = nsys_out.alphabet.letters
+    h = nsys_out.h
     M = np.zeros((lout.dim, lin.dim), dtype=complex)
+    # below[r][d]: the message a vertex of radius r holds from its child
+    # along d, over the columns of the heads behind that child (on the
+    # sphere of radius n the child is the reversed edge itself);
+    # side[r][c, d]: that message stepped on to the neighbour along c
+    below = [None] * n + [dict(enumerate(flip))]
+    side = [None] * (n + 1)
+    for r in range(n, -1, -1):
+        side[r] = {
+            (c, d): h(c, d ^ 1) @ below[r][d]
+            for c in letters
+            for d in letters
+            if c != d
+        }
+        if r:
+            below[r - 1] = {
+                l: np.hstack([side[r][l ^ 1, d] for d in letters if d != l ^ 1])
+                for l in letters
+            }
+
+    def down(z, last, lo, msg):
+        # lo: first column of the heads behind z; msg: the message from
+        # the parent of z (None at the identity)
+        r = len(z)
+        kids = [d for d in letters if not z or d != last ^ 1]
+        for c in kids:
+            if msg is None:
+                m = np.zeros((nsys_out.dims[c], lin.dim), dtype=complex)
+            else:
+                m = h(c, last) @ msg
+            pos = lo
+            for d in kids:
+                width = below[r][d].shape[1]
+                if d == c:
+                    child_lo = pos
+                else:
+                    m[:, pos : pos + width] += side[r][c, d]
+                pos += width
+            if r == n:
+                o = lout.offsets[(z, c)]
+                M[o : o + nsys_out.dims[c]] += m
+            else:
+                down(z + (c,), c, child_lo, m)
+
+    down((), None, 0, None)
+    # added to the zero slot like every other entry, so a -0.0 in same
+    # comes out as 0.0, as it does from a product with a unit vector
     for x, b in lin.keys:
-        col0 = lin.offsets[(x, b)]
-        oout = lout.offsets[(x, b)]
-        for i in range(nsys_in.dims[b]):
-            e = np.zeros(nsys_in.dims[b], dtype=complex)
-            e[i] = 1.0
-            col = M[:, col0 + i]
-            sv = same[b] @ e
-            col[oout : oout + len(sv)] = sv
-            fv = flip[b] @ e
-            if np.linalg.norm(fv):
-                flipped = MuSummand(x=x + (b,), letter=b ^ 1, v=fv)
-                _add_summand(lout, col, flipped)
+        i = lin.offsets[(x, b)]
+        o = lout.offsets[(x, b)]
+        M[o : o + nsys_out.dims[b], i : i + nsys_in.dims[b]] += same[b]
     return M
 
 
@@ -495,6 +553,22 @@ def _blkdiag(mats):
     return out
 
 
+def _pair_parts(nsys, blocks):
+    """``(same, flip)`` tuples of the pair operator whose block on
+    ``V_a ⊕ V_{a⁻¹}`` is ``blocks[a]``, for each generator ``a``."""
+    same = {}
+    flip = {}
+    for a in nsys.alphabet.generators:
+        na = nsys.dims[a]
+        blk = blocks[a]
+        same[a] = blk[:na, :na]
+        flip[a] = blk[na:, :na]
+        same[a ^ 1] = blk[na:, na:]
+        flip[a ^ 1] = blk[:na, na:]
+    letters = nsys.alphabet.letters
+    return tuple(same[c] for c in letters), tuple(flip[c] for c in letters)
+
+
 def split(J, K=None):
     """Split the representation along the ±1 eigenspaces of 𝒦⁻¹J̃.
 
@@ -627,17 +701,7 @@ def split(J, K=None):
             )
     # commutation of P± with the translations, on a W_2 basis; P_- = Id - P_+
     # commutes exactly when P_+ does
-    na = {a: nsys.dims[a] for a in nsys.alphabet.letters}
-    same = {}
-    flip = {}
-    for a in nsys.alphabet.generators:
-        pp = p_plus[a]
-        same[a] = pp[: na[a], : na[a]]
-        flip[a] = pp[na[a] :, : na[a]]
-        same[a ^ 1] = pp[na[a] :, na[a] :]
-        flip[a ^ 1] = pp[: na[a], na[a] :]
-    same = tuple(same[cc] for cc in nsys.alphabet.letters)
-    flip = tuple(flip[cc] for cc in nsys.alphabet.letters)
+    same, flip = _pair_parts(nsys, p_plus)
     comm = _commutation_residual(
         nsys,
         nsys,
@@ -681,37 +745,6 @@ class FiniteRankReport:
     cap: int
 
 
-def _rank_chain(J, a, b, n):
-    """Images via the cone-restriction chain: the compression of each
-    basis column is a root-edge family whose vector is an explicit
-    transfer product, so only matrix products are needed."""
-    nsys = J.pkg.original
-    tw = J.pkg.twin
-    pre = tw.h(b, a ^ 1)
-    binv = tuple(np.linalg.inv(m) for m in nsys.B)
-    bb = tw.B[b]
-    cols = []
-    hs2 = 0.0
-
-    def walk(x_last, chain, length):
-        nonlocal hs2
-        if length == n:
-            for d in nsys.alphabet.letters:
-                if d == x_last ^ 1:
-                    continue
-                blk = pre @ chain @ tw.h(x_last ^ 1, d ^ 1) @ nsys.B[d]
-                hs2 += float(np.trace(blk.conj().T @ bb @ blk @ binv[d]).real)
-                cols.append(blk)
-            return
-        for cc in nsys.alphabet.letters:
-            if cc == x_last ^ 1:
-                continue
-            walk(cc, chain @ tw.h(x_last ^ 1, cc ^ 1), length + 1)
-
-    walk(a, np.eye(tw.dims[a ^ 1], dtype=complex), 1)
-    return _rank_of(np.hstack(cols)), float(np.sqrt(max(hs2, 0.0)))
-
-
 def _rank_of(mat):
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
@@ -722,18 +755,44 @@ def _rank_of(mat):
 def finite_rank_check(J, a, b, nmax=6):
     """Rank profile of the compressed operator 1_b J 1_a over W_1..W_nmax.
 
-    Every depth runs the cone-restriction chain (:func:`_rank_chain`),
-    one matrix product per word of the sphere, so deep spheres stay
-    cheap.
+    The compression of the W_n basis block at the edge ``(x, xd)``, with
+    ``x`` in the cone of ``a``, is a root-edge family on ``b`` with the
+    vector ``H[b|a⁻¹]·chain(xd)·B_d``, where ``chain`` is the transfer
+    product along the word.  One walk to depth ``nmax + 1`` keeps the
+    chains of each depth stacked by last letter and extends every stack
+    by one batched product per letter transition; the blocks of depth
+    ``n`` and their Hilbert-Schmidt traces come straight from the stacks
+    of depth ``n + 1``.
     """
     if a == b:
         raise ValueError("letters must differ")
+    nsys = J.pkg.original
+    tw = J.pkg.twin
+    letters = nsys.alphabet.letters
+    pre = tw.h(b, a ^ 1)
+    bb = tw.B[b]
+    binv = tuple(np.linalg.inv(m) for m in nsys.B)
+    # chains of the words of the current length that start with a,
+    # stacked by last letter
+    chains = {a: np.eye(tw.dims[a ^ 1], dtype=complex)[None]}
     ranks = []
     hs = []
-    for n in range(1, nmax + 1):
-        r, h = _rank_chain(J, a, b, n)
-        ranks.append(r)
-        hs.append(h)
+    for _ in range(nmax):
+        grown = {}
+        for last, stack in chains.items():
+            for c in letters:
+                if c != last ^ 1:
+                    grown.setdefault(c, []).append(
+                        stack @ tw.h(last ^ 1, c ^ 1))
+        chains = {c: np.concatenate(parts) for c, parts in grown.items()}
+        cols = []
+        hs2 = 0.0
+        for d, stack in chains.items():
+            blk = pre @ stack @ nsys.B[d]
+            hs2 += float(np.vdot(blk, bb @ blk @ binv[d]).real)
+            cols.append(blk.transpose(1, 0, 2).reshape(blk.shape[1], -1))
+        ranks.append(_rank_of(np.hstack(cols)))
+        hs.append(float(np.sqrt(max(hs2, 0.0))))
     return FiniteRankReport(
         a=a,
         b=b,

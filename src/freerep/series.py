@@ -206,7 +206,8 @@ def phi_eps_norm(series, eps):
     scale = (series.v_norm * series.w_norm) ** 2
     tail = 0.0
     n = series.nmax + 1
-    while True:
+    # with a zero scale every term is 0, and so is the tail
+    while scale > 0:
         term = (n + 1) ** 2 * np.exp(-eps * n) * scale
         tail += term
         if term < 1e-18 * max(value, tail):

@@ -8,6 +8,7 @@ mirror the classification pipeline and validate against the bundled
 schema.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -184,7 +185,20 @@ def load_report_schema():
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+@functools.lru_cache(maxsize=1)
+def _report_validator():
+    """Validator of the bundled schema, checked and built once."""
+    schema = load_report_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_report(doc):
     """Validate a report against the bundled schema (unknown fields are
-    rejected there); raises ``jsonschema.ValidationError``."""
-    jsonschema.validate(doc, load_report_schema())
+    rejected there); raises ``jsonschema.ValidationError``, the same one
+    ``jsonschema.validate`` picks."""
+    error = jsonschema.exceptions.best_match(
+        _report_validator().iter_errors(doc))
+    if error is not None:
+        raise error

@@ -18,9 +18,11 @@ from freerep.functions import (
     norm,
 )
 from freerep.intertwiner import (
+    _add_summand,
     _apply_edge_operator,
     _form_diag,
     _pair_operator_matrix,
+    _pair_parts,
     _rank_of,
     build_J,
     apply_J,
@@ -36,7 +38,7 @@ from freerep.intertwiner import (
     w_layout,
 )
 from freerep.spectral import classify
-from freerep.systems import normalize
+from freerep.systems import MatrixSystem, normalize
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,20 @@ def ai_J():
 def bi_J():
     rep = classify(normalize(generate.bi_instance(7)))
     assert rep.class_label == "BI"
+    return build_J(rep)
+
+
+@pytest.fixture(scope="module")
+def gauged_ai_J():
+    # a positive diagonal gauge H[b|a] -> g_b H[b|a] / g_a moves the
+    # form away from the identity
+    base = generate.ai_instance(3)
+    g = np.random.default_rng(2).uniform(0.5, 2.0, size=len(base.dims))
+    blocks = {(b, a): g[b] * m / g[a] for (b, a), m in base.blocks.items()}
+    nsys = normalize(MatrixSystem(base.alphabet, base.dims, blocks))
+    assert max(abs(m[0, 0] - 1) for m in nsys.B) > 0.1
+    rep = classify(nsys)
+    assert rep.class_label == "AI"
     return build_J(rep)
 
 
@@ -88,6 +104,29 @@ def _embed(layout, f):
         o = layout.offsets[key]
         vec[o : o + len(v)] = v
     return vec
+
+
+def _pair_operator_oracle(nsys_in, nsys_out, n, same, flip):
+    """Reference for the chart of a pair operator: one column at a time,
+    the same part in its slot and the reversed summand walked over its
+    own half-tree and added into the zero column."""
+    lin = w_layout(nsys_in, n)
+    lout = w_layout(nsys_out, n)
+    M = np.zeros((lout.dim, lin.dim), dtype=complex)
+    for x, b in lin.keys:
+        col0 = lin.offsets[(x, b)]
+        oout = lout.offsets[(x, b)]
+        for i in range(nsys_in.dims[b]):
+            e = np.zeros(nsys_in.dims[b], dtype=complex)
+            e[i] = 1.0
+            col = M[:, col0 + i]
+            sv = same[b] @ e
+            col[oout : oout + len(sv)] = sv
+            fv = flip[b] @ e
+            if np.linalg.norm(fv):
+                flipped = MuSummand(x=x + (b,), letter=b ^ 1, v=fv)
+                _add_summand(lout, col, flipped)
+    return M
 
 
 def _rank_engine(J, a, b, n):
@@ -357,12 +396,18 @@ class TestFiniteRank:
         assert rep.cap == ai_J.pkg.twin.dims[pair[1]]
         assert all(r <= rep.cap for r in rep.ranks)
 
-    def test_engine_and_chain_agree(self, ai_J):
-        chn = finite_rank_check(ai_J, 0, 2, nmax=3)
-        for n, r, hc in zip((1, 2, 3), chn.ranks, chn.hs_norms):
-            r_eng, he = _rank_engine(ai_J, 0, 2, n)
-            assert r_eng == r
-            assert he == pytest.approx(hc, rel=1e-8)
+    def test_engine_and_chain_agree(self, ai_J, bi_J, gauged_ai_J):
+        for J in (ai_J, bi_J, gauged_ai_J):
+            letters = J.pkg.original.alphabet.letters
+            for a in letters:
+                for b in letters:
+                    if a == b:
+                        continue
+                    chn = finite_rank_check(J, a, b, nmax=3)
+                    for n, r, hc in zip((1, 2, 3), chn.ranks, chn.hs_norms):
+                        r_eng, he = _rank_engine(J, a, b, n)
+                        assert r_eng == r
+                        assert he == pytest.approx(hc, rel=1e-8)
 
     def test_hs_norms_stable_in_depth(self, ai_J):
         rep = finite_rank_check(ai_J, 0, 2, nmax=6)
@@ -417,6 +462,49 @@ class TestMatrixMachinery:
             lhs = mat @ _embed(lay, f)
             rhs = _embed(lay, _apply_edge_operator(f, nsys, same, flip))
             assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("fix", ["ai_J", "bi_J", "e0_J"])
+    def test_pair_operator_matches_oracle_bitwise(self, fix, n, request):
+        # scalar letters: every chart entry is the same product of
+        # scalars as the per-column walk forms, so the bytes agree
+        J = request.getfixturevalue(fix)
+        nsys = J.pkg.original
+        tw = J.pkg.twin
+        ops = [(tw, tuple(-q for q in J.Q), nsys.B)]
+        if J.pkg.K is not None:
+            ops.append((nsys,) + _pair_parts(nsys, split(J).p_plus))
+        for out, same, flip in ops:
+            new = _pair_operator_matrix(nsys, out, n, same, flip)
+            ref = _pair_operator_oracle(nsys, out, n, same, flip)
+            assert new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_operator_matches_oracle_on_matrix_letters(
+            self, matrix_letters, n):
+        nsys = matrix_letters
+        rng = np.random.default_rng(10 + n)
+
+        def rand(rows, cols):
+            return (rng.normal(size=(rows, cols))
+                    + 1j * rng.normal(size=(rows, cols)))
+
+        letters = nsys.alphabet.letters
+        same = tuple(rand(nsys.dims[b], nsys.dims[b]) for b in letters)
+        flip = [rand(nsys.dims[b ^ 1], nsys.dims[b]) for b in letters]
+        flip[n % len(flip)] = np.zeros_like(flip[n % len(flip)])
+        flip = tuple(flip)
+        # noise in the blocks H[c⁻¹|c], which a walk never reads: a walker
+        # that steps back across an edge picks it up
+        blocks = {pair: nsys.h(*pair) for pair in nsys.system.pairs()}
+        for c in letters:
+            blocks[c ^ 1, c] = rand(nsys.dims[c ^ 1], nsys.dims[c])
+        noisy = MatrixSystem(nsys.alphabet, nsys.dims, blocks)
+        ref = _pair_operator_oracle(nsys, nsys, n, same, flip)
+        assert np.array_equal(
+            _pair_operator_oracle(nsys, noisy, n, same, flip), ref)
+        new = _pair_operator_matrix(nsys, noisy, n, same, flip)
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_translation_matches_action_on_matrix_letters(

@@ -202,6 +202,13 @@ class TestPhiEps:
         assert not loose.tail_ok
         assert loose.value > tight.value
 
+    def test_zero_family_returns(self, s0_norm):
+        # a zero norm scale makes every tail term 0; the sum must stop
+        v = first_shell(s0_norm, {A: [1.0]})
+        rep = phi_eps_norm(sphere_sums(first_shell(s0_norm, {}), v, 6), 0.5)
+        assert rep.tail_bound == 0.0
+        assert rep.value == 0.0
+
 
 class TestGoodVector:
     def test_bounded_series_plausible(self):
