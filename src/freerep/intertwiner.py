@@ -217,7 +217,7 @@ def _commutation_residual(nsys, nsys_hat, d, op, op_next, gram_next):
         if nsys_hat is not nsys:
             tyhat = translation_matrix(nsys_hat, (y,), d)
         defect = op_next @ ty - tyhat @ op
-        sq = np.einsum("ij,ik,kj->j", defect.conj(), gram_next, defect)
+        sq = (defect.conj() * (gram_next @ defect)).sum(0)
         worst = max(worst, float(np.sqrt(max(sq.real.max(), 0.0))))
     return worst
 

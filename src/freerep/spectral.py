@@ -4,6 +4,30 @@ obstruction, the Q tuple, and the symmetry-class decision.
 Tensor blocks realize ``S ↦ X S Y†`` as ``kron(X, conj(Y))`` acting on
 row-major vectorized ``S``; any consistent convention yields the same
 spectra, and this one keeps every formula a one-liner in numpy.
+
+``D`` is block upper triangular: below the diagonal and in ``(2, 3)``
+its blocks are exactly zero.  Its diagonal blocks are the dual transfer
+operators of the twin (``D_11``) and of the system (``D_44``) and a
+mutually conjugate pair (``D_22``, ``D_33``), each with eigenvalue 1 at
+most once.  The eigenvalue-1 analysis reads that structure:
+
+- ``mult_one`` counts the eigenvalues of the four diagonal blocks within
+  ``δ`` of 1, and ``gap`` is the smallest distance to 1 of the others;
+  no eigensolve or SVD of the whole of ``D`` is made.
+- ``dim_one = mult_one − rank N``.  ``N`` is the strictly upper
+  triangular coupling ``N_ij = l_i C_ij r_j`` between the fixed vectors
+  ``r_i`` and functionals ``l_i`` (``l_i r_i = 1``) of the blocks that
+  have one, through ``C_ij = D_ij + Σ_{i<m<j} D_im G_m C_mj`` with
+  ``G_m`` the group inverse of ``I − D_mm`` (LU solves).  It is at most
+  4×4, so its rank is read from its singular values.
+- ``r_i`` and ``l_i`` are the closed forms in ``B``, ``B̂`` and ``K``
+  (an eigensolve of the one block where a form does not hold), balanced
+  to equal norms in the frame where ``B = I``.  The singular values of
+  ``N`` are then invariant under a change of basis of the system, and
+  are ranked against ``δ``.
+- A singular value within a factor 10 of ``δ`` makes the decision
+  ambiguous; the diagnostic then prints the singular values of ``N`` and
+  the threshold.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +46,12 @@ GAP_FACTOR = 10.0
 # Least-squares acceptance threshold for the Q system, relative to ‖E‖.
 Q_ACCEPT_TOL = 1e-9
 
+# Relative residual below which a closed-form fixed vector of a diagonal
+# block is used; above it the block is eigensolved instead.
+FORM_TOL = 1e-8
+
+_ROWS = (1, 2, 3, 4)
+
 
 def _tensor(x, y):
     """Matrix of ``S ↦ X S Y†`` on row-major vec'd ``S``."""
@@ -34,18 +64,42 @@ class DMatrix:
 
     ``slots`` maps ``(i, c)`` for block-row ``i ∈ 1..4`` and letter ``c``
     to ``(offset, (rows, cols))`` of the vectorized slot; ``side`` is the
-    full dimension.
+    full dimension.  The matrix is block upper triangular in the block
+    rows (``build_D`` never fills a block below the diagonal), so its
+    spectrum is that of the four diagonal blocks.  ``package`` is the
+    twin package it was built from, the source of the closed-form fixed
+    vectors; a hand-built matrix has none.
     """
 
     matrix: np.ndarray
     slots: dict
     side: int
+    package: object = None
+
+    @cached_property
+    def row_ranges(self):
+        """``(start, stop)`` of each block row in ``matrix``."""
+        ranges = {}
+        for (i, _), (off, shape) in self.slots.items():
+            lo, hi = ranges.get(i, (self.side, 0))
+            ranges[i] = (min(lo, off), max(hi, off + shape[0] * shape[1]))
+        return ranges
+
+    def block(self, i, j):
+        """View of the ``(i, j)`` block of ``matrix``."""
+        (r0, r1), (c0, c1) = self.row_ranges[i], self.row_ranges[j]
+        return self.matrix[r0:r1, c0:c1]
+
+    @cached_property
+    def block_eigenvalues(self):
+        """Eigenvalues of the diagonal blocks ``D_11 .. D_44``, solved
+        once and shared by every reader."""
+        return tuple(np.linalg.eigvals(self.block(i, i)) for i in _ROWS)
 
     @cached_property
     def eigenvalues(self):
-        """Eigenvalues of ``matrix``, solved once and shared by every
-        reader (the spectral radius and the eigenvalue-1 count)."""
-        return np.linalg.eigvals(self.matrix)
+        """Eigenvalues of ``matrix``: those of its diagonal blocks."""
+        return np.concatenate(self.block_eigenvalues)
 
     def embed(self, i, tuple_of_mats):
         """Vector with ``tuple_of_mats`` in block-row ``i``, zeros elsewhere."""
@@ -120,51 +174,193 @@ def build_D(pkg):
                 co, cs = slots[(j, b)]
                 block = _tensor(x, y)
                 mat[ro:ro + rs[0] * rs[1], co:co + cs[0] * cs[1]] += block
-    return DMatrix(matrix=mat, slots=slots, side=side)
+    return DMatrix(matrix=mat, slots=slots, side=side, package=pkg)
 
 
 @dataclass
 class EigenOne:
     """Eigenvalue-1 data: algebraic count in the δ-cluster, geometric
-    dimension from the rank of ``D − I``, and audit quantities."""
+    dimension ``mult − rank N``, and the margin of the rank decision.
+
+    ``sv_profile`` holds the singular values of the coupling matrix ``N``
+    (descending) and ``threshold`` the value they are ranked against.
+    """
 
     mult_one: int
     dim_one: int
     gap: float
     sv_profile: tuple
     ambiguous: bool
+    threshold: float
 
 
 def eigen_one(d, delta=DELTA):
     """Count the eigenvalue-1 cluster and its geometric dimension.
 
+    The cluster is read off the diagonal blocks.  Each block that has an
+    eigenvalue within ``δ`` of 1 has exactly one; its right and left
+    fixed vectors couple through the blocks above the diagonal into the
+    strictly upper triangular ``N``, and ``dim_one = mult − rank N``.
+    The fixed vectors are balanced in the frame where ``B = I``, so the
+    singular values of ``N`` are gauge invariant and of order one when
+    they do not vanish; they are ranked against ``δ``.
+
     Raises
     ------
     UndecidedError
         "ill-conditioned cluster" when the spectral gap around 1 is below
-        ``10·δ``, making the multiplicity count unreliable.
+        ``10·δ``, making the multiplicity count unreliable; and when a
+        diagonal block has more than one eigenvalue in the cluster.
     """
-    vals = d.eigenvalues
-    dist = np.abs(vals - 1.0)
-    inside = dist < delta
-    mult = int(np.sum(inside))
-    outside = dist[~inside]
+    counts = []
+    outside = []
+    for vals in d.block_eigenvalues:
+        dist = np.abs(vals - 1.0)
+        inside = dist < delta
+        counts.append(int(np.sum(inside)))
+        outside.append(dist[~inside])
+    mult = sum(counts)
+    outside = np.concatenate(outside)
     gap = float(outside.min()) if outside.size else np.inf
     if mult and gap < GAP_FACTOR * delta:
         raise UndecidedError("ill-conditioned cluster")
-    sv = np.linalg.svd(d.matrix - np.eye(d.side), compute_uv=False)
-    thresh = delta * sv[0]
-    dim = int(np.sum(sv < thresh))
-    near = sv[(sv > thresh / 10) & (sv < thresh * 10)]
-    ambiguous = near.size > 0
-    profile = tuple(float(x) for x in sv[-max(mult, dim, 1) - 2:])
+    for i, count in zip(_ROWS, counts):
+        if count > 1:
+            raise UndecidedError("eigenvalue 1 of D_%d%d is not simple"
+                                 % (i, i))
+    pairs = {i: _fixed_pair(d, i) for i, count in zip(_ROWS, counts)
+             if count}
+    sv = np.linalg.svd(_coupling(d, pairs), compute_uv=False)
+    near = sv[(sv > delta / 10) & (sv < delta * 10)]
     return EigenOne(
         mult_one=mult,
-        dim_one=dim,
+        dim_one=mult - int(np.sum(sv >= delta)),
         gap=gap,
-        sv_profile=profile,
-        ambiguous=ambiguous,
+        sv_profile=tuple(float(x) for x in sv),
+        ambiguous=near.size > 0,
+        threshold=delta,
     )
+
+
+def _fixed_pair(d, i):
+    """Right fixed vector ``r`` and left fixed functional ``l`` of
+    ``D_ii`` on block row ``i``, with ``l·r = 1``.
+
+    The closed forms of :func:`_fixed_forms` are used when they pass
+    :data:`FORM_TOL`, otherwise the block is eigensolved.  The pair is
+    balanced so that ``r`` and ``l`` have equal norms in the whitened
+    frame of :func:`_whitening`, which makes ``N`` a gauge invariant up
+    to the phases of its rows and columns.
+    """
+    block = d.block(i, i)
+    pair = None
+    forms = None if d.package is None else _fixed_forms(d.package, i)
+    if forms is not None:
+        right, left = forms
+        row = slice(*d.row_ranges[i])
+        r = d.embed(i, right)[row]
+        l = d.embed(i, tuple(t.T for t in left))[row]
+        if (np.linalg.norm(block @ r - r) < FORM_TOL * np.linalg.norm(r)
+                and np.linalg.norm(l @ block - l)
+                < FORM_TOL * np.linalg.norm(l)):
+            pair = r, l
+    if pair is None:
+        pair = _eig_pair(block)
+    r, l = pair
+    l = l / (l @ r)
+    r_norm, l_norm = _whitened_norms(d, i, r, l)
+    scale = np.sqrt(l_norm / r_norm)
+    return r * scale, l / scale
+
+
+def _eig_pair(block):
+    """Right and left eigenvectors of ``block`` for its eigenvalue
+    nearest 1."""
+    vals, vecs = np.linalg.eig(block)
+    lvals, lvecs = np.linalg.eig(block.T)
+    return (vecs[:, np.argmin(np.abs(vals - 1.0))],
+            lvecs[:, np.argmin(np.abs(lvals - 1.0))])
+
+
+def _whitening(pkg, i):
+    """Per-letter factors ``((L, L⁻¹), (R, R⁻¹))`` of the change of frame
+    ``S ↦ L S R`` on block row ``i`` that takes ``B`` to the identity.
+
+    That is the gauge ``g_a = B_a^{1/2}``, under which the twin's side of
+    a slot moves by ``B_{a⁻¹}^{-1/2}``.  Any gauge of the system lands in
+    the same frame up to a unitary one, which preserves Frobenius norms.
+    """
+    up = []
+    for b in pkg.original.B:
+        w, v = np.linalg.eigh(b)
+        up.append(((v * np.sqrt(w)) @ v.conj().T,
+                   (v / np.sqrt(w)) @ v.conj().T))
+    # which side of the row's slots (rows, columns) belongs to the twin
+    twin_side = {1: (True, True), 2: (False, True), 3: (True, False),
+                 4: (False, False)}[i]
+
+    def factor(a, on_twin):
+        return up[a ^ 1][::-1] if on_twin else up[a]
+
+    return [tuple(factor(a, t) for t in twin_side) for a in range(len(up))]
+
+
+def _whitened_norms(d, i, r, l):
+    """Frobenius norms of ``r`` and of ``l`` in the whitened frame (the
+    raw frame for a matrix without a package)."""
+    if d.package is None:
+        return np.linalg.norm(r), np.linalg.norm(l)
+    start = d.row_ranges[i][0]
+    r_sq = l_sq = 0.0
+    for a, ((left, left_inv), (right, right_inv)) in enumerate(
+            _whitening(d.package, i)):
+        off, shape = d.slots[(i, a)]
+        cut = slice(off - start, off - start + shape[0] * shape[1])
+        r_sq += np.linalg.norm(left @ r[cut].reshape(shape) @ right) ** 2
+        # l(S) = Σ l_jk S_jk is tr(lᵀ S); whitened, lᵀ ↦ R⁻¹ lᵀ L⁻¹
+        l_sq += np.linalg.norm(
+            right_inv @ l[cut].reshape(shape).T @ left_inv) ** 2
+    return np.sqrt(r_sq), np.sqrt(l_sq)
+
+
+def _coupling(d, pairs):
+    """The coupling ``N_ij = l_i C_ij r_j`` between the rows ``i < j``
+    that carry a fixed vector, where ``C_ij = D_ij + Σ_{i<m<j} D_im G_m
+    C_mj`` and ``G_m`` is the group inverse of ``I − D_mm``.
+
+    Only the vectors ``C_mj r_j`` are formed, one block row at a time
+    upwards from ``j``; a vector that is exactly zero (``D_23 = 0``) is
+    not solved.
+    """
+    rows = sorted(pairs)
+    index = {i: k for k, i in enumerate(rows)}
+    n = np.zeros((len(rows), len(rows)), dtype=complex)
+    for j in rows:
+        solved = {}
+        for m in range(j - 1, rows[0] - 1, -1):
+            c = d.block(m, j) @ pairs[j][0]
+            for p, g in solved.items():
+                c += d.block(m, p) @ g
+            if m in pairs:
+                n[index[m], index[j]] = pairs[m][1] @ c
+            if m > rows[0] and np.any(c):
+                solved[m] = _group_solve(d.block(m, m), pairs.get(m), c)
+    return n
+
+
+def _group_solve(block, pair, y):
+    """``G y`` for ``G`` the group inverse of ``A = I − block``.
+
+    Without a fixed pair ``A`` is invertible and ``G = A⁻¹``.  With the
+    fixed pair ``(r, l)``, ``l·r = 1``, the kernel of ``A`` is simple and
+    ``G = (A + r l)⁻¹ − r l``.  One LU solve either way.
+    """
+    a = np.eye(block.shape[0]) - block
+    if pair is None:
+        return np.linalg.solve(a, y)
+    r, l = pair
+    a += np.outer(r, l)
+    return np.linalg.solve(a, y) - r * (l @ y)
 
 
 def diag_block_apply(pkg, i, tuple_of_mats):
@@ -194,19 +390,39 @@ def diag_block_apply(pkg, i, tuple_of_mats):
     return tuple(out)
 
 
+def _fixed_forms(pkg, i):
+    """Closed-form right and left fixed tuples of ``D_ii``.
+
+    The left tuple ``t`` is the functional ``S ↦ Σ_a tr(t_a S_a)``.  Rows
+    1 and 4 are the transfer operators of the twin and of the system,
+    fixed by ``B`` and ``B̂``; rows 2 and 3 need the equivalence tuple
+    ``K`` (``K_a H_ab = Ĥ_ab K_b``), and are ``None`` without it.
+    """
+    nsys, tw, K = pkg.original, pkg.twin, pkg.K
+    size = nsys.alphabet.size
+    B, Bh = nsys.B, tw.B
+    if i == 1:
+        return (tuple(B[a ^ 1] for a in range(size)),
+                tuple(Bh[a] for a in range(size)))
+    if i == 4:
+        return (tuple(Bh[a ^ 1] for a in range(size)),
+                tuple(B[a] for a in range(size)))
+    if K is None:
+        return None
+    if i == 2:
+        return (tuple(np.linalg.solve(K[a], B[a ^ 1]) for a in range(size)),
+                tuple(Bh[a] @ K[a] for a in range(size)))
+    return (tuple(np.linalg.solve(K[a ^ 1].T, B[a ^ 1].T).T
+                  for a in range(size)),
+            tuple(K[a].conj().T @ Bh[a] for a in range(size)))
+
+
 def diag_eigvec_tuples(pkg):
     """The four diagonal-block fixed tuples built from ``B``, ``B̂``, ``K``."""
     if pkg.K is None:
         raise ValueError("K missing: diagonal eigenvector check requires "
                          "equivalent twins")
-    nsys, tw, K = pkg.original, pkg.twin, pkg.K
-    size = nsys.alphabet.size
-    kinv = [np.linalg.inv(K[c]) for c in range(size)]
-    u1 = tuple(nsys.B[a ^ 1] for a in range(size))
-    u2 = tuple(kinv[a] @ nsys.B[a ^ 1] for a in range(size))
-    u3 = tuple(nsys.B[a ^ 1] @ kinv[a ^ 1] for a in range(size))
-    u4 = tuple(tw.B[a ^ 1] for a in range(size))
-    return u1, u2, u3, u4
+    return tuple(_fixed_forms(pkg, i)[0] for i in _ROWS)
 
 
 def diag_eigvec_check(pkg):
@@ -460,8 +676,8 @@ def classify(nsys):
         diagnostics.append("dimension 1 with equivalent twins is impossible")
     if eig.ambiguous:
         diagnostics.append(
-            "rank decision ambiguous near threshold; singular value "
-            "profile: %s" % (eig.sv_profile,)
+            "rank decision ambiguous near threshold; singular values of "
+            "N: %s, threshold %.1e" % (eig.sv_profile, eig.threshold)
         )
     key = (equivalent, eig.dim_one)
     if key not in _CLASS_TABLE or diagnostics:

@@ -20,6 +20,7 @@ from freerep.functions import (
 from freerep.intertwiner import (
     _add_summand,
     _apply_edge_operator,
+    _commutation_residual,
     _form_diag,
     _pair_operator_matrix,
     _pair_parts,
@@ -298,6 +299,28 @@ class TestIsometryIntertwining:
     def test_fin_residual(self, fix, request):
         J = request.getfixturevalue(fix)
         assert fin_residual(J, word_max=5) < 1e-10
+
+    @pytest.mark.parametrize("fix", ["gauged_ai_J", "bi_J"])
+    def test_commutation_residual_matches_einsum_form(self, fix, request):
+        # random chart matrices, so the defect is of order one, measured
+        # against the twin's form on W_3 (not the identity when B != I)
+        J = request.getfixturevalue(fix)
+        nsys, tw = J.pkg.original, J.pkg.twin
+        rng = np.random.default_rng(4)
+        ops = {}
+        for n in (2, 3):
+            shape = (w_layout(tw, n).dim, w_layout(nsys, n).dim)
+            ops[n] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        gram = _form_diag(w_layout(tw, 3))
+        want = 0.0
+        for y in nsys.alphabet.generators:
+            defect = (ops[3] @ translation_matrix(nsys, (y,), 2)
+                      - translation_matrix(tw, (y,), 2) @ ops[2])
+            sq = np.einsum("ij,ik,kj->j", defect.conj(), gram, defect)
+            want = max(want, float(np.sqrt(max(sq.real.max(), 0.0))))
+        got = _commutation_residual(nsys, tw, 2, ops[2], ops[3], gram)
+        assert want > 1.0
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestFamily:

@@ -1,14 +1,24 @@
 """Block matrix assembly, eigenvalue-1 analysis, Q solve, trace
 obstruction, and the class decision."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freerep import generate
-from freerep.systems import UndecidedError, normalize
-from freerep.twin import twin_package
+from freerep import generate, spectral
+from freerep.systems import (
+    MatrixSystem,
+    UndecidedError,
+    normalize,
+    transfer_matrix,
+)
+from freerep.twin import twin, twin_package
 from freerep.spectral import (
+    DELTA,
     DMatrix,
+    EigenOne,
     build_D,
     classify,
     diag_block_apply,
@@ -69,6 +79,112 @@ def random_rows(pkg, rng):
             for a in range(nsys.alphabet.size)
         )
     return rows
+
+
+def _eigen_one_dense(d, delta=DELTA):
+    """Oracle for :func:`eigen_one`: the dense analysis it replaced.
+
+    ``eigvals`` of the whole of ``D`` for the cluster, and the singular
+    values of ``D − I`` in raw coordinates for the geometric dimension,
+    ranked against ``δ·σ_max``.  Singular values are not similarity
+    invariant, so ``ambiguous`` marks where this oracle cannot be read.
+    """
+    vals = np.linalg.eigvals(d.matrix)
+    dist = np.abs(vals - 1.0)
+    inside = dist < delta
+    mult = int(np.sum(inside))
+    outside = dist[~inside]
+    gap = float(outside.min()) if outside.size else np.inf
+    sv = np.linalg.svd(d.matrix - np.eye(d.side), compute_uv=False)
+    thresh = delta * sv[0]
+    dim = int(np.sum(sv < thresh))
+    near = sv[(sv > thresh / 10) & (sv < thresh * 10)]
+    return EigenOne(
+        mult_one=mult,
+        dim_one=dim,
+        gap=gap,
+        sv_profile=tuple(float(x) for x in sv[-max(mult, dim, 1) - 2:]),
+        ambiguous=near.size > 0,
+        threshold=thresh,
+    )
+
+
+def _spectrum_gap(x, y):
+    """Largest distance when each value of ``x`` is matched to the
+    nearest unmatched value of ``y``: a sort of two spectra that
+    tolerates rounding between the members of conjugate pairs."""
+    assert len(x) == len(y)
+    rest = list(y)
+    worst = 0.0
+    for v in x:
+        k = int(np.argmin(np.abs(np.asarray(rest) - v)))
+        worst = max(worst, abs(rest.pop(k) - v))
+    return worst
+
+
+def _gauged(sys_, gs):
+    """Copy of ``sys_`` under the gauge ``H[b|a] → g_b H[b|a] g_a⁻¹``."""
+    blocks = {(b, a): np.linalg.solve(gs[a].T, (gs[b] @ m).T).T
+              for (b, a), m in sys_.blocks.items()}
+    return MatrixSystem(sys_.alphabet, sys_.dims, blocks)
+
+
+def _gauge_draw(rng, dims):
+    """Non-unitary gauge ``g_c = G + 2I``, ``G`` complex Gaussian."""
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            + 2 * np.eye(n) for n in dims]
+
+
+def _relabelled(sys_, order, inverted):
+    """Copy of ``sys_`` with generator ``g`` renamed ``order[g]``, and
+    replaced by its inverse where ``inverted[g]``."""
+    def letter(c):
+        return 2 * order[c // 2] + ((c & 1) ^ int(inverted[c // 2]))
+
+    dims = [0] * len(sys_.dims)
+    for c, n in enumerate(sys_.dims):
+        dims[letter(c)] = n
+    blocks = {(letter(b), letter(a)): m for (b, a), m in sys_.blocks.items()}
+    return MatrixSystem(sys_.alphabet, dims, blocks)
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_systems():
+    """The 17 self-twin dim-3 systems of the eigenvalue-1 gate: seeds
+    0..9, and 7 non-unitary gauge copies of seed 0."""
+    out = [generate.self_twin_system(s, k=2, dim=3) for s in range(10)]
+    rng = np.random.default_rng(1)
+    out += [_gauged(out[0], _gauge_draw(rng, out[0].dims))
+            for _ in range(7)]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _metamorphic_pool():
+    """The gate systems and gauge copies of AI and BI instances, whose
+    forms are then not the identity."""
+    rng = np.random.default_rng(2)
+    scalar = [generate.ai_instance(1), generate.ai_instance(2),
+              generate.bi_instance(1), generate.bi_instance(2)]
+    return _gate_systems() + tuple(
+        _gauged(sys_, _gauge_draw(rng, sys_.dims)) for sys_ in scalar)
+
+
+@functools.lru_cache(maxsize=None)
+def _report(index):
+    """Classification of a pool system, shared by the gate and the
+    metamorphic tests."""
+    return classify(normalize(_metamorphic_pool()[index]))
+
+
+def _decision(report):
+    return report.class_label, report.mult_one, report.dim_one
+
+
+def _assert_same_decision(index, report):
+    base = _report(index)
+    assert base.class_label != "undecided", base.diagnostics
+    assert _decision(report) == _decision(base), report.diagnostics
 
 
 @pytest.fixture(scope="module")
@@ -161,10 +277,50 @@ class TestEigenOne:
         assert eig.mult_one == 2
 
     def test_narrow_gap_raises(self):
+        # one 1x1 slot per block row: D_11 = 1 and D_22 = 1 − 5e-6
         mat = np.diag([1.0, 1.0 - 5e-6, 0.3, 0.3]).astype(complex)
-        d = DMatrix(matrix=mat, slots={}, side=4)
+        slots = {(i, 0): (i - 1, (1, 1)) for i in (1, 2, 3, 4)}
+        d = DMatrix(matrix=mat, slots=slots, side=4)
         with pytest.raises(UndecidedError, match="ill-conditioned cluster"):
             eigen_one(d)
+
+    @pytest.mark.parametrize("make", [
+        generate.s0_system,
+        *[functools.partial(generate.ai_instance, s) for s in (1, 2, 3)],
+        *[functools.partial(generate.bi_instance, s) for s in (1, 2, 3)],
+        *[functools.partial(generate.bi_e0_system, s) for s in (0, 1, 2)],
+        *[functools.partial(generate.random_system, s, k=2, max_dim=2)
+          for s in (31, 32, 33)],
+        functools.partial(generate.random_system, 23, k=3, max_dim=2),
+    ])
+    def test_matches_dense_oracle(self, make):
+        d = build_D(twin_package(normalize(make())))
+        eig = eigen_one(d)
+        want = _eigen_one_dense(d)
+        assert eig.mult_one == want.mult_one
+        assert eig.gap == pytest.approx(want.gap, rel=1e-9)
+        assert not eig.ambiguous
+        if not want.ambiguous:
+            assert eig.dim_one == want.dim_one
+
+    def test_eig_fallback_agrees_with_closed_forms(self, monkeypatch):
+        # a tolerance no closed form meets sends every block to eig
+        d = build_D(twin_package(normalize(_gate_systems()[1])))
+        closed = eigen_one(d)
+        solved = []
+        eig = np.linalg.eig
+
+        def recording(m):
+            solved.append(np.shape(m))
+            return eig(m)
+
+        monkeypatch.setattr(spectral, "FORM_TOL", 0.0)
+        monkeypatch.setattr(np.linalg, "eig", recording)
+        fallback = eigen_one(d)
+        assert len(solved) == 8
+        assert fallback.dim_one == closed.dim_one == 2
+        np.testing.assert_allclose(fallback.sv_profile[:2],
+                                   closed.sv_profile[:2], rtol=1e-8)
 
 
 class TestDiagEigvec:
@@ -303,22 +459,121 @@ class TestClassify:
         assert report.realization_verdict == "monotony"
         assert report.Q is None
 
-    def test_single_eigensolve_of_D(self, monkeypatch):
+    def test_no_dense_solve_of_D(self, monkeypatch):
         nsys = normalize(generate.random_system(51, k=2, max_dim=2))
-        solves = []
-        eigvals = np.linalg.eigvals
+        calls = []
+        for name in ("eigvals", "eig", "svd"):
+            def recording(m, *args, _solve=getattr(np.linalg, name),
+                          _name=name, **kwargs):
+                out = _solve(m, *args, **kwargs)
+                calls.append((_name, np.array(m), out))
+                return out
 
-        def recording(m):
-            vals = eigvals(m)
-            solves.append((np.shape(m), vals))
-            return vals
-
-        monkeypatch.setattr(np.linalg, "eigvals", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         report = classify(nsys)
-        side = report.dmatrix.side
-        of_d = [vals for shape, vals in solves if shape == (side, side)]
-        assert len(of_d) == 1
-        assert report.rho_D == float(np.max(np.abs(of_d[0])))
+        d = report.dmatrix
+        assert not [name for name, m, _ in calls
+                    if m.shape == (d.side, d.side)]
+        spectra = [vals for i in (1, 2, 3, 4)
+                   for name, m, vals in calls
+                   if name == "eigvals" and np.array_equal(m, d.block(i, i))]
+        assert len(spectra) == 4
+        assert report.rho_D == max(float(np.max(np.abs(v))) for v in spectra)
+
+
+    def test_ambiguous_rank_reports_margin(self, monkeypatch):
+        # δ = 0.02 sits within a factor 10 of the second singular value
+        # of N (0.0212) on this system
+        nsys = normalize(_gate_systems()[0])
+        monkeypatch.setattr(spectral, "eigen_one",
+                            functools.partial(eigen_one, delta=0.02))
+        report = classify(nsys)
+        assert report.class_label == "undecided"
+        [diag] = [m for m in report.diagnostics if "ambiguous" in m]
+        assert "singular values of N: %s" % (report.sv_profile,) in diag
+        assert "threshold 2.0e-02" in diag
+        assert 0.002 < report.sv_profile[1] < 0.2
+
+
+class TestBlockSpectra:
+    """``D`` is block upper triangular; its diagonal blocks are the
+    transfer operators of the system and of its twin and a mixed pair
+    conjugate to each other."""
+
+    @pytest.mark.parametrize("make", [
+        generate.s0_system,
+        functools.partial(generate.ai_instance, 1),
+        functools.partial(generate.random_system, 51, k=2, max_dim=2),
+    ])
+    def test_diagonal_block_spectra(self, make):
+        pkg = twin_package(normalize(make()))
+        d = build_D(pkg)
+        eigvals = np.linalg.eigvals
+        assert _spectrum_gap(eigvals(d.block(4, 4)), eigvals(
+            transfer_matrix(pkg.original.system))) < 1e-9
+        assert _spectrum_gap(eigvals(d.block(1, 1)), eigvals(
+            transfer_matrix(pkg.twin.system))) < 1e-9
+        assert _spectrum_gap(eigvals(d.block(3, 3)),
+                             np.conj(eigvals(d.block(2, 2)))) < 1e-9
+
+
+class TestSelfTwinGate:
+    """Self-twin dim-3 systems are BII with d = 2 in every gauge: the
+    rank decision on raw singular values of ``D − I`` left three of
+    these undecided."""
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_decided_bii(self, index):
+        report = _report(index)
+        assert report.class_label == "BII"
+        assert report.mult_one == 4
+        assert report.dim_one == 2
+        assert not report.diagnostics
+        # the kept and dropped singular values of N are decades apart
+        kept, dropped = report.sv_profile[1], report.sv_profile[2]
+        assert kept > 10 * DELTA and dropped < DELTA / 1e6
+
+
+_METAMORPHIC = settings(derandomize=True, database=None, max_examples=5,
+                        deadline=None)
+_POOL_INDEX = st.integers(0, 20)
+
+
+class TestMetamorphic:
+    """Label, multiplicity and dimension are properties of the system,
+    not of its coordinates or letter names."""
+
+    def test_pool_size(self):
+        assert len(_metamorphic_pool()) == 21
+
+    @_METAMORPHIC
+    @given(index=_POOL_INDEX, seed=st.integers(0, 2**32 - 1))
+    def test_non_unitary_gauge(self, index, seed):
+        sys_ = _metamorphic_pool()[index]
+        draw = _gauge_draw(np.random.default_rng(seed), sys_.dims)
+        _assert_same_decision(
+            index, classify(normalize(_gauged(sys_, draw))))
+
+    @_METAMORPHIC
+    @given(index=_POOL_INDEX)
+    def test_generator_permutation(self, index):
+        sys_ = _metamorphic_pool()[index]
+        _assert_same_decision(
+            index, classify(normalize(_relabelled(sys_, (1, 0), (0, 0)))))
+
+    @_METAMORPHIC
+    @given(index=_POOL_INDEX, inverted=st.sampled_from(
+        [(1, 0), (0, 1), (1, 1)]))
+    def test_inverse_relabelling(self, index, inverted):
+        sys_ = _metamorphic_pool()[index]
+        _assert_same_decision(
+            index, classify(normalize(_relabelled(sys_, (0, 1), inverted))))
+
+    @_METAMORPHIC
+    @given(index=_POOL_INDEX)
+    def test_twin_of_twin(self, index):
+        nsys = normalize(_metamorphic_pool()[index])
+        _assert_same_decision(index, classify(twin(twin(nsys))))
 
 
 class TestInstanceFamilies:
