@@ -438,13 +438,17 @@ def diag_eigvec_check(pkg):
 def trace_condition(pkg):
     """The trace obstruction ``Σ_ab tr(K_a⁻¹ E_ab B̂_{b⁻¹} H_ab† B_a)``.
 
-    Returns ``(value, scale)`` where ``scale`` sums the absolute values of
-    the individual terms; vanishing of ``value`` against ``scale`` is
-    equivalent to geometric dimension at least 3.
+    Returns ``(value, scale)``; vanishing of ``value`` against ``scale`` is
+    equivalent to geometric dimension at least 3.  ``scale`` sums the
+    absolute values of the terms once every ``E_ab`` is expanded into its
+    summands ``H[c, a⁻¹]† B_c H[c, b]``: each such term is the trace of a
+    product of gauge-covariant factors, so the ratio does not move under a
+    gauge change, and the terms keep their size where ``E`` cancels.
     """
     if pkg.K is None:
         raise ValueError("K missing: trace condition requires equivalent twins")
     nsys, tw, K = pkg.original, pkg.twin, pkg.K
+    blocks = nsys.system.blocks
     size = nsys.alphabet.size
     value = 0.0 + 0.0j
     scale = 0.0
@@ -453,13 +457,20 @@ def trace_condition(pkg):
         for b in range(size):
             if a == b ^ 1:
                 continue
-            term = np.trace(
-                kinv @ pkg.e(a, b) @ tw.B[b ^ 1]
-                @ nsys.h(a, b).conj().T @ nsys.B[a]
-            )
-            value += term
-            scale += abs(term)
+            tail = tw.B[b ^ 1] @ nsys.h(a, b).conj().T @ nsys.B[a]
+            value += np.trace(kinv @ pkg.e(a, b) @ tail)
+            for c in range(size):
+                left, right = blocks.get((c, a ^ 1)), blocks.get((c, b))
+                if left is not None and right is not None:
+                    scale += abs(np.trace(
+                        kinv @ left.conj().T @ nsys.B[c] @ right @ tail))
     return complex(value), float(scale)
+
+
+def trace_ratio(value, scale):
+    """``|value| / scale`` for a :func:`trace_condition` pair, 0 when every
+    term is exactly 0."""
+    return abs(value) / scale if scale else 0.0
 
 
 def twin_side_trace_condition(pkg):
@@ -701,8 +712,7 @@ def classify(nsys):
         diagnostics.append("class %s forbids a Q tuple but one was found"
                            % label)
     if equivalent:
-        # the scale itself vanishes when E does; floor it at the B scale
-        rel = abs(trace_val) / max(trace_scale, frob_tuple(nsys.B))
+        rel = trace_ratio(trace_val, trace_scale)
         vanishes = rel < 1e-6
         if vanishes != (eig.dim_one >= 3):
             diagnostics.append(

@@ -4,7 +4,9 @@ A system assigns a complex space of dimension ``n_a`` to every letter and a
 block ``H[b, a]`` to every ordered letter pair with ``ba ≠ e``.  This module
 validates systems, tests irreducibility, applies the transfer operator, and
 produces the normalized form (unit transfer radius, positive definite fixed
-forms with the trace convention ``Σ_a tr(B_a) = Σ_a n_a``).
+forms with the trace convention ``Σ_a tr(B_a) = Σ_a n_a``).  One Perron
+solve of the transfer matrix and of its adjoint gives the radius, the forms
+of the system and of its twin, and the irreducibility decision.
 """
 
 from dataclasses import dataclass
@@ -17,11 +19,9 @@ from . import freegroup
 # Frobenius norm; double-precision headroom for block dims up to ~64.
 TOL_FIX = 1e-10
 TOL_PD = 1e-9
-
-# Power iteration is driven well below TOL_FIX: downstream eigenvalue-cluster
-# analysis is sensitive to sqrt of the fixed-point error.
-_TARGET_RESIDUAL = 1e-14
-_MAX_ITER = 10_000
+# The Perron eigenvalue is simple when the next eigenvalue of T sits
+# farther than TOL_SIMPLE·ρ from ρ.
+TOL_SIMPLE = 1e-8
 
 
 class UndecidedError(RuntimeError):
@@ -133,7 +133,10 @@ def is_irreducible(sys):
     For every ordered letter pair ``(a, b)`` the span of all path products
     from ``V_a`` to ``V_b`` (seeded with the identity on diagonal pairs) is
     grown until it stabilizes; the system is irreducible iff every span
-    fills the whole ``n_b·n_a``-dimensional space of maps.
+    fills the whole ``n_b·n_a``-dimensional space of maps.  :func:`normalize`
+    reaches the same decision from the Perron data of the transfer operator;
+    this criterion stays as the independent check, and the random generators
+    sample with it.
 
     Raises
     ------
@@ -240,15 +243,25 @@ def identity_tuple(dims):
     return tuple(np.eye(n, dtype=complex) for n in dims)
 
 
-def _hermitize(t):
+def _form_from_vector(vec, dims, target):
+    """Hermitian tuple of a row-major vec'd eigenvector, trace ``target``.
+    The phase comes off the trace, real positive for a definite form."""
+    offs = np.cumsum((0,) + tuple(n * n for n in dims))
+    t = [vec[offs[c]:offs[c + 1]].reshape(n, n) for c, n in enumerate(dims)]
+    total = sum(np.trace(m) for m in t)
+    t = [m * (target / total if total else 1.0) for m in t]
     return tuple((m + m.conj().T) / 2 for m in t)
 
 
-def _trace_normalized(t, target):
-    total = sum(np.trace(m).real for m in t)
-    if total <= 0:
-        raise RuntimeError("B not positive definite")
-    return tuple(m * (target / total) for m in t)
+def _spectrum_ends(t):
+    """Smallest and largest eigenvalue over a tuple of Hermitian matrices."""
+    ends = [np.linalg.eigvalsh(m)[[0, -1]] for m in t]
+    return float(min(e[0] for e in ends)), float(max(e[1] for e in ends))
+
+
+def _fix_residual(sys, t):
+    image = transfer_apply(sys, t)
+    return frob_tuple(tuple(i - m for i, m in zip(image, t))) / frob_tuple(t)
 
 
 @dataclass(frozen=True)
@@ -263,6 +276,8 @@ class NormalizedSystem:
     B : tuple of ndarray
         The positive definite fixed forms, trace-normalized so that
         ``Σ_a tr(B_a) = Σ_a n_a``.
+    B_hat : tuple of ndarray
+        The twin system's fixed forms, with the same convention.
     rho_certificate : float
         Transfer radius of the stored system; 1 within tolerance.
     irreducible : bool
@@ -274,10 +289,18 @@ class NormalizedSystem:
 
     system: MatrixSystem
     B: tuple
+    B_hat: tuple
     rho_certificate: float
     irreducible: bool
     fix_residual: float
     b_min_eig: float
+
+    @classmethod
+    def from_forms(cls, system, B, B_hat, rho_certificate):
+        """Normalized system with known forms; measures the residual and
+        the smallest eigenvalue of ``B``."""
+        return cls(system, B, B_hat, rho_certificate, True,
+                   _fix_residual(system, B), _spectrum_ends(B)[0])
 
     @property
     def alphabet(self):
@@ -291,113 +314,70 @@ class NormalizedSystem:
         return self.system.h(b, a)
 
 
-def _power_iterate(sys, trace_target):
-    """Fixed form of a radius-1 system by accelerated power iteration."""
-    t = _trace_normalized(identity_tuple(sys.dims), trace_target)
-    history = [t]
-    residual = np.inf
-    for it in range(_MAX_ITER):
-        nxt = _trace_normalized(_hermitize(transfer_apply(sys, t)), trace_target)
-        history.append(nxt)
-        if len(history) > 3:
-            history.pop(0)
-        if len(history) == 3 and it % 3 == 2:
-            t0, t1, t2 = history
-            acc = []
-            for m0, m1, m2 in zip(t0, t1, t2):
-                den = m2 - 2 * m1 + m0
-                num = (m2 - m1) ** 2
-                safe = np.abs(den) > 1e-300
-                m = np.where(safe, m2 - np.divide(num, den, where=safe,
-                                                  out=np.zeros_like(num)), m2)
-                acc.append(m)
-            try:
-                acc = _trace_normalized(_hermitize(tuple(acc)), trace_target)
-                if _fix_residual(sys, acc) < _fix_residual(sys, nxt):
-                    nxt = acc
-                    history[-1] = acc
-            except RuntimeError:
-                pass
-        t = nxt
-        residual = _fix_residual(sys, t)
-        if residual < _TARGET_RESIDUAL:
-            return t, residual, it + 1
-    return t, residual, _MAX_ITER
-
-
-def _fix_residual(sys, t):
-    image = transfer_apply(sys, t)
-    return frob_tuple(tuple(i - m for i, m in zip(image, t))) / frob_tuple(t)
-
-
-def _eigensolve_fixed(sys, trace_target):
-    """Direct eigensolve fallback: eigenvector of T nearest eigenvalue 1."""
-    mat = transfer_matrix(sys)
-    vals, vecs = np.linalg.eig(mat)
-    idx = int(np.argmin(np.abs(vals - 1.0)))
-    vec = vecs[:, idx]
-    dims = sys.dims
-    out = []
-    pos = 0
-    for n in dims:
-        out.append(vec[pos:pos + n * n].reshape(n, n))
-        pos += n * n
-    t = _hermitize(tuple(out))
-    total = sum(np.trace(m).real for m in t)
-    if total < 0:
-        t = tuple(-m for m in t)
-    return _trace_normalized(t, trace_target)
-
-
 def normalize(sys, tol_fix=TOL_FIX, tol_pd=TOL_PD):
     """Scale to unit transfer radius and compute the fixed forms.
 
-    Every block is divided by the square root of the transfer radius, the
-    fixed tuple ``B`` is computed by power iteration seeded with the
-    identity tuple (Aitken-accelerated, direct eigensolve as fallback), and
-    the result is certified: ``B`` strictly positive definite, eigenvalue 1
-    of the transfer operator simple.
+    One eigensolve of the transfer matrix ``T`` (:func:`transfer_matrix`)
+    gives ``ρ = max|λ|`` and the right eigenvector at the eigenvalue nearest
+    ``ρ``: reshaped per letter, phase-fixed and hermitized, it is ``B``.
+    One eigensolve of ``T†`` gives the left vector ``S``.  The twin's
+    transfer operator is the Hilbert–Schmidt adjoint ``T†`` with letters
+    relabelled ``c ↦ c⁻¹``, so the twin's forms are ``B̂_c = S_{c⁻¹}``, with
+    no transpose.  Blocks are divided by ``√ρ``; both tuples have trace
+    ``Σ_a n_a``.
+
+    The same data decide irreducibility: the system is irreducible exactly
+    when ``ρ`` is a simple eigenvalue of ``T`` and ``B`` and ``B̂`` are both
+    positive definite.  This is Perron–Frobenius theory for completely
+    positive maps (D. E. Evans and R. Høegh-Krohn, *J. London Math. Soc.*
+    17 (1978); D. R. Farenick, *Proc. Amer. Math. Soc.* 124 (1996)).
+    :func:`is_irreducible` tests that path products span every space of
+    maps ``V_a → V_b``; by Burnside's theorem that holds exactly when the
+    blocks leave no proper tuple of subspaces ``W_a ⊆ V_a`` invariant.  If
+    such a ``W`` is invariant, ``T†`` keeps the forms supported on ``W`` and
+    has a semidefinite eigenvector ``Y`` among them; pairing with a definite
+    ``B`` puts its eigenvalue at ``ρ``, and a simple ``ρ`` makes ``Y`` a
+    multiple of ``S``, which is then singular.  As for nonnegative
+    matrices, a block-triangular system has a singular ``B`` or ``B̂``, and
+    a direct sum has a non-simple ``ρ`` or a singular form.
+
+    The fixed-point residual of ``B`` is checked against ``tol_fix``, and a
+    separate eigensolve certifies the radius of the rescaled system.
 
     Raises
     ------
     ValueError
-        Invalid or reducible input.
+        Invalid input, or "system is not irreducible" followed by the
+        relative Perron gap and the ratios ``λ_min/λ_max`` of both forms.
     RuntimeError
-        "B not positive definite" or "eigenvalue 1 not simple", both of
-        which signal reducibility or numerical failure.
-    UndecidedError
-        Propagated from the irreducibility certification.
+        The fixed-point residual of ``B`` exceeds ``tol_fix``.
     """
     violations = validate(sys)
     if violations:
         raise ValueError("invalid system: " + "; ".join(violations))
-    irreducible = is_irreducible(sys)
-    if not irreducible:
-        raise ValueError("system is not irreducible")
-    rho = spectral_radius_T(sys)
+    mat = transfer_matrix(sys)
+    vals, vecs = np.linalg.eig(mat)
+    rho = float(np.max(np.abs(vals)))
+    dist = np.abs(vals - rho)
+    nearest, second = np.argsort(dist)[:2]
+    gap = dist[second] / max(rho, np.finfo(float).tiny)
+    adj_vals, adj_vecs = np.linalg.eig(mat.conj().T)
+    left = adj_vecs[:, np.argmin(np.abs(adj_vals - rho))]
+    target = float(sum(sys.dims))
+    B = _form_from_vector(vecs[:, nearest], sys.dims, target)
+    S = _form_from_vector(left, sys.dims, target)
+    B_hat = tuple(S[c ^ 1] for c in sys.alphabet.letters)
+    ends = [_spectrum_ends(t) for t in (B, B_hat)]
+    if not (gap > TOL_SIMPLE and all(
+            lo > tol_pd * frob_tuple(t) for (lo, _), t in zip(ends, (B, B_hat)))):
+        raise ValueError(
+            "system is not irreducible: Perron gap %.2e (needs > %.0e), "
+            "form ratios lambda_min/lambda_max %.2e (B) and %.2e (twin)"
+            % ((gap, TOL_SIMPLE) + tuple(lo / hi for lo, hi in ends)))
     scaled = sys.scaled(1.0 / np.sqrt(rho))
-    trace_target = float(sum(scaled.dims))
-    t, residual, _ = _power_iterate(scaled, trace_target)
-    if residual > 1e-12:
-        t = _eigensolve_fixed(scaled, trace_target)
-        residual = _fix_residual(scaled, t)
-    norm_b = frob_tuple(t)
-    if residual > tol_fix:
-        raise RuntimeError("B not positive definite")
-    min_eig = min(float(np.linalg.eigvalsh(m)[0]) for m in t)
-    if min_eig <= tol_pd * norm_b:
-        raise RuntimeError("B not positive definite")
-    vals = np.linalg.eigvals(transfer_matrix(scaled))
-    near_one = np.abs(vals - 1.0)
-    near_one.sort()
-    if near_one.size > 1 and near_one[1] < 1e-8:
-        raise RuntimeError("eigenvalue 1 not simple")
-    radius = float(np.max(np.abs(vals)))
-    return NormalizedSystem(
-        system=scaled,
-        B=t,
-        rho_certificate=radius,
-        irreducible=irreducible,
-        fix_residual=residual,
-        b_min_eig=min_eig,
-    )
+    radius = float(np.max(np.abs(np.linalg.eigvals(transfer_matrix(scaled)))))
+    nsys = NormalizedSystem.from_forms(scaled, B, B_hat, radius)
+    if nsys.fix_residual > tol_fix:
+        raise RuntimeError("fixed-point residual %.2e of B exceeds %.0e"
+                           % (nsys.fix_residual, tol_fix))
+    return nsys

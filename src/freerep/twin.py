@@ -4,8 +4,10 @@ equivalence testing.
 The twin attaches to each letter the conjugate-dual space of the inverse
 letter.  In conjugate-dual coordinates the twin's blocks are plain data:
 ``Ĥ[b, a] = H[a⁻¹, b⁻¹]†``, which makes the construction an involution on
-the nose.  Forms for the twin are recomputed by normalization rather than
-transported, so the construction has no side conditions.
+the nose.  The twin's transfer operator is the adjoint of the system's with
+letters relabelled, so :func:`~freerep.systems.normalize` already holds the
+twin's forms ``B̂`` from the same Perron solve, and :func:`twin` reads them
+off.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import MatrixSystem, NormalizedSystem, normalize, frob_tuple
+from .systems import MatrixSystem, NormalizedSystem, frob_tuple
 
 # Relative singular-value threshold for nullspace rank decisions, and the
 # invertibility floor for equivalence tuples.
@@ -32,12 +34,16 @@ def twin_system(sys):
 
 
 def twin(nsys):
-    """Twin of a normalized system, renormalized independently.
+    """Twin of a normalized system, with no eigensolve.
 
-    The twin of an irreducible system is irreducible and already has unit
-    transfer radius, so normalization only recomputes the forms ``B̂``.
+    The twin's transfer spectrum is the conjugate of the system's, so the
+    twin already has unit transfer radius and shares the radius
+    certificate.  Its forms are ``nsys.B_hat``, and its ``B_hat`` is
+    ``nsys.B``, so ``twin(twin(nsys))`` has the blocks and forms of
+    ``nsys``.
     """
-    return normalize(twin_system(nsys.system))
+    return NormalizedSystem.from_forms(twin_system(nsys.system), nsys.B_hat,
+                                       nsys.B, nsys.rho_certificate)
 
 
 def e_maps(nsys):

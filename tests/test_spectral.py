@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freerep import generate, spectral
+from freerep import systems
 from freerep.systems import (
     MatrixSystem,
     UndecidedError,
+    frob_tuple,
     normalize,
+    spectral_radius_T,
     transfer_matrix,
 )
-from freerep.twin import twin, twin_package
+from freerep.twin import twin, twin_package, twin_system
 from freerep.spectral import (
     DELTA,
     DMatrix,
@@ -28,6 +31,7 @@ from freerep.spectral import (
     q_least_squares,
     solve_Q,
     trace_condition,
+    trace_ratio,
     twin_side_trace_condition,
 )
 
@@ -387,6 +391,21 @@ class TestTraceCondition:
         with pytest.raises(ValueError, match="K missing"):
             trace_condition(pkg)
 
+    def test_ratio_is_gauge_invariant(self):
+        # seed 0 of the gate and its seven non-unitary gauge copies
+        ratios = [trace_ratio(r.trace_condition_value,
+                              r.trace_condition_scale)
+                  for r in map(_report, (0,) + tuple(range(10, 17)))]
+        assert min(ratios) > 1e-2
+        assert max(ratios) - min(ratios) < 1e-6 * min(ratios)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ratio_vanishes_on_bi(self, seed):
+        value, scale = trace_condition(
+            twin_package(normalize(generate.bi_instance(seed))))
+        assert scale > 0.1
+        assert trace_ratio(value, scale) < 1e-15
+
 
 class TestSolveQ:
     def test_s0_inconsistent(self, s0_pkg):
@@ -532,6 +551,35 @@ class TestSelfTwinGate:
         # the kept and dropped singular values of N are decades apart
         kept, dropped = report.sv_profile[1], report.sv_profile[2]
         assert kept > 10 * DELTA and dropped < DELTA / 1e6
+
+
+class TestGatePerronSolve:
+    """One eigensolve of ``T`` and of ``T†`` gives the forms of a gate
+    system and of its twin; power iteration spun to its cap on the twin
+    of gauge copy 11, whose residual floor sat above its target."""
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_twin_forms_match_independent_normalization(self, index):
+        nsys = normalize(_gate_systems()[index])
+        tw = twin(nsys)
+        alone = normalize(twin_system(nsys.system))
+        assert frob_tuple(tuple(x - y for x, y in zip(tw.B, alone.B))) < 1e-12
+        assert abs(tw.rho_certificate
+                   - spectral_radius_T(twin_system(nsys.system))) < 1e-12
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_residuals_and_one_transfer_apply(self, index, monkeypatch):
+        calls = []
+
+        def counting(sys_, t, _apply=systems.transfer_apply):
+            calls.append(sys_)
+            return _apply(sys_, t)
+
+        monkeypatch.setattr(systems, "transfer_apply", counting)
+        nsys = normalize(_gate_systems()[index])
+        assert len(calls) <= 1
+        assert nsys.fix_residual <= 1e-12
+        assert twin(nsys).fix_residual <= 1e-12
 
 
 _METAMORPHIC = settings(derandomize=True, database=None, max_examples=5,

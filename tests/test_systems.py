@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from freerep import generate
+from freerep import generate, systems
 from freerep.freegroup import Alphabet
 from freerep.systems import (
     MatrixSystem,
@@ -93,15 +95,51 @@ def test_doubled_s0_is_reducible(s0):
     assert not is_irreducible(generate.doubled_system(s0))
 
 
-def test_triangular_system_is_reducible():
+def triangular_system():
     # common invariant line e1: all blocks upper triangular
     alpha = Alphabet(2)
     u = np.array([[1.0, 1.0], [0.0, 0.5]], dtype=complex)
     blocks = {
         (p, q): u for p in alpha.letters for q in alpha.letters if p != q ^ 1
     }
-    sys = MatrixSystem(alpha, (2, 2, 2, 2), blocks)
-    assert not is_irreducible(sys)
+    return MatrixSystem(alpha, (2, 2, 2, 2), blocks)
+
+
+def block_triangular_system(seed):
+    """Random dims-(3,2,3,2) system whose blocks all keep the line e1:
+    its form ``B`` is singular while the twin's ``B̂`` is definite."""
+    rng = np.random.default_rng(seed)
+    alpha = Alphabet(2)
+    dims = (3, 2, 3, 2)
+    blocks = {}
+    for p, q in MatrixSystem(alpha, dims, {}).pairs():
+        m = (rng.normal(size=(dims[p], dims[q]))
+             + 1j * rng.normal(size=(dims[p], dims[q])))
+        m[1:, :1] = 0
+        blocks[(p, q)] = m
+    return MatrixSystem(alpha, dims, blocks)
+
+
+def direct_sum_system(seed):
+    """Direct sum of two random systems with transfer radii 1 and 1.5²:
+    the Perron eigenvalue is simple, but both forms are singular."""
+    parts = [generate.random_system(seed + i, k=2, max_dim=2) for i in (0, 1)]
+    parts = [p.scaled(s / np.sqrt(spectral_radius_T(p)))
+             for p, s in zip(parts, (1.0, 1.5))]
+    dims = tuple(x + y for x, y in zip(parts[0].dims, parts[1].dims))
+    blocks = {}
+    for key, m in parts[0].blocks.items():
+        n = parts[1].blocks[key]
+        big = np.zeros((m.shape[0] + n.shape[0], m.shape[1] + n.shape[1]),
+                       dtype=complex)
+        big[:m.shape[0], :m.shape[1]] = m
+        big[m.shape[0]:, m.shape[1]:] = n
+        blocks[key] = big
+    return MatrixSystem(parts[0].alphabet, dims, blocks)
+
+
+def test_triangular_system_is_reducible():
+    assert not is_irreducible(triangular_system())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -240,9 +278,71 @@ def test_normalize_random_certified(seed):
         assert np.linalg.eigvalsh(m)[0] > 0
 
 
-def test_normalize_rejects_reducible(s0):
-    with pytest.raises(ValueError, match="not irreducible"):
-        normalize(generate.doubled_system(s0))
+REDUCIBLE = {
+    "doubled-s0": lambda: generate.doubled_system(generate.s0_system()),
+    "triangular": triangular_system,
+    "block-triangular-0": lambda: block_triangular_system(0),
+    "block-triangular-1": lambda: block_triangular_system(1),
+    "direct-sum": lambda: direct_sum_system(60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCIBLE))
+def test_normalize_rejects_reducible(name):
+    sys = REDUCIBLE[name]()
+    assert not is_irreducible(sys)
+    with pytest.raises(ValueError, match="^system is not irreducible: "
+                       "Perron gap .* form ratios"):
+        normalize(sys)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_triangular_has_one_singular_form(seed):
+    # a check of B̂ alone would pass these systems
+    with pytest.raises(ValueError) as err:
+        normalize(block_triangular_system(seed))
+    gap, ratio_b, ratio_twin = (
+        float(x) for x in re.findall(r"-?\d\.\d+e[-+]\d+", str(err.value)))
+    assert gap > 1e-8
+    assert abs(ratio_b) < 1e-12
+    assert ratio_twin > 1e-3
+
+
+def test_normalize_accepts_periodic_peripheral_spectrum():
+    # blocks Z except one Y: every block anticommutes with X, so -ρ is an
+    # eigenvalue of T, while Y and Z generate all 2x2 matrices
+    alpha = Alphabet(2)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    y = np.array([[0, -1j], [1j, 0]])
+    blocks = {(p, q): z for p in alpha.letters for q in alpha.letters
+              if p != q ^ 1}
+    blocks[(a, a)] = y
+    sys = MatrixSystem(alpha, (2, 2, 2, 2), blocks)
+    vals = np.linalg.eigvals(transfer_matrix(sys))
+    assert np.min(np.abs(vals + 3.0)) < 1e-12
+    assert is_irreducible(sys)
+    ns = normalize(sys)
+    assert abs(ns.rho_certificate - 1.0) < 1e-12
+    for form in (ns.B, ns.B_hat):
+        for m in form:
+            assert np.allclose(m, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("seed", range(4))
+def test_normalize_agrees_with_span_oracle_on_random(k, seed):
+    sys = generate.random_system(700 + seed, k=k, max_dim=3)
+    assert is_irreducible(sys)
+    assert normalize(sys).irreducible
+
+
+@pytest.mark.parametrize("phase", (1.0, -1.0, 1j, np.exp(2.1j)))
+def test_form_from_vector_ignores_eigenvector_phase(phase):
+    form = normalize(generate.random_system(720, k=2, max_dim=3)).B
+    vec = phase * np.concatenate([m.ravel() for m in form]) / 7.0
+    back = systems._form_from_vector(vec, tuple(len(m) for m in form),
+                                     sum(len(m) for m in form))
+    assert frob_tuple(tuple(x - y for x, y in zip(back, form))) < 1e-13
 
 
 def test_normalize_rejects_invalid(s0):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from freerep import generate
-from freerep.systems import normalize, identity_tuple, frob_tuple
+from freerep.systems import (
+    frob_tuple,
+    identity_tuple,
+    normalize,
+    spectral_radius_T,
+)
 from freerep.twin import (
     EquivalenceResult,
     e_lookup,
@@ -55,6 +60,46 @@ def test_twin_twin_equivalent(seed):
     assert result.status == "equivalent"
     assert result.solution_space_dim == 1
     assert result.residual < 1e-10
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("seed", range(4))
+def test_twin_forms_match_independent_normalization(k, seed):
+    ns = normalize(generate.random_system(600 + seed, k=k, max_dim=3))
+    tw = twin(ns)
+    alone = normalize(twin_system(ns.system))
+    assert frob_tuple(tuple(x - y for x, y in zip(tw.B, alone.B))) < 1e-12
+    assert abs(tw.rho_certificate
+               - spectral_radius_T(twin_system(ns.system))) < 1e-12
+    assert tw.fix_residual < 1e-12
+    assert tw.b_min_eig > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_twin_of_twin_is_exact(seed):
+    ns = normalize(generate.random_system(650 + seed, k=2 + seed % 2,
+                                          max_dim=3))
+    back = twin(twin(ns))
+    assert back.dims == ns.dims
+    assert back.system.blocks.keys() == ns.system.blocks.keys()
+    for key, m in ns.system.blocks.items():
+        assert np.array_equal(back.system.blocks[key], m)
+    for got, want in ((back.B, ns.B), (back.B_hat, ns.B_hat)):
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_twin_makes_no_eigensolve(monkeypatch):
+    ns = normalize(generate.random_system(660, k=2, max_dim=3))
+    calls = []
+    for name in ("eig", "eigvals", "svd"):
+        def recording(*args, _solve=getattr(np.linalg, name), _name=name,
+                      **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    twin(twin(ns))
+    assert calls == []
 
 
 def test_e_maps_s0(s0_norm):
