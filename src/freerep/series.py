@@ -9,6 +9,13 @@ words of length ``n`` ending in ``c`` obeys a linear recursion, and
 ``s_n = Σ_c out_c† S_c out_c``.  Each step costs a few small matrix
 products, so the series is exact to any horizon without enumerating the
 ``(2k−1)^n`` words.
+
+The step is ``S_c ← Σ_{l≠c⁻¹} X_cl S_l X_cl†`` with ``X_cl = T_{l→c}†``
+the pair block of :func:`~freerep.twin.pair_block`.  On vectorized ``S``
+it is the four-row matrix ``D`` of :func:`~freerep.spectral.build_D`
+under its slot map, so ``s_n = wᵀ D^{n−1} x`` for the embedded start
+tuple ``x`` and out tuple ``w``: the growth of the series and the
+eigenvalue-1 structure of ``D`` belong to one operator.
 """
 
 from dataclasses import dataclass
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import norm as f_norm
-from .twin import e_maps
+from .twin import e_maps, pair_block
 
 
 @dataclass(frozen=True)
@@ -46,46 +53,33 @@ def _first_shell_vectors(f):
     return out
 
 
-def _moment_operator(nsys, E):
-    """Transfer matrix ``M`` with block ``(l, c)`` equal to ``T_{l→c}``,
-    and the mask of its diagonal blocks.
+def _moment_operator(nsys):
+    """The matrix ``M†`` whose block ``(c, l)`` is ``T_{l→c}†``, the pair
+    block ``X_cl``, and the mask of its diagonal blocks.
 
     The state of letter ``c`` occupies ``d_c + d_{c⁻¹}`` consecutive
-    coordinates, ``α`` then ``δ``;
-    ``T_{l→c} = [[H[c|l]†, E[(l⁻¹, c⁻¹)]], [0, H[l⁻¹|c⁻¹]]]``, and the
-    block is zero for ``l = c⁻¹``, where no reduced word continues.
+    coordinates, ``α`` then ``δ``; the block is zero for ``l = c⁻¹``,
+    where no reduced word continues.
     """
     letters = nsys.alphabet.letters
     dims = nsys.dims
+    E = e_maps(nsys)
     off = np.cumsum([0] + [dims[c] + dims[c ^ 1] for c in letters])
-    alpha = [slice(off[c], off[c] + dims[c]) for c in letters]
-    delta = [slice(off[c] + dims[c], off[c + 1]) for c in letters]
-    M = np.zeros((off[-1], off[-1]), dtype=complex)
-    diagonal = np.zeros(M.shape, dtype=bool)
-    for l in letters:
-        diagonal[off[l]:off[l + 1], off[l]:off[l + 1]] = True
-        for c in letters:
-            if l == c ^ 1:
-                continue
-            M[alpha[l], alpha[c]] = nsys.h(c, l).conj().T
-            M[alpha[l], delta[c]] = E[(l ^ 1, c ^ 1)]
-            M[delta[l], delta[c]] = nsys.h(l ^ 1, c ^ 1)
-    return M, diagonal
+    Mh = np.zeros((off[-1], off[-1]), dtype=complex)
+    diagonal = np.zeros(Mh.shape, dtype=bool)
+    for c in letters:
+        rows = slice(off[c], off[c + 1])
+        diagonal[rows, rows] = True
+        for l in letters:
+            if l != c ^ 1:
+                Mh[rows, off[l]:off[l + 1]] = pair_block(nsys, E, c, l)
+    return Mh, diagonal
 
 
-def sphere_sums(v, w, nmax):
-    """Series ``s_0..s_nmax`` for two depth-0 canonical families.
-
-    One step of the recursion maps the block-diagonal moment matrix ``S``
-    (block ``c``: ``S_c``) to the diagonal blocks of ``M† S M``, which are
-    ``Σ_{l≠c⁻¹} T_{l→c}† S_l T_{l→c}``; it starts from ``S_c = x_c† x_c``
-    with ``x_c = (va[c]†, u[c])`` and reads ``s_n = out† S out`` with
-    ``out_c = (r[c]; wa[c⁻¹])``.
-    """
-    if v.system is not w.system:
-        raise ValueError("system mismatch")
-    if v.depth != 0 or w.depth != 0:
-        raise ValueError("sphere sums require depth-0 canonical families")
+def _ends(v, w):
+    """``s_0`` and the start and out vectors ``x``, ``out`` of the
+    recursion, per letter ``x_c = (va[c]†, u[c])`` and
+    ``out_c = (r[c]; wa[c⁻¹])``."""
     nsys = v.system
     letters = nsys.alphabet.letters
     va = _first_shell_vectors(v)
@@ -105,12 +99,28 @@ def sphere_sums(v, w, nmax):
             va[a].conj() @ nsys.B[a] @ nsys.h(a, t ^ 1)
             for a in letters
         ))
-    M, diagonal = _moment_operator(nsys, e_maps(nsys))
-    Mh = M.conj().T
     x = np.concatenate([np.concatenate([va[c].conj(), u[c]])
                         for c in letters])
     out = np.concatenate([np.concatenate([r[c], wa[c ^ 1]])
                           for c in letters])
+    return s0, x, out
+
+
+def sphere_sums(v, w, nmax):
+    """Series ``s_0..s_nmax`` for two depth-0 canonical families.
+
+    One step of the recursion maps the block-diagonal moment matrix ``S``
+    (block ``c``: ``S_c``) to the diagonal blocks of ``M† S M``, which are
+    ``Σ_{l≠c⁻¹} T_{l→c}† S_l T_{l→c}``; it starts from ``S_c = x_c† x_c``
+    and reads ``s_n = out† S out`` (see :func:`_ends`).
+    """
+    if v.system is not w.system:
+        raise ValueError("system mismatch")
+    if v.depth != 0 or w.depth != 0:
+        raise ValueError("sphere sums require depth-0 canonical families")
+    s0, x, out = _ends(v, w)
+    Mh, diagonal = _moment_operator(v.system)
+    M = Mh.conj().T
     outh = out.conj()
     S = np.where(diagonal, np.outer(x.conj(), x), 0)
     sums = []

@@ -1,9 +1,12 @@
 """The four-row block matrix, its eigenvalue-1 analysis, the trace
 obstruction, the Q tuple, and the symmetry-class decision.
 
-Tensor blocks realize ``S ↦ X S Y†`` as ``kron(X, conj(Y))`` acting on
-row-major vectorized ``S``; any consistent convention yields the same
-spectra, and this one keeps every formula a one-liner in numpy.
+``D`` is the operator of the sphere-sum recursion of
+:mod:`freerep.series`, read under a slot map.  Letter ``c`` carries a
+matrix ``S_c = [[S⁴, S²], [S³, S¹]]`` on ``V_c ⊕ V̂_c``; block row ``i``
+of ``D`` holds the ``S^i`` of every letter, row-major; and letter ``l``
+feeds letter ``c`` by ``S ↦ X_cl S X_cl†`` with the pair block ``X_cl``
+of :func:`~freerep.twin.pair_block`, realized as ``kron(X, conj(X))``.
 
 ``D`` is block upper triangular: below the diagonal and in ``(2, 3)``
 its blocks are exactly zero.  Its diagonal blocks are the dual transfer
@@ -37,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .systems import UndecidedError, frob_tuple
-from .twin import twin_package
+from .twin import pair_block, twin_package
 
 # Eigenvalue-1 cluster radius and the required relative spectral gap.
 DELTA = 1e-6
@@ -53,11 +56,6 @@ FORM_TOL = 1e-8
 _ROWS = (1, 2, 3, 4)
 
 
-def _tensor(x, y):
-    """Matrix of ``S ↦ X S Y†`` on row-major vec'd ``S``."""
-    return np.kron(x, y.conj())
-
-
 @dataclass
 class DMatrix:
     """Dense block matrix with its slot index.
@@ -65,7 +63,7 @@ class DMatrix:
     ``slots`` maps ``(i, c)`` for block-row ``i ∈ 1..4`` and letter ``c``
     to ``(offset, (rows, cols))`` of the vectorized slot; ``side`` is the
     full dimension.  The matrix is block upper triangular in the block
-    rows (``build_D`` never fills a block below the diagonal), so its
+    rows (the pair blocks leave every block below the diagonal zero), so its
     spectrum is that of the four diagonal blocks.  ``package`` is the
     twin package it was built from, the source of the closed-form fixed
     vectors; a hand-built matrix has none.
@@ -127,54 +125,48 @@ def _slot_shapes(dims, c):
     return {1: (nh, nh), 2: (n, nh), 3: (nh, n), 4: (n, n)}
 
 
+def _slot_index(slots, dims, c):
+    """Position in ``D`` of each row-major entry of ``S_c = [[S⁴, S²],
+    [S³, S¹]]``, whose first ``d_c`` rows and columns are on ``V_c``."""
+    n = dims[c]
+    index = np.empty((n + dims[c ^ 1],) * 2, dtype=int)
+    for i, rows, cols in ((4, slice(None, n), slice(None, n)),
+                          (2, slice(None, n), slice(n, None)),
+                          (3, slice(n, None), slice(None, n)),
+                          (1, slice(n, None), slice(n, None))):
+        off, shape = slots[(i, c)]
+        index[rows, cols] = off + np.arange(shape[0] * shape[1]).reshape(shape)
+    return index.ravel()
+
+
 def build_D(pkg):
     """Assemble the block matrix from a twin package.
 
-    Block row 1 couples to every row; rows 2 and 3 couple to themselves
-    and row 4; row 4 only to itself.  Zero blocks are constructed, never
-    computed, so the sparsity pattern is exact.
+    ``D`` is the operator of the sphere-sum recursion under the slot map:
+    slot ``(i, c)`` holds ``S^i`` of ``S_c = [[S⁴, S²], [S³, S¹]]``, and
+    the block of letters ``(a, b)`` is ``S_b ↦ X_ab S_b X_ab†`` for the
+    pair block ``X_ab`` of :func:`~freerep.twin.pair_block`.  The zero
+    corner of ``X_ab`` makes every block below the diagonal and the
+    block ``(2, 3)`` exactly zero.
     """
     nsys = pkg.original
     dims = nsys.dims
     size = nsys.alphabet.size
     slots = {}
     off = 0
-    for i in (1, 2, 3, 4):
+    for i in _ROWS:
         for c in range(size):
             shape = _slot_shapes(dims, c)[i]
             slots[(i, c)] = (off, shape)
             off += shape[0] * shape[1]
-    side = off
-    mat = np.zeros((side, side), dtype=complex)
+    index = [_slot_index(slots, dims, c) for c in range(size)]
+    mat = np.zeros((off, off), dtype=complex)
     for a in range(size):
         for b in range(size):
-            if a == b ^ 1:
-                continue
-            h = nsys.h(a, b)
-            hh = pkg.hhat(a, b)
-            e = pkg.e(a, b)
-            if e.shape != (dims[a ^ 1], dims[b]):
-                raise ValueError(
-                    "shape inconsistency between E and H blocks at (%d, %d)"
-                    % (a, b)
-                )
-            entries = {
-                (1, 1): (hh, hh),
-                (1, 2): (e, hh),
-                (1, 3): (hh, e),
-                (1, 4): (e, e),
-                (2, 2): (h, hh),
-                (2, 4): (h, e),
-                (3, 3): (hh, h),
-                (3, 4): (e, h),
-                (4, 4): (h, h),
-            }
-            for (i, j), (x, y) in entries.items():
-                ro, rs = slots[(i, a)]
-                co, cs = slots[(j, b)]
-                block = _tensor(x, y)
-                mat[ro:ro + rs[0] * rs[1], co:co + cs[0] * cs[1]] += block
-    return DMatrix(matrix=mat, slots=slots, side=side, package=pkg)
+            if a != b ^ 1:
+                x = pair_block(nsys, pkg.E, a, b)
+                mat[np.ix_(index[a], index[b])] += np.kron(x, x.conj())
+    return DMatrix(matrix=mat, slots=slots, side=off, package=pkg)
 
 
 @dataclass
@@ -363,33 +355,6 @@ def _group_solve(block, pair, y):
     return np.linalg.solve(a, y) - r * (l @ y)
 
 
-def diag_block_apply(pkg, i, tuple_of_mats):
-    """Action of the diagonal block ``D_ii`` on a block-row tuple.
-
-    Computed directly from the letter blocks, independently of
-    :func:`build_D`, so the two can cross-validate each other.
-    """
-    nsys = pkg.original
-    size = nsys.alphabet.size
-    factors = {
-        1: lambda a, b: (pkg.hhat(a, b), pkg.hhat(a, b)),
-        2: lambda a, b: (nsys.h(a, b), pkg.hhat(a, b)),
-        3: lambda a, b: (pkg.hhat(a, b), nsys.h(a, b)),
-        4: lambda a, b: (nsys.h(a, b), nsys.h(a, b)),
-    }[i]
-    out = []
-    for a in range(size):
-        shape = _slot_shapes(nsys.dims, a)[i]
-        acc = np.zeros(shape, dtype=complex)
-        for b in range(size):
-            if a == b ^ 1:
-                continue
-            x, y = factors(a, b)
-            acc += x @ tuple_of_mats[b] @ y.conj().T
-        out.append(acc)
-    return tuple(out)
-
-
 def _fixed_forms(pkg, i):
     """Closed-form right and left fixed tuples of ``D_ii``.
 
@@ -415,24 +380,6 @@ def _fixed_forms(pkg, i):
     return (tuple(np.linalg.solve(K[a ^ 1].T, B[a ^ 1].T).T
                   for a in range(size)),
             tuple(K[a].conj().T @ Bh[a] for a in range(size)))
-
-
-def diag_eigvec_tuples(pkg):
-    """The four diagonal-block fixed tuples built from ``B``, ``B̂``, ``K``."""
-    if pkg.K is None:
-        raise ValueError("K missing: diagonal eigenvector check requires "
-                         "equivalent twins")
-    return tuple(_fixed_forms(pkg, i)[0] for i in _ROWS)
-
-
-def diag_eigvec_check(pkg):
-    """Residuals of ``D_ii U_i = U_i`` for the four canonical tuples."""
-    residuals = []
-    for i, u in enumerate(diag_eigvec_tuples(pkg), start=1):
-        image = diag_block_apply(pkg, i, u)
-        gap = frob_tuple(tuple(x - y for x, y in zip(image, u)))
-        residuals.append(gap / frob_tuple(u))
-    return tuple(residuals)
 
 
 def trace_condition(pkg):
@@ -471,31 +418,6 @@ def trace_ratio(value, scale):
     """``|value| / scale`` for a :func:`trace_condition` pair, 0 when every
     term is exactly 0."""
     return abs(value) / scale if scale else 0.0
-
-
-def twin_side_trace_condition(pkg):
-    """The companion twin-side trace sum, computed for cross-checking.
-
-    ``Σ_ab tr(Ĥ_ab B_{b⁻¹} K_{b⁻¹}⁻¹ E_ab† B̂_a)``; expected to vanish
-    exactly when :func:`trace_condition` does.
-    """
-    if pkg.K is None:
-        raise ValueError("K missing")
-    nsys, tw, K = pkg.original, pkg.twin, pkg.K
-    size = nsys.alphabet.size
-    value = 0.0 + 0.0j
-    scale = 0.0
-    for a in range(size):
-        for b in range(size):
-            if a == b ^ 1:
-                continue
-            term = np.trace(
-                pkg.hhat(a, b) @ nsys.B[b ^ 1] @ np.linalg.inv(K[b ^ 1])
-                @ pkg.e(a, b).conj().T @ tw.B[a]
-            )
-            value += term
-            scale += abs(term)
-    return complex(value), float(scale)
 
 
 @dataclass
@@ -619,13 +541,11 @@ class SpectralReport:
     predicted_exponent: int
     trace_condition_value: complex
     trace_condition_scale: float
-    twin_trace_value: Optional[complex]
     Q: Optional[QTuple]
     realization_verdict: str
     q_residual: float
     gap: float
     diagnostics: list = field(default_factory=list)
-    diag_residuals: Optional[tuple] = None
     sv_profile: tuple = ()
     package: object = None
     dmatrix: object = None
@@ -661,7 +581,7 @@ def classify(nsys):
             rho_D=rho_d, mult_one=-1, dim_one=-1,
             twins_equivalent=pkg.equivalent, class_label="undecided",
             predicted_exponent=0, trace_condition_value=0j,
-            trace_condition_scale=0.0, twin_trace_value=None, Q=None,
+            trace_condition_scale=0.0, Q=None,
             realization_verdict="undecided", q_residual=np.nan, gap=np.nan,
             diagnostics=[str(err)], package=pkg, dmatrix=d,
         )
@@ -669,12 +589,8 @@ def classify(nsys):
     ls_Q, ls_residual = q_least_squares(pkg)
     q = _accept_Q(pkg, ls_Q, ls_residual, Q_ACCEPT_TOL)
     trace_val, trace_scale = (0j, 0.0)
-    twin_trace = None
-    diag_res = None
     if equivalent:
         trace_val, trace_scale = trace_condition(pkg)
-        twin_trace, _ = twin_side_trace_condition(pkg)
-        diag_res = diag_eigvec_check(pkg)
     # structural consistency checks; failures mean the numerics disagree
     # with the dichotomy and the result cannot be trusted
     expected_mult = 4 if equivalent else 2
@@ -696,12 +612,11 @@ def classify(nsys):
             rho_D=rho_d, mult_one=eig.mult_one, dim_one=eig.dim_one,
             twins_equivalent=equivalent, class_label="undecided",
             predicted_exponent=0, trace_condition_value=trace_val,
-            trace_condition_scale=trace_scale, twin_trace_value=twin_trace,
-            Q=q, realization_verdict="undecided", q_residual=ls_residual,
+            trace_condition_scale=trace_scale, Q=q,
+            realization_verdict="undecided", q_residual=ls_residual,
             gap=eig.gap, diagnostics=diagnostics or ["no class for d=%d"
                                                      % eig.dim_one],
-            diag_residuals=diag_res, sv_profile=eig.sv_profile, package=pkg,
-            dmatrix=d,
+            sv_profile=eig.sv_profile, package=pkg, dmatrix=d,
         )
     label, exponent, verdict = _CLASS_TABLE[key]
     # Q solvability must match the class: present for AI/BI, absent else
@@ -725,8 +640,8 @@ def classify(nsys):
         rho_D=rho_d, mult_one=eig.mult_one, dim_one=eig.dim_one,
         twins_equivalent=equivalent, class_label=label,
         predicted_exponent=exponent, trace_condition_value=trace_val,
-        trace_condition_scale=trace_scale, twin_trace_value=twin_trace,
-        Q=q, realization_verdict=verdict, q_residual=ls_residual,
-        gap=eig.gap, diagnostics=diagnostics, diag_residuals=diag_res,
-        sv_profile=eig.sv_profile, package=pkg, dmatrix=d,
+        trace_condition_scale=trace_scale, Q=q,
+        realization_verdict=verdict, q_residual=ls_residual, gap=eig.gap,
+        diagnostics=diagnostics, sv_profile=eig.sv_profile, package=pkg,
+        dmatrix=d,
     )

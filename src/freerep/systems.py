@@ -280,7 +280,6 @@ class NormalizedSystem:
         The twin system's fixed forms, with the same convention.
     rho_certificate : float
         Transfer radius of the stored system; 1 within tolerance.
-    irreducible : bool
     fix_residual : float
         Relative fixed-point residual of ``B``.
     b_min_eig : float
@@ -291,7 +290,6 @@ class NormalizedSystem:
     B: tuple
     B_hat: tuple
     rho_certificate: float
-    irreducible: bool
     fix_residual: float
     b_min_eig: float
 
@@ -299,7 +297,7 @@ class NormalizedSystem:
     def from_forms(cls, system, B, B_hat, rho_certificate):
         """Normalized system with known forms; measures the residual and
         the smallest eigenvalue of ``B``."""
-        return cls(system, B, B_hat, rho_certificate, True,
+        return cls(system, B, B_hat, rho_certificate,
                    _fix_residual(system, B), _spectrum_ends(B)[0])
 
     @property

@@ -72,6 +72,21 @@ def e_maps(nsys):
     return out
 
 
+def pair_block(nsys, E, a, b):
+    """The pair block ``X_ab = [[H[a|b], 0], [E_ab, Ĥ_ab]]`` for ``ab ≠ e``,
+    with ``Ĥ_ab = H[b⁻¹|a⁻¹]†`` and ``E`` from :func:`e_maps`.
+
+    It maps ``V_b ⊕ V̂_b → V_a ⊕ V̂_a``.  The block ``(a, b)`` of the
+    four-row matrix ``D`` is ``S ↦ X_ab S X_ab†`` on ``S = [[S⁴, S²], [S³,
+    S¹]]``, and ``X_cl`` is the adjoint transfer step ``T_{l→c}†`` of the
+    sphere-sum recursion.
+    """
+    return np.block([
+        [nsys.h(a, b), np.zeros((nsys.dims[a], nsys.dims[b ^ 1]))],
+        [E[(a, b)], nsys.h(b ^ 1, a ^ 1).conj().T],
+    ])
+
+
 def e_lookup(E, dims, a, b):
     """E map for any ordered pair, zeros at ``ab = e``."""
     if b == a ^ 1:
@@ -194,7 +209,6 @@ class SymmetrizedK:
     """Equivalence tuple with ``K_a† = K_{a⁻¹}`` and form-unitarity data."""
 
     K: tuple
-    branch: str
     unitary_residual: float
 
 
@@ -217,7 +231,7 @@ def symmetrize_and_unitarize_K(result, ns1, ns2):
     anti = tuple((K[c] - K[c ^ 1].conj().T) / (2j) for c in range(len(K)))
     n_h, n_a = frob_tuple(herm), frob_tuple(anti)
     assert max(n_h, n_a) > 1e-12 * frob_tuple(K), "both symmetrized parts zero"
-    K, branch = (herm, "hermitian-part") if n_h >= n_a else (anti, "antihermitian-part")
+    K = herm if n_h >= n_a else anti
     # global unitarization scalar from the trace ratio; valid because
     # K†B̂K is again a transfer fixed point, hence proportional to B
     pulled = tuple(
@@ -233,7 +247,7 @@ def symmetrize_and_unitarize_K(result, ns1, ns2):
         spread = max(
             spread, float(np.linalg.norm(gap) / np.linalg.norm(ns1.B[c]))
         )
-    return SymmetrizedK(K=K, branch=branch, unitary_residual=spread)
+    return SymmetrizedK(K=K, unitary_residual=spread)
 
 
 @dataclass
@@ -246,7 +260,6 @@ class TwinPackage:
     E: dict
     equivalence: EquivalenceResult
     K: Optional[tuple] = None
-    k_branch: str = ""
     k_unitary_residual: float = 0.0
 
     @property
@@ -269,6 +282,5 @@ def twin_package(nsys):
     if eq.status == "equivalent":
         sym = symmetrize_and_unitarize_K(eq, nsys, tw)
         pkg.K = sym.K
-        pkg.k_branch = sym.branch
         pkg.k_unitary_residual = sym.unitary_residual
     return pkg

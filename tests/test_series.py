@@ -1,12 +1,18 @@
 """Sphere-sum series, growth exponents, bound checks, good-vector probe."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from freerep import generate
+from freerep.cli import _first_edge_vector
 from freerep.functions import coefficient, deepen, first_shell
 from freerep.generate import ai_instance, random_scalar_system, random_system
 from freerep.series import (
     CoefficientSeries,
+    _ends,
     exponent_fit,
     good_vector_probe,
     good_vector_verdict,
@@ -14,7 +20,9 @@ from freerep.series import (
     phi_eps_norm,
     sphere_sums,
 )
-from freerep.systems import normalize
+from freerep.spectral import build_D
+from freerep.systems import MatrixSystem, normalize
+from freerep.twin import twin_package
 
 A, AI, B, BI = 0, 1, 2, 3
 
@@ -102,6 +110,91 @@ class TestSphereSums:
         n2 = normalize(random_scalar_system(43))
         with pytest.raises(ValueError, match="system mismatch"):
             sphere_sums(random_family(n1, 1), random_family(n2, 1), 2)
+
+
+def _slot_vector(d, mats):
+    """Vector of ``D`` holding per-letter ``S_c = [[S⁴, S²], [S³, S¹]]``,
+    whose first ``d_c`` rows and columns are on ``V_c``: slot ``(i, c)``
+    holds ``S^i`` row-major."""
+    dims = d.package.original.dims
+    quarters = {4: lambda m, n: m[:n, :n], 2: lambda m, n: m[:n, n:],
+                3: lambda m, n: m[n:, :n], 1: lambda m, n: m[n:, n:]}
+    return sum(d.embed(i, tuple(quarter(m, dims[c])
+                                for c, m in enumerate(mats)))
+               for i, quarter in quarters.items())
+
+
+class TestSeriesIsD:
+    """The sphere-sum recursion is ``D`` under the slot map: with ``x``
+    the start tuple ``x̄ xᵀ`` and ``w`` the out tuple ``out̄ outᵀ``,
+    ``s_n = wᵀ D^{n−1} x``.  Together with :func:`dense_sphere_sums`,
+    which checks the series on its own, this checks both assemblies."""
+
+    @pytest.mark.parametrize("make", [
+        generate.s0_system,
+        functools.partial(generate.ai_instance, 1),
+        functools.partial(generate.bi_instance, 1),
+        functools.partial(random_system, 3, k=2, max_dim=3),
+        functools.partial(random_system, 23, k=3, max_dim=2),
+    ])
+    def test_series_is_transfer_by_D(self, make):
+        nsys = normalize(make())
+        v, w = random_family(nsys, 5), random_family(nsys, 6)
+        ser = sphere_sums(v, w, 16)
+        d = build_D(twin_package(nsys))
+        _, x, out = _ends(v, w)
+        cut = np.cumsum([0] + [nsys.dims[c] + nsys.dims[c ^ 1]
+                               for c in nsys.alphabet.letters])
+        x_vec, w_vec = (_slot_vector(d, [np.outer(z[lo:hi].conj(),
+                                                  z[lo:hi])
+                                         for lo, hi in zip(cut, cut[1:])])
+                        for z in (x, out))
+        got = []
+        for _ in range(16):
+            got.append(w_vec @ x_vec)
+            x_vec = d.matrix @ x_vec
+        np.testing.assert_allclose(got, ser.s[1:], rtol=1e-12, atol=0)
+
+
+def _edge_gauge(sys_, seed):
+    """Copy of ``sys_`` in a random unitary basis that keeps the first
+    basis vector of letter 0, where the CLI takes its series."""
+    rng = np.random.default_rng(seed)
+
+    def haar(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    g = [haar(n) for n in sys_.dims]
+    g[0] = np.eye(sys_.dims[0], dtype=complex)
+    g[0][1:, 1:] = haar(sys_.dims[0] - 1)
+    blocks = {(b, a): g[b] @ m @ g[a].conj().T
+              for (b, a), m in sys_.blocks.items()}
+    return MatrixSystem(sys_.alphabet, sys_.dims, blocks)
+
+
+_GAUGE_POOL = (
+    generate.s0_system,
+    functools.partial(generate.ai_instance, 1),
+    functools.partial(generate.bi_instance, 1),
+    functools.partial(random_system, 3, k=2, max_dim=3),
+    functools.partial(generate.self_twin_system, 0, dim=3),
+)
+
+
+class TestGaugeInvariance:
+    @settings(derandomize=True, database=None, max_examples=5,
+              deadline=None)
+    @given(index=st.integers(0, len(_GAUGE_POOL) - 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_edge_series_unchanged_by_unitary_gauge(self, index, seed):
+        sys_ = _GAUGE_POOL[index]()
+        series = []
+        for copy in (sys_, _edge_gauge(sys_, seed)):
+            f = _first_edge_vector(normalize(copy))
+            series.append(sphere_sums(f, f, 64).s)
+        np.testing.assert_allclose(series[1], series[0], rtol=1e-10, atol=0)
 
 
 class TestBudget:
