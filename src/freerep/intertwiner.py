@@ -14,7 +14,7 @@ pair, with the transfer products of each depth stacked by last letter.
 """
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -520,25 +520,29 @@ def general_intertwiner_family(J, lam, c):
 # splitting in the equivalent-twin case
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SplitReport:
-    """Eigenspace decomposition data of the splitting involution."""
+    """Eigenspace decomposition data of the splitting involution.
 
-    c: float
-    lambda_plus: complex
-    lambda_minus: complex
-    p_plus: dict
-    p_minus: dict
-    subspace_dims: dict
-    quad_residual: float
-    eig_spread: float
+    A field that :func:`split` did not reach before a failed check keeps
+    its placeholder: ``nan``, or an empty dict.
+    """
+
+    c: float = float("nan")
+    lambda_plus: complex = complex("nan")
+    lambda_minus: complex = complex("nan")
+    p_plus: dict = field(default_factory=dict)
+    p_minus: dict = field(default_factory=dict)
+    subspace_dims: dict = field(default_factory=dict)
+    quad_residual: float = float("nan")
+    eig_spread: float = float("nan")
     unimodularity: float
-    idempotency: float
-    orthogonality: float
-    completeness: float
-    involution_residual: float
-    form_hermiticity: float
-    commutation_residual: float
+    idempotency: float = float("nan")
+    orthogonality: float = float("nan")
+    completeness: float = float("nan")
+    involution_residual: float = float("nan")
+    form_hermiticity: float = float("nan")
+    commutation_residual: float = float("nan")
     diagnostics: list
 
 
@@ -603,24 +607,7 @@ def split(J, K=None):
     minus = eigs[eigs.real <= 0]
     if len(plus) == 0 or len(minus) == 0:
         diagnostics.append("eigenvalues of M do not form two clusters")
-        return SplitReport(
-            c=float("nan"),
-            lambda_plus=complex("nan"),
-            lambda_minus=complex("nan"),
-            p_plus={},
-            p_minus={},
-            subspace_dims={},
-            quad_residual=float("nan"),
-            eig_spread=float("nan"),
-            unimodularity=unimod,
-            idempotency=float("nan"),
-            orthogonality=float("nan"),
-            completeness=float("nan"),
-            involution_residual=float("nan"),
-            form_hermiticity=float("nan"),
-            commutation_residual=float("nan"),
-            diagnostics=diagnostics,
-        )
+        return SplitReport(unimodularity=unimod, diagnostics=diagnostics)
     lam_p = complex(plus.mean())
     lam_m = complex(minus.mean())
     spread = float(
@@ -645,18 +632,9 @@ def split(J, K=None):
             c=c,
             lambda_plus=lam_p,
             lambda_minus=lam_m,
-            p_plus={},
-            p_minus={},
-            subspace_dims={},
             quad_residual=quad,
             eig_spread=spread,
             unimodularity=unimod,
-            idempotency=float("nan"),
-            orthogonality=float("nan"),
-            completeness=float("nan"),
-            involution_residual=float("nan"),
-            form_hermiticity=float("nan"),
-            commutation_residual=float("nan"),
             diagnostics=diagnostics,
         )
     rescale = 2.0 / np.sqrt(4.0 - c * c)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import norm as f_norm
-from .twin import e_maps, pair_block
+from .twin import pair_block
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ def _moment_operator(nsys):
     """
     letters = nsys.alphabet.letters
     dims = nsys.dims
-    E = e_maps(nsys)
     off = np.cumsum([0] + [dims[c] + dims[c ^ 1] for c in letters])
     Mh = np.zeros((off[-1], off[-1]), dtype=complex)
     diagonal = np.zeros(Mh.shape, dtype=bool)
@@ -72,7 +71,7 @@ def _moment_operator(nsys):
         diagonal[rows, rows] = True
         for l in letters:
             if l != c ^ 1:
-                Mh[rows, off[l]:off[l + 1]] = pair_block(nsys, E, c, l)
+                Mh[rows, off[l]:off[l + 1]] = pair_block(nsys, nsys.E, c, l)
     return Mh, diagonal
 
 

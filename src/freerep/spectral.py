@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .systems import UndecidedError, frob_tuple
-from .twin import pair_block, twin_package
+from .twin import NULLSPACE_RTOL, _unvec_tuple, pair_block, twin_package
 
 # Eigenvalue-1 cluster radius and the required relative spectral gap.
 DELTA = 1e-6
@@ -433,54 +433,33 @@ class QTuple:
     antisymmetry_residual: float
 
 
-def _q_system(pkg):
-    """Stacked least-squares data for the Q equations."""
-    nsys = pkg.original
-    dims = nsys.dims
-    size = nsys.alphabet.size
-    cols = [dims[c ^ 1] * dims[c] for c in range(size)]
-    offs = np.concatenate([[0], np.cumsum(cols)]).astype(int)
-    lhs_rows = []
-    rhs_parts = []
-    for a in range(size):
-        for b in range(size):
-            if a == b ^ 1:
-                continue
-            h = nsys.h(a, b)
-            hh = pkg.hhat(a, b)
-            e = pkg.e(a, b)
-            row = np.zeros((dims[a ^ 1] * dims[b], offs[-1]), dtype=complex)
-            row[:, offs[a]:offs[a] + cols[a]] += np.kron(
-                np.eye(dims[a ^ 1]), h.T
-            )
-            row[:, offs[b]:offs[b] + cols[b]] -= np.kron(hh, np.eye(dims[b]))
-            lhs_rows.append(row)
-            rhs_parts.append(e.ravel())
-    return np.vstack(lhs_rows), np.concatenate(rhs_parts), offs
-
-
 def q_least_squares(pkg):
     """Minimal-norm least-squares Q and its relative residual.
+
+    The Q equations read ``M Q = −E`` for the intertwining operator ``M``
+    of the equivalence test, with ``E`` stacked in ``pairs()`` order, so
+    they are solved from the SVD that test already took:
+    ``Q = −V_k Σ_k⁻¹ U_kᴴ E`` over the singular values the nullspace
+    decision kept (at least ``NULLSPACE_RTOL·s_0``).  The residual is
+    ``‖U_k U_kᴴ E − E‖ / ‖E‖``, formed by vector subtraction.
 
     A vanishing right-hand side (the E maps cancel identically, which
     happens on a genuine sub-family) makes the relative residual
     meaningless; the zero tuple is then the canonical exact solution.
     """
-    lhs, rhs, offs = _q_system(pkg)
-    dims = pkg.original.dims
-    if np.linalg.norm(rhs) < 1e-12 * frob_tuple(pkg.original.B):
-        Q = tuple(
-            np.zeros((dims[c ^ 1], dims[c]), dtype=complex)
-            for c in range(len(dims))
-        )
-        return Q, 0.0
-    sol, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    residual = float(np.linalg.norm(lhs @ sol - rhs) / np.linalg.norm(rhs))
-    Q = tuple(
-        sol[offs[c]:offs[c + 1]].reshape(dims[c ^ 1], dims[c])
-        for c in range(len(dims))
-    )
-    return Q, residual
+    nsys = pkg.original
+    u, s, vh = pkg.equivalence.factors
+    rhs = np.concatenate([pkg.E[pair].ravel() for pair in nsys.system.pairs()])
+    if np.linalg.norm(rhs) < 1e-12 * frob_tuple(nsys.B):
+        sol, residual = np.zeros(vh.shape[1], dtype=complex), 0.0
+    else:
+        k = int(np.sum(s >= NULLSPACE_RTOL * s[0]))
+        u, s, vh = u[:, :k], s[:k], vh[:k]
+        coeffs = u.conj().T @ rhs
+        residual = float(np.linalg.norm(u @ coeffs - rhs)
+                         / np.linalg.norm(rhs))
+        sol = -(vh.conj().T @ (coeffs / s))
+    return _unvec_tuple(sol, nsys.dims, pkg.twin.dims), residual
 
 
 def q_residual(pkg, Q):

@@ -10,6 +10,7 @@ of the system and of its twin, and the irreducibility decision.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -310,6 +311,13 @@ class NormalizedSystem:
 
     def h(self, b, a):
         return self.system.h(b, a)
+
+    @cached_property
+    def E(self):
+        """The pairing maps of :func:`~freerep.twin.e_maps`, computed once
+        and shared by the twin package and the sphere-sum recursion."""
+        from .twin import e_maps
+        return e_maps(self)
 
 
 def normalize(sys, tol_fix=TOL_FIX, tol_pd=TOL_PD):

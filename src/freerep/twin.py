@@ -8,9 +8,14 @@ the nose.  The twin's transfer operator is the adjoint of the system's with
 letters relabelled, so :func:`~freerep.systems.normalize` already holds the
 twin's forms ``B̂`` from the same Perron solve, and :func:`twin` reads them
 off.
+
+One SVD of the intertwining operator ``M : (J_a) ↦ (Ĥ_ab J_b − J_a H_ab)``
+serves two linear problems: its kernel is the equivalence tuple ``K``, and
+:func:`~freerep.spectral.q_least_squares` solves ``M Q = −E`` from the
+same factors.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,7 +57,8 @@ def e_maps(nsys):
     ``E_ab = Σ_c H[c, a⁻¹]† B_c H[c, b]``; the terms ``c = a`` and
     ``c = b⁻¹`` vanish automatically.  For ``ab = e`` the map is zero by
     definition (the unrestricted sum would instead reproduce ``B_{a⁻¹}``),
-    so those pairs are simply absent from the result.
+    so those pairs are simply absent from the result.  A normalized
+    system holds its maps as ``nsys.E``, computed once.
     """
     sys = nsys.system
     size = sys.alphabet.size
@@ -101,7 +107,10 @@ class EquivalenceResult:
     ``status`` is one of ``equivalent``, ``inequivalent``, ``undecided``;
     ``K`` is the equivalence tuple when equivalent; ``solution_space_dim``
     is 0 or 1 for honest irreducible inputs (2 or more flags an upstream
-    irreducibility bug and yields ``undecided``).
+    irreducibility bug and yields ``undecided``).  ``factors`` is the
+    economical SVD ``(u, s, vh)`` of the intertwining operator ``M`` of
+    :func:`_intertwiner_svd`, which the Q least squares of
+    :func:`~freerep.spectral.q_least_squares` reads as well.
     """
 
     status: str
@@ -109,41 +118,40 @@ class EquivalenceResult:
     solution_space_dim: int
     residual: float
     diagnostic: str = ""
+    factors: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
-def _intertwiner_nullspace(ns1, ns2):
-    """SVD nullspace of (J_a) ↦ (H2_ba J_a − J_b H1_ba) over all pairs."""
+def _intertwiner_svd(ns1, ns2):
+    """Economical SVD of ``M : (J_a) ↦ (H2_ba J_a − J_b H1_ba)``.
+
+    ``M`` has one row block per pair in ``pairs()`` order, the order of
+    the stacked ``E`` maps, and one column block per letter ``c`` holding
+    ``J_c : V1_c → V2_c`` row-major.  The pair ``(c, c)`` spans the whole
+    column block ``c``, so ``M`` has at least as many rows as columns and
+    ``vh`` is square.
+    """
     dims1, dims2 = ns1.dims, ns2.dims
-    size = ns1.alphabet.size
-    sizes = [dims2[c] * dims1[c] for c in range(size)]
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    offs = _offsets(dims1, dims2)
     rows = []
     for b, a in ns1.system.pairs():
-        h1 = ns1.system.blocks.get((b, a))
-        h2 = ns2.system.blocks.get((b, a))
-        if h1 is None and h2 is None:
-            continue
-        h1 = ns1.h(b, a) if h1 is None else h1
-        h2 = ns2.h(b, a) if h2 is None else h2
         row = np.zeros((dims2[b] * dims1[a], offs[-1]), dtype=complex)
-        row[:, offs[a]:offs[a] + sizes[a]] += np.kron(h2, np.eye(dims1[a]))
-        row[:, offs[b]:offs[b] + sizes[b]] -= np.kron(
-            np.eye(dims2[b]), h1.T
-        )
+        row[:, offs[a]:offs[a + 1]] += np.kron(ns2.h(b, a), np.eye(dims1[a]))
+        row[:, offs[b]:offs[b + 1]] -= np.kron(np.eye(dims2[b]),
+                                               ns1.h(b, a).T)
         rows.append(row)
-    mat = np.vstack(rows)
-    _, s, vh = np.linalg.svd(mat)
-    null_dim = int(np.sum(s < NULLSPACE_RTOL * s[0])) + (mat.shape[1] - s.size)
-    vecs = vh[mat.shape[1] - null_dim:].conj() if null_dim else None
-    return null_dim, vecs, offs
+    return np.linalg.svd(np.vstack(rows), full_matrices=False)
 
 
-def _unvec_tuple(vec, dims1, dims2, offs):
-    out = []
-    for c in range(len(dims1)):
-        n2, n1 = dims2[c], dims1[c]
-        out.append(vec[offs[c]:offs[c] + n2 * n1].reshape(n2, n1))
-    return tuple(out)
+def _offsets(dims1, dims2):
+    return np.cumsum([0] + [n2 * n1 for n1, n2 in zip(dims1, dims2)])
+
+
+def _unvec_tuple(vec, dims1, dims2):
+    """Per-letter maps ``V1_c → V2_c`` of a vector over the columns of
+    ``M``."""
+    offs = _offsets(dims1, dims2)
+    return tuple(vec[offs[c]:offs[c + 1]].reshape(dims2[c], dims1[c])
+                 for c in range(len(dims1)))
 
 
 def _pin_phase(K):
@@ -167,17 +175,22 @@ def intertwining_residual(ns1, ns2, K):
 def solve_equivalence(ns1, ns2):
     """Decide whether two normalized irreducible systems are equivalent.
 
-    Computes the full nullspace of the intertwining constraints.  Dimension
-    0 means inequivalent; dimension 1 with an invertible representative
-    means equivalent, and the representative (phase-pinned, unit norm) is
+    Computes the full nullspace of the intertwining constraints from one
+    SVD of ``M`` (kept on the result as ``factors``; for a system and its
+    twin the Q least squares reads the same factors).  Dimension 0 means
+    inequivalent; dimension 1 with an invertible representative means
+    equivalent, and the representative (phase-pinned, unit norm) is
     returned as ``K``.  Any other outcome is ``undecided`` with a
     diagnostic.
     """
     if ns1.alphabet.size != ns2.alphabet.size:
         raise ValueError("dimension mismatch of alphabets")
-    null_dim, vecs, offs = _intertwiner_nullspace(ns1, ns2)
+    factors = _intertwiner_svd(ns1, ns2)
+    _, sv, vh = factors
+    null_dim = int(np.sum(sv < NULLSPACE_RTOL * sv[0]))
     if null_dim == 0:
-        return EquivalenceResult("inequivalent", None, 0, 0.0)
+        return EquivalenceResult("inequivalent", None, 0, 0.0,
+                                 factors=factors)
     if null_dim >= 2:
         return EquivalenceResult(
             "undecided",
@@ -186,8 +199,9 @@ def solve_equivalence(ns1, ns2):
             0.0,
             diagnostic="solution space dimension %d contradicts "
             "irreducibility" % null_dim,
+            factors=factors,
         )
-    K = _pin_phase(_unvec_tuple(vecs[0], ns1.dims, ns2.dims, offs))
+    K = _pin_phase(_unvec_tuple(vh[-1].conj(), ns1.dims, ns2.dims))
     svs = [np.linalg.svd(m, compute_uv=False) for m in K]
     scale = max(s[0] for s in svs)
     if min(s[-1] for s in svs) <= TOL_INV * scale:
@@ -198,9 +212,10 @@ def solve_equivalence(ns1, ns2):
             0.0,
             diagnostic="one-dimensional solution space but the "
             "representative is singular",
+            factors=factors,
         )
     return EquivalenceResult(
-        "equivalent", K, 1, intertwining_residual(ns1, ns2, K)
+        "equivalent", K, 1, intertwining_residual(ns1, ns2, K), factors=factors
     )
 
 
@@ -257,10 +272,14 @@ class TwinPackage:
 
     original: NormalizedSystem
     twin: NormalizedSystem
-    E: dict
     equivalence: EquivalenceResult
     K: Optional[tuple] = None
     k_unitary_residual: float = 0.0
+
+    @property
+    def E(self):
+        """The pairing maps of :func:`e_maps`, held by the system."""
+        return self.original.E
 
     @property
     def equivalent(self):
@@ -276,9 +295,8 @@ class TwinPackage:
 def twin_package(nsys):
     """Assemble twin, pairing maps, and the equivalence decision."""
     tw = twin(nsys)
-    E = e_maps(nsys)
     eq = solve_equivalence(nsys, tw)
-    pkg = TwinPackage(original=nsys, twin=tw, E=E, equivalence=eq)
+    pkg = TwinPackage(original=nsys, twin=tw, equivalence=eq)
     if eq.status == "equivalent":
         sym = symmetrize_and_unitarize_K(eq, nsys, tw)
         pkg.K = sym.K

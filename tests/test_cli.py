@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from freerep import generate
+from freerep import generate, intertwiner, series, spectral, twin
 from freerep.cli import (
     NMAX_LIMIT,
     build_parser,
@@ -194,6 +194,27 @@ class TestClassify:
         d1["timestamp"] = d2["timestamp"] = "X"
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2,
                                                             sort_keys=True)
+
+    @pytest.mark.parametrize("fixture, calls", [("s0_file", 1),
+                                                ("ai_file", 2)])
+    def test_pairing_maps_once_per_system(self, fixture, calls, request,
+                                          tmp_path, monkeypatch):
+        # E of the classified system once; AI adds the twin's Ê with the
+        # forms B̂ of the intertwiner
+        count = []
+        e_maps = twin.e_maps
+
+        def counting(nsys):
+            count.append(nsys)
+            return e_maps(nsys)
+
+        for module in (twin, series, spectral, intertwiner):
+            if getattr(module, "e_maps", None) is e_maps:
+                monkeypatch.setattr(module, "e_maps", counting)
+        path = request.getfixturevalue(fixture)
+        assert main(["classify", str(path), "--out",
+                     str(tmp_path / "r.json"), "--nmax", "8"]) == 0
+        assert len(count) == calls
 
     def test_tol_range_flagged(self, s0_file, capsys):
         assert main(["classify", str(s0_file), "--tol", "1e-15"]) == 1

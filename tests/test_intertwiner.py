@@ -403,6 +403,17 @@ class TestSplit:
         assert abs(sp.c) < 1e-12
         assert sp.idempotency < 1e-12
 
+    def test_one_cluster_keeps_placeholders(self, bi_J):
+        # the family member has c ≠ 0 and spectrum (−ic ± √(4 − c²))/2;
+        # iK turns it by −i, so every eigenvalue has real part −c/2
+        fam, _ = general_intertwiner_family(bi_J, 1.0, 0.7)
+        sp = split(fam, K=tuple(1j * k for k in bi_J.pkg.K))
+        assert sp.diagnostics == ["eigenvalues of M do not form two clusters"]
+        assert sp.unimodularity < 1e-9
+        assert np.isnan(sp.c) and np.isnan(sp.idempotency)
+        assert np.isnan(sp.commutation_residual)
+        assert sp.p_plus == sp.p_minus == sp.subspace_dims == {}
+
     def test_refuses_inequivalent(self, ai_J):
         with pytest.raises(ValueError, match="splitting requires"):
             split(ai_J)

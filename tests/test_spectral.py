@@ -20,8 +20,10 @@ from freerep.systems import (
 from freerep.twin import twin, twin_package, twin_system
 from freerep.spectral import (
     DELTA,
+    Q_ACCEPT_TOL,
     DMatrix,
     EigenOne,
+    _accept_Q,
     _fixed_forms,
     build_D,
     classify,
@@ -250,6 +252,70 @@ def _assert_same_decision(index, report):
     base = _report(index)
     assert base.class_label != "undecided", base.diagnostics
     assert _decision(report) == _decision(base), report.diagnostics
+
+
+def _q_least_squares_oracle(pkg):
+    """Reference for :func:`q_least_squares`: the Q equations
+    ``Q_a H_ab − Ĥ_ab Q_b = E_ab`` stacked pair by pair and solved by
+    ``np.linalg.lstsq``.  Returns the left-hand side, ``Q`` and the
+    relative residual."""
+    nsys = pkg.original
+    dims = nsys.dims
+    size = nsys.alphabet.size
+    cols = [dims[c ^ 1] * dims[c] for c in range(size)]
+    offs = np.concatenate([[0], np.cumsum(cols)]).astype(int)
+    lhs_rows = []
+    rhs_parts = []
+    for a in range(size):
+        for b in range(size):
+            if a == b ^ 1:
+                continue
+            row = np.zeros((dims[a ^ 1] * dims[b], offs[-1]), dtype=complex)
+            row[:, offs[a]:offs[a] + cols[a]] += np.kron(
+                np.eye(dims[a ^ 1]), nsys.h(a, b).T
+            )
+            row[:, offs[b]:offs[b] + cols[b]] -= np.kron(pkg.hhat(a, b),
+                                                         np.eye(dims[b]))
+            lhs_rows.append(row)
+            rhs_parts.append(pkg.e(a, b).ravel())
+    lhs, rhs = np.vstack(lhs_rows), np.concatenate(rhs_parts)
+    if np.linalg.norm(rhs) < 1e-12 * frob_tuple(nsys.B):
+        sol, residual = np.zeros(offs[-1], dtype=complex), 0.0
+    else:
+        sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        residual = float(np.linalg.norm(lhs @ sol - rhs)
+                         / np.linalg.norm(rhs))
+    Q = tuple(sol[offs[c]:offs[c + 1]].reshape(dims[c ^ 1], dims[c])
+              for c in range(size))
+    return lhs, Q, residual
+
+
+def _recorded_svds(monkeypatch):
+    """List that collects every matrix passed to ``np.linalg.svd``."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+_Q_ORACLE_SYSTEMS = {
+    "s0": generate.s0_system,
+    **{"%s-%d" % (name, seed): functools.partial(make, seed)
+       for name, make in (("ai", generate.ai_instance),
+                          ("bi", generate.bi_instance),
+                          ("aii", generate.aii_instance))
+       for seed in (1, 2, 3)},
+    "bi-e0-0": functools.partial(generate.bi_e0_system, 0),
+    **{"random-%d" % seed: functools.partial(generate.random_system, seed,
+                                             k=2, max_dim=8)
+       for seed in range(4)},
+    "self-twin-0": functools.partial(generate.self_twin_system, 0, dim=3),
+}
 
 
 @pytest.fixture(scope="module")
@@ -499,6 +565,39 @@ class TestSolveQ:
         pkg = twin_package(normalize(generate.random_system(seed, k=2,
                                                             max_dim=2)))
         assert solve_Q(pkg) is None
+
+    @pytest.mark.parametrize("name", sorted(_Q_ORACLE_SYSTEMS))
+    def test_matches_lstsq_oracle(self, name, monkeypatch):
+        nsys = normalize(_Q_ORACLE_SYSTEMS[name]())
+        seen = _recorded_svds(monkeypatch)
+        pkg = twin_package(nsys)
+        lhs, want_Q, want_residual = _q_least_squares_oracle(pkg)
+        # the oracle's left-hand side is −M, the matrix the equivalence
+        # test factorized, row for row
+        (m,) = [x for x in seen if x.shape == lhs.shape]
+        assert np.array_equal(lhs, -m)
+        Q, residual = q_least_squares(pkg)
+        assert abs(residual - want_residual) < 1e-12
+        got = _accept_Q(pkg, Q, residual, Q_ACCEPT_TOL)
+        want = _accept_Q(pkg, want_Q, want_residual, Q_ACCEPT_TOL)
+        assert (got is None) == (want is None)
+        if got is not None:
+            gap = frob_tuple(tuple(x - y for x, y in zip(Q, want_Q)))
+            assert gap <= 1e-10 * frob_tuple(want_Q)
+
+    def test_classify_factorizes_M_once(self, monkeypatch):
+        nsys = normalize(generate.ai_instance(1))
+        dims = nsys.dims
+        shape = (sum(dims[b ^ 1] * dims[a] for b, a in nsys.system.pairs()),
+                 sum(dims[c ^ 1] * dims[c] for c in nsys.alphabet.letters))
+        seen = _recorded_svds(monkeypatch)
+        solves = []
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: solves.append(args))
+        rep = classify(nsys)
+        assert rep.class_label == "AI" and rep.Q is not None
+        assert solves == []
+        assert [x.shape for x in seen].count(shape) == 1
 
 
 class TestClassify:

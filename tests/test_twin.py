@@ -3,6 +3,7 @@ import pytest
 
 from freerep import generate
 from freerep.systems import (
+    NormalizedSystem,
     frob_tuple,
     identity_tuple,
     normalize,
@@ -168,6 +169,19 @@ def test_solution_space_dim_is_zero_or_one(seed):
     for other in (ns, twin(ns)):
         result = solve_equivalence(ns, other)
         assert result.solution_space_dim in (0, 1)
+
+
+def test_doubled_system_solution_space_contradicts_irreducibility():
+    # the doubled s0 is reducible, so its intertwiners with itself and
+    # with its twin span a 4-dimensional space
+    sys = generate.doubled_system(generate.s0_system())
+    ident = identity_tuple(sys.dims)
+    ns = NormalizedSystem.from_forms(sys, ident, ident, 1.0)
+    for other in (ns, twin(ns)):
+        result = solve_equivalence(ns, other)
+        assert result.status == "undecided"
+        assert result.solution_space_dim == 4
+        assert "contradicts irreducibility" in result.diagnostic
 
 
 def test_intertwining_residual_of_returned_K():
