@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, generate
-from .functions import MuSummand, canonicalize, norm
+from .functions import first_shell
 from .intertwiner import (
     build_J,
     finite_rank_check,
@@ -92,14 +92,11 @@ def _checking_depth(nsys, limit=1500):
 
 
 def _first_edge_vector(nsys):
-    """Unit-norm canonical family on the edge from the identity along the
-    first generator."""
+    """Unit-norm first-shell family on the edge from the identity along
+    the first generator: ``e_0`` scaled by ``B_0[0, 0]^{−1/2}``."""
     v = np.zeros(nsys.dims[0], dtype=complex)
-    v[0] = 1.0
-    f = canonicalize(nsys, [MuSummand(x=(), letter=0, v=v)], 0)
-    scale = norm(f)
-    v[0] = 1.0 / scale
-    return canonicalize(nsys, [MuSummand(x=(), letter=0, v=v)], 0)
+    v[0] = 1.0 / np.sqrt(nsys.B[0][0, 0].real)
+    return first_shell(nsys, {0: v})
 
 
 def classification_report(sysdoc, tol, nmax, seed=None):
@@ -348,7 +345,7 @@ def _parse_edge(nsys, text):
                              % (index, parts[1]))
     v = np.zeros(nsys.dims[letter], dtype=complex)
     v[index] = 1.0
-    return canonicalize(nsys, [MuSummand(x=(), letter=letter, v=v)], 0)
+    return first_shell(nsys, {letter: v})
 
 
 def series_csv(series):

@@ -25,6 +25,9 @@ import numpy as np
 from .functions import norm as f_norm
 from .twin import pair_block
 
+# Relative and absolute roundoff allowance of the Haagerup bound check.
+HAAGERUP_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class CoefficientSeries:
@@ -136,12 +139,13 @@ def sphere_sums(v, w, nmax):
     )
 
 
-def haagerup_violations(series, slack=1e-9):
+def haagerup_violations(series):
     """Indices where ``s_n`` exceeds ``(n+1)²‖v‖²‖w‖²`` beyond roundoff."""
     bound_scale = (series.v_norm * series.w_norm) ** 2
     return [
         n for n, s in enumerate(series.s)
-        if s > (n + 1) ** 2 * bound_scale * (1 + slack) + slack
+        if s > (n + 1) ** 2 * bound_scale * (1 + HAAGERUP_SLACK)
+        + HAAGERUP_SLACK
     ]
 
 
@@ -206,22 +210,20 @@ class PhiEpsNorm:
 def phi_eps_norm(series, eps):
     """Evaluate the damped sum with a quadratic-growth tail estimate.
 
-    The tail bound sums ``(n+1)² e^{−εn}`` times the norm scale past the
-    horizon; ``tail_ok`` certifies it below ``1e−6`` of the partial sum.
+    The tail bound is the norm scale times ``Σ_{n≥m} (n+1)² qⁿ`` past the
+    horizon, ``m = nmax + 1`` and ``q = e^{−ε}``, in closed form:
+    ``qᵐ[(m+1)²/(1−q) + 2(m+1)q/(1−q)² + q(1+q)/(1−q)³]``.  ``tail_ok``
+    certifies it below ``1e−6`` of the partial sum.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     value = float(sum(sn * np.exp(-eps * n) for n, sn in enumerate(series.s)))
     scale = (series.v_norm * series.w_norm) ** 2
-    tail = 0.0
-    n = series.nmax + 1
+    m = series.nmax + 1
+    q, p = np.exp(-eps), -np.expm1(-eps)
     # with a zero scale every term is 0, and so is the tail
-    while scale > 0:
-        term = (n + 1) ** 2 * np.exp(-eps * n) * scale
-        tail += term
-        if term < 1e-18 * max(value, tail):
-            break
-        n += 1
+    tail = scale * q ** m * ((m + 1) ** 2 / p + 2 * (m + 1) * q / p ** 2
+                             + q * (1 + q) / p ** 3) if scale else 0.0
     return PhiEpsNorm(value=value, tail_bound=float(tail),
                       tail_ok=tail < 1e-6 * value if value > 0 else False)
 

@@ -16,7 +16,10 @@ most once.  The eigenvalue-1 analysis reads that structure:
 
 - ``mult_one`` counts the eigenvalues of the four diagonal blocks within
   ``δ`` of 1, and ``gap`` is the smallest distance to 1 of the others;
-  no eigensolve or SVD of the whole of ``D`` is made.
+  no eigensolve or SVD of the whole of ``D`` is made.  Only ``D_22`` is
+  eigensolved: ``D_33`` has the conjugate spectrum, and ``D_11`` and
+  ``D_44`` have the conjugated transfer spectra of the twin and of the
+  system, which :func:`~freerep.systems.normalize` already certified.
 - ``dim_one = mult_one − rank N``.  ``N`` is the strictly upper
   triangular coupling ``N_ij = l_i C_ij r_j`` between the fixed vectors
   ``r_i`` and functionals ``l_i`` (``l_i r_i = 1``) of the blocks that
@@ -34,7 +37,6 @@ most once.  The eigenvalue-1 analysis reads that structure:
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,40 +66,26 @@ class DMatrix:
     to ``(offset, (rows, cols))`` of the vectorized slot; ``side`` is the
     full dimension.  The matrix is block upper triangular in the block
     rows (the pair blocks leave every block below the diagonal zero), so its
-    spectrum is that of the four diagonal blocks.  ``package`` is the
-    twin package it was built from, the source of the closed-form fixed
-    vectors; a hand-built matrix has none.
+    spectrum is that of the four diagonal blocks, ``block_eigenvalues``.
+    ``package`` is the twin package it was built from, the source of the
+    fixed vectors; a hand-built matrix has none, and no fixed pair.
     """
 
     matrix: np.ndarray
     slots: dict
     side: int
+    block_eigenvalues: tuple
     package: object = None
 
-    @cached_property
-    def row_ranges(self):
-        """``(start, stop)`` of each block row in ``matrix``."""
-        ranges = {}
-        for (i, _), (off, shape) in self.slots.items():
-            lo, hi = ranges.get(i, (self.side, 0))
-            ranges[i] = (min(lo, off), max(hi, off + shape[0] * shape[1]))
-        return ranges
+    def rows(self, i):
+        """Slice of block row ``i`` in ``matrix``, which stores the block
+        rows in order, each from the slot of its letter 0."""
+        stop = self.slots[(i + 1, 0)][0] if i < 4 else self.side
+        return slice(self.slots[(i, 0)][0], stop)
 
     def block(self, i, j):
         """View of the ``(i, j)`` block of ``matrix``."""
-        (r0, r1), (c0, c1) = self.row_ranges[i], self.row_ranges[j]
-        return self.matrix[r0:r1, c0:c1]
-
-    @cached_property
-    def block_eigenvalues(self):
-        """Eigenvalues of the diagonal blocks ``D_11 .. D_44``, solved
-        once and shared by every reader."""
-        return tuple(np.linalg.eigvals(self.block(i, i)) for i in _ROWS)
-
-    @cached_property
-    def eigenvalues(self):
-        """Eigenvalues of ``matrix``: those of its diagonal blocks."""
-        return np.concatenate(self.block_eigenvalues)
+        return self.matrix[self.rows(i), self.rows(j)]
 
     def embed(self, i, tuple_of_mats):
         """Vector with ``tuple_of_mats`` in block-row ``i``, zeros elsewhere."""
@@ -147,7 +135,8 @@ def build_D(pkg):
     the block of letters ``(a, b)`` is ``S_b ↦ X_ab S_b X_ab†`` for the
     pair block ``X_ab`` of :func:`~freerep.twin.pair_block`.  The zero
     corner of ``X_ab`` makes every block below the diagonal and the
-    block ``(2, 3)`` exactly zero.
+    block ``(2, 3)`` exactly zero.  Of the diagonal blocks only ``D_22``
+    is eigensolved (see the module docstring).
     """
     nsys = pkg.original
     dims = nsys.dims
@@ -166,7 +155,12 @@ def build_D(pkg):
             if a != b ^ 1:
                 x = pair_block(nsys, pkg.E, a, b)
                 mat[np.ix_(index[a], index[b])] += np.kron(x, x.conj())
-    return DMatrix(matrix=mat, slots=slots, side=off, package=pkg)
+    lo, hi = slots[(2, 0)][0], slots[(3, 0)][0]
+    mixed = np.linalg.eigvals(mat[lo:hi, lo:hi])
+    spectra = (pkg.twin.transfer_spectrum.conj(), mixed, mixed.conj(),
+               pkg.original.transfer_spectrum.conj())
+    return DMatrix(matrix=mat, slots=slots, side=off,
+                   block_eigenvalues=spectra, package=pkg)
 
 
 @dataclass
@@ -246,10 +240,10 @@ def _fixed_pair(d, i):
     """
     block = d.block(i, i)
     pair = None
-    forms = None if d.package is None else _fixed_forms(d.package, i)
+    forms = _fixed_forms(d.package, i)
     if forms is not None:
         right, left = forms
-        row = slice(*d.row_ranges[i])
+        row = d.rows(i)
         r = d.embed(i, right)[row]
         l = d.embed(i, tuple(t.T for t in left))[row]
         if (np.linalg.norm(block @ r - r) < FORM_TOL * np.linalg.norm(r)
@@ -298,11 +292,8 @@ def _whitening(pkg, i):
 
 
 def _whitened_norms(d, i, r, l):
-    """Frobenius norms of ``r`` and of ``l`` in the whitened frame (the
-    raw frame for a matrix without a package)."""
-    if d.package is None:
-        return np.linalg.norm(r), np.linalg.norm(l)
-    start = d.row_ranges[i][0]
+    """Frobenius norms of ``r`` and of ``l`` in the whitened frame."""
+    start = d.rows(i).start
     r_sq = l_sq = 0.0
     for a, ((left, left_inv), (right, right_inv)) in enumerate(
             _whitening(d.package, i)):
@@ -482,25 +473,25 @@ def q_residual(pkg, Q):
     return np.sqrt(num / den)
 
 
-def solve_Q(pkg, accept_tol=Q_ACCEPT_TOL):
+def solve_Q(pkg):
     """Solve for the Q tuple; ``None`` when the system is inconsistent.
 
     The stacked system is solved by least squares and accepted only if the
-    relative residual is below ``accept_tol``; the solution is then
+    relative residual is below :data:`Q_ACCEPT_TOL`; the solution is then
     antisymmetrized (``Q_a ← (Q_a − Q_{a⁻¹}†)/2``, again a solution) and
     re-verified by substitution.
     """
-    return _accept_Q(pkg, *q_least_squares(pkg), accept_tol)
+    return _accept_Q(pkg, *q_least_squares(pkg))
 
 
-def _accept_Q(pkg, Q, residual, accept_tol):
+def _accept_Q(pkg, Q, residual):
     """The acceptance steps of :func:`solve_Q` on a least-squares
     solution ``Q`` with relative residual ``residual``."""
-    if residual >= accept_tol:
+    if residual >= Q_ACCEPT_TOL:
         return None
     Q = tuple((Q[c] - Q[c ^ 1].conj().T) / 2 for c in range(len(Q)))
     residual = q_residual(pkg, Q)
-    if residual >= accept_tol:
+    if residual >= Q_ACCEPT_TOL:
         return None
     anti = max(
         float(np.linalg.norm(Q[c].conj().T + Q[c ^ 1])) for c in range(len(Q))
@@ -552,7 +543,7 @@ def classify(nsys):
     diagnostics = []
     pkg = twin_package(nsys)
     d = build_D(pkg)
-    rho_d = float(np.max(np.abs(d.eigenvalues)))
+    rho_d = max(float(np.max(np.abs(v))) for v in d.block_eigenvalues)
     try:
         eig = eigen_one(d)
     except UndecidedError as err:
@@ -566,7 +557,7 @@ def classify(nsys):
         )
     equivalent = pkg.equivalent
     ls_Q, ls_residual = q_least_squares(pkg)
-    q = _accept_Q(pkg, ls_Q, ls_residual, Q_ACCEPT_TOL)
+    q = _accept_Q(pkg, ls_Q, ls_residual)
     trace_val, trace_scale = (0j, 0.0)
     if equivalent:
         trace_val, trace_scale = trace_condition(pkg)

@@ -279,8 +279,9 @@ class NormalizedSystem:
         ``Σ_a tr(B_a) = Σ_a n_a``.
     B_hat : tuple of ndarray
         The twin system's fixed forms, with the same convention.
-    rho_certificate : float
-        Transfer radius of the stored system; 1 within tolerance.
+    transfer_spectrum : ndarray
+        Eigenvalues of the stored system's transfer matrix: the radius
+        certificate, and conjugated the spectrum of ``D_44`` in ``spectral``.
     fix_residual : float
         Relative fixed-point residual of ``B``.
     b_min_eig : float
@@ -290,16 +291,21 @@ class NormalizedSystem:
     system: MatrixSystem
     B: tuple
     B_hat: tuple
-    rho_certificate: float
+    transfer_spectrum: np.ndarray
     fix_residual: float
     b_min_eig: float
 
     @classmethod
-    def from_forms(cls, system, B, B_hat, rho_certificate):
-        """Normalized system with known forms; measures the residual and
-        the smallest eigenvalue of ``B``."""
-        return cls(system, B, B_hat, rho_certificate,
+    def from_forms(cls, system, B, B_hat, transfer_spectrum):
+        """Normalized system with known forms and transfer spectrum;
+        measures the residual and the smallest eigenvalue of ``B``."""
+        return cls(system, B, B_hat, transfer_spectrum,
                    _fix_residual(system, B), _spectrum_ends(B)[0])
+
+    @property
+    def rho_certificate(self):
+        """Transfer radius of the stored system; 1 within tolerance."""
+        return float(np.max(np.abs(self.transfer_spectrum)))
 
     @property
     def alphabet(self):
@@ -320,7 +326,7 @@ class NormalizedSystem:
         return e_maps(self)
 
 
-def normalize(sys, tol_fix=TOL_FIX, tol_pd=TOL_PD):
+def normalize(sys):
     """Scale to unit transfer radius and compute the fixed forms.
 
     One eigensolve of the transfer matrix ``T`` (:func:`transfer_matrix`)
@@ -347,8 +353,10 @@ def normalize(sys, tol_fix=TOL_FIX, tol_pd=TOL_PD):
     matrices, a block-triangular system has a singular ``B`` or ``B̂``, and
     a direct sum has a non-simple ``ρ`` or a singular form.
 
-    The fixed-point residual of ``B`` is checked against ``tol_fix``, and a
-    separate eigensolve certifies the radius of the rescaled system.
+    The fixed-point residual of ``B`` is checked against ``TOL_FIX``, and a
+    separate eigensolve certifies the radius of the rescaled system.  Its
+    spectrum, kept as ``transfer_spectrum``, also serves the blocks ``D_44``
+    and (on the twin) ``D_11`` of :func:`~freerep.spectral.build_D`.
 
     Raises
     ------
@@ -356,7 +364,7 @@ def normalize(sys, tol_fix=TOL_FIX, tol_pd=TOL_PD):
         Invalid input, or "system is not irreducible" followed by the
         relative Perron gap and the ratios ``λ_min/λ_max`` of both forms.
     RuntimeError
-        The fixed-point residual of ``B`` exceeds ``tol_fix``.
+        The fixed-point residual of ``B`` exceeds ``TOL_FIX``.
     """
     violations = validate(sys)
     if violations:
@@ -375,15 +383,15 @@ def normalize(sys, tol_fix=TOL_FIX, tol_pd=TOL_PD):
     B_hat = tuple(S[c ^ 1] for c in sys.alphabet.letters)
     ends = [_spectrum_ends(t) for t in (B, B_hat)]
     if not (gap > TOL_SIMPLE and all(
-            lo > tol_pd * frob_tuple(t) for (lo, _), t in zip(ends, (B, B_hat)))):
+            lo > TOL_PD * frob_tuple(t) for (lo, _), t in zip(ends, (B, B_hat)))):
         raise ValueError(
             "system is not irreducible: Perron gap %.2e (needs > %.0e), "
             "form ratios lambda_min/lambda_max %.2e (B) and %.2e (twin)"
             % ((gap, TOL_SIMPLE) + tuple(lo / hi for lo, hi in ends)))
     scaled = sys.scaled(1.0 / np.sqrt(rho))
-    radius = float(np.max(np.abs(np.linalg.eigvals(transfer_matrix(scaled)))))
-    nsys = NormalizedSystem.from_forms(scaled, B, B_hat, radius)
-    if nsys.fix_residual > tol_fix:
+    nsys = NormalizedSystem.from_forms(
+        scaled, B, B_hat, np.linalg.eigvals(transfer_matrix(scaled)))
+    if nsys.fix_residual > TOL_FIX:
         raise RuntimeError("fixed-point residual %.2e of B exceeds %.0e"
-                           % (nsys.fix_residual, tol_fix))
+                           % (nsys.fix_residual, TOL_FIX))
     return nsys

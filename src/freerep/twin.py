@@ -41,14 +41,15 @@ def twin_system(sys):
 def twin(nsys):
     """Twin of a normalized system, with no eigensolve.
 
-    The twin's transfer spectrum is the conjugate of the system's, so the
-    twin already has unit transfer radius and shares the radius
-    certificate.  Its forms are ``nsys.B_hat``, and its ``B_hat`` is
-    ``nsys.B``, so ``twin(twin(nsys))`` has the blocks and forms of
-    ``nsys``.
+    The twin's transfer matrix is ``T†`` with its letters relabelled, so
+    its transfer spectrum is the conjugate of the system's: the twin
+    already has unit transfer radius and takes the conjugated certificate
+    spectrum.  Its forms are ``nsys.B_hat``, and its ``B_hat`` is
+    ``nsys.B``, so ``twin(twin(nsys))`` has the blocks, forms and spectrum
+    of ``nsys``.
     """
     return NormalizedSystem.from_forms(twin_system(nsys.system), nsys.B_hat,
-                                       nsys.B, nsys.rho_certificate)
+                                       nsys.B, nsys.transfer_spectrum.conj())
 
 
 def e_maps(nsys):

@@ -1,6 +1,7 @@
 """Sphere-sum series, growth exponents, bound checks, good-vector probe."""
 
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from freerep import generate
 from freerep.cli import _first_edge_vector
-from freerep.functions import coefficient, deepen, first_shell
+from freerep.functions import (
+    MuSummand,
+    canonicalize,
+    coefficient,
+    deepen,
+    first_shell,
+    norm,
+)
 from freerep.generate import ai_instance, random_scalar_system, random_system
 from freerep.series import (
     CoefficientSeries,
@@ -197,6 +205,32 @@ class TestGaugeInvariance:
         np.testing.assert_allclose(series[1], series[0], rtol=1e-10, atol=0)
 
 
+def _two_pass_edge_vector(nsys):
+    """The edge vector built by canonicalizing ``e_0``, measuring its
+    norm, and canonicalizing the rescaled vector again."""
+    v = np.zeros(nsys.dims[0], dtype=complex)
+    v[0] = 1.0
+    f = canonicalize(nsys, [MuSummand(x=(), letter=0, v=v)], 0)
+    v[0] = 1.0 / norm(f)
+    return canonicalize(nsys, [MuSummand(x=(), letter=0, v=v)], 0)
+
+
+class TestFirstEdgeVector:
+    @pytest.mark.parametrize("make", [
+        generate.s0_system,
+        functools.partial(ai_instance, 1),
+        functools.partial(random_system, 0, k=2, max_dim=8),
+    ])
+    def test_matches_two_pass_construction(self, make):
+        nsys = normalize(make())
+        got, want = _first_edge_vector(nsys), _two_pass_edge_vector(nsys)
+        assert got.depth == want.depth == 0
+        assert got.coeffs.keys() == want.coeffs.keys()
+        for key, vec in want.coeffs.items():
+            assert np.array_equal(got.coeffs[key], vec)
+        assert norm(got) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestBudget:
     """There is no enumeration budget: every requested horizon is computed
     in full and ``cutoff`` stays false."""
@@ -294,6 +328,36 @@ class TestPhiEps:
         loose = phi_eps_norm(ser, 0.3)
         assert not loose.tail_ok
         assert loose.value > tight.value
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_tail_matches_term_by_term_sum(self, s0_norm, eps):
+        v = first_shell(s0_norm, {A: [1.0]})
+        ser = sphere_sums(v, v, 8)
+        scale = (ser.v_norm * ser.w_norm) ** 2
+        want, n = 0.0, ser.nmax + 1
+        while True:
+            term = (n + 1) ** 2 * np.exp(-eps * n) * scale
+            want += term
+            if term < 1e-18 * want:
+                break
+            n += 1
+        assert phi_eps_norm(ser, eps).tail_bound == pytest.approx(
+            want, rel=1e-12)
+
+    def test_tiny_eps_tail_is_closed_form(self, s0_norm):
+        # Σ_{j≥1} j² q^{j−1} = (1+q)/(1−q)³ less the first nmax+1 terms;
+        # a term-by-term sum would need ~1e9 steps here
+        eps = 1e-8
+        v = first_shell(s0_norm, {A: [1.0]})
+        ser = sphere_sums(v, v, 8)
+        start = time.perf_counter()
+        rep = phi_eps_norm(ser, eps)
+        assert time.perf_counter() - start < 1.0
+        q, p = np.exp(-eps), -np.expm1(-eps)
+        head = sum(j * j * q ** (j - 1) for j in range(1, ser.nmax + 2))
+        want = (ser.v_norm * ser.w_norm) ** 2 * ((1 + q) / p ** 3 - head)
+        assert rep.tail_bound == pytest.approx(want, rel=1e-12)
+        assert not rep.tail_ok
 
     def test_zero_family_returns(self, s0_norm):
         # a zero norm scale makes every tail term 0; the sum must stop

@@ -19,8 +19,8 @@ from freerep.systems import (
 )
 from freerep.twin import twin, twin_package, twin_system
 from freerep.spectral import (
+    _ROWS,
     DELTA,
-    Q_ACCEPT_TOL,
     DMatrix,
     EigenOne,
     _accept_Q,
@@ -290,16 +290,18 @@ def _q_least_squares_oracle(pkg):
     return lhs, Q, residual
 
 
-def _recorded_svds(monkeypatch):
-    """List that collects every matrix passed to ``np.linalg.svd``."""
+def _recorded(monkeypatch, name):
+    """List that collects ``(matrix, result)`` for every call of
+    ``np.linalg.<name>``."""
     seen = []
-    svd = np.linalg.svd
+    solve = getattr(np.linalg, name)
 
     def recording(a, *args, **kwargs):
-        seen.append(np.array(a))
-        return svd(a, *args, **kwargs)
+        out = solve(a, *args, **kwargs)
+        seen.append((np.array(a), out))
+        return out
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, name, recording)
     return seen
 
 
@@ -394,7 +396,9 @@ class TestEigenOne:
 
     def test_halved_matrix_has_empty_cluster(self, s0_D):
         half = DMatrix(matrix=s0_D.matrix / 2, slots=s0_D.slots,
-                       side=s0_D.side)
+                       side=s0_D.side, block_eigenvalues=tuple(
+                           np.linalg.eigvals(s0_D.block(i, i) / 2)
+                           for i in (1, 2, 3, 4)))
         eig = eigen_one(half)
         assert eig.mult_one == 0
         assert eig.dim_one == 0
@@ -411,7 +415,8 @@ class TestEigenOne:
         # one 1x1 slot per block row: D_11 = 1 and D_22 = 1 − 5e-6
         mat = np.diag([1.0, 1.0 - 5e-6, 0.3, 0.3]).astype(complex)
         slots = {(i, 0): (i - 1, (1, 1)) for i in (1, 2, 3, 4)}
-        d = DMatrix(matrix=mat, slots=slots, side=4)
+        d = DMatrix(matrix=mat, slots=slots, side=4,
+                    block_eigenvalues=tuple(mat.diagonal()[:, None]))
         with pytest.raises(UndecidedError, match="ill-conditioned cluster"):
             eigen_one(d)
 
@@ -569,17 +574,17 @@ class TestSolveQ:
     @pytest.mark.parametrize("name", sorted(_Q_ORACLE_SYSTEMS))
     def test_matches_lstsq_oracle(self, name, monkeypatch):
         nsys = normalize(_Q_ORACLE_SYSTEMS[name]())
-        seen = _recorded_svds(monkeypatch)
+        seen = _recorded(monkeypatch, "svd")
         pkg = twin_package(nsys)
         lhs, want_Q, want_residual = _q_least_squares_oracle(pkg)
         # the oracle's left-hand side is −M, the matrix the equivalence
         # test factorized, row for row
-        (m,) = [x for x in seen if x.shape == lhs.shape]
+        (m,) = [x for x, _ in seen if x.shape == lhs.shape]
         assert np.array_equal(lhs, -m)
         Q, residual = q_least_squares(pkg)
         assert abs(residual - want_residual) < 1e-12
-        got = _accept_Q(pkg, Q, residual, Q_ACCEPT_TOL)
-        want = _accept_Q(pkg, want_Q, want_residual, Q_ACCEPT_TOL)
+        got = _accept_Q(pkg, Q, residual)
+        want = _accept_Q(pkg, want_Q, want_residual)
         assert (got is None) == (want is None)
         if got is not None:
             gap = frob_tuple(tuple(x - y for x, y in zip(Q, want_Q)))
@@ -590,14 +595,14 @@ class TestSolveQ:
         dims = nsys.dims
         shape = (sum(dims[b ^ 1] * dims[a] for b, a in nsys.system.pairs()),
                  sum(dims[c ^ 1] * dims[c] for c in nsys.alphabet.letters))
-        seen = _recorded_svds(monkeypatch)
+        seen = _recorded(monkeypatch, "svd")
         solves = []
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kwargs: solves.append(args))
         rep = classify(nsys)
         assert rep.class_label == "AI" and rep.Q is not None
         assert solves == []
-        assert [x.shape for x in seen].count(shape) == 1
+        assert [x.shape for x, _ in seen].count(shape) == 1
 
 
 class TestClassify:
@@ -638,25 +643,21 @@ class TestClassify:
         assert report.Q is None
 
     def test_no_dense_solve_of_D(self, monkeypatch):
+        # one eigensolve, of D_22: D_33 is its conjugate, and D_11 and D_44
+        # read the transfer spectrum normalize certified
         nsys = normalize(generate.random_system(51, k=2, max_dim=2))
-        calls = []
-        for name in ("eigvals", "eig", "svd"):
-            def recording(m, *args, _solve=getattr(np.linalg, name),
-                          _name=name, **kwargs):
-                out = _solve(m, *args, **kwargs)
-                calls.append((_name, np.array(m), out))
-                return out
-
-            monkeypatch.setattr(np.linalg, name, recording)
+        calls = {name: _recorded(monkeypatch, name)
+                 for name in ("eigvals", "eig", "svd")}
         report = classify(nsys)
         d = report.dmatrix
-        assert not [name for name, m, _ in calls
+        assert not [m for seen in calls.values() for m, _ in seen
                     if m.shape == (d.side, d.side)]
-        spectra = [vals for i in (1, 2, 3, 4)
-                   for name, m, vals in calls
-                   if name == "eigvals" and np.array_equal(m, d.block(i, i))]
-        assert len(spectra) == 4
-        assert report.rho_D == max(float(np.max(np.abs(v))) for v in spectra)
+        [(m, mixed)] = calls["eigvals"]
+        assert np.array_equal(m, d.block(2, 2))
+        assert not [m for m, _ in calls["eig"]
+                    if any(m.shape == d.block(i, i).shape for i in _ROWS)]
+        assert report.rho_D == max(
+            float(np.max(np.abs(v))) for v in (nsys.transfer_spectrum, mixed))
 
 
     def test_ambiguous_rank_reports_margin(self, monkeypatch):
@@ -693,6 +694,19 @@ class TestBlockSpectra:
             transfer_matrix(pkg.twin.system))) < 1e-9
         assert _spectrum_gap(eigvals(d.block(3, 3)),
                              np.conj(eigvals(d.block(2, 2)))) < 1e-9
+        self._assert_block_eigenvalues(d)
+
+    @pytest.mark.parametrize("index", range(21))
+    def test_block_eigenvalues_on_pool(self, index):
+        self._assert_block_eigenvalues(
+            build_D(twin_package(normalize(_metamorphic_pool()[index]))))
+
+    @staticmethod
+    def _assert_block_eigenvalues(d):
+        # the spectra build_D reuses match a dense eigensolve of each block
+        for i, vals in zip(_ROWS, d.block_eigenvalues):
+            assert _spectrum_gap(vals,
+                                 np.linalg.eigvals(d.block(i, i))) < 1e-9
 
 
 class TestSelfTwinGate:

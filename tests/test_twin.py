@@ -8,6 +8,7 @@ from freerep.systems import (
     identity_tuple,
     normalize,
     spectral_radius_T,
+    transfer_matrix,
 )
 from freerep.twin import (
     EquivalenceResult,
@@ -74,6 +75,21 @@ def test_twin_forms_match_independent_normalization(k, seed):
                - spectral_radius_T(twin_system(ns.system))) < 1e-12
     assert tw.fix_residual < 1e-12
     assert tw.b_min_eig > 0
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_twin_transfer_spectrum_needs_no_eigensolve(k):
+    # the twin's transfer matrix is T† relabelled: its spectrum is the
+    # conjugated certificate, and twinning twice gives it back
+    ns = normalize(generate.random_system(610 + k, k=k, max_dim=3))
+    tw = twin(ns)
+    assert np.array_equal(tw.transfer_spectrum, ns.transfer_spectrum.conj())
+    assert np.array_equal(twin(tw).transfer_spectrum, ns.transfer_spectrum)
+    dense = list(np.linalg.eigvals(transfer_matrix(tw.system)))
+    for v in tw.transfer_spectrum:
+        k_near = int(np.argmin(np.abs(np.asarray(dense) - v)))
+        assert abs(dense.pop(k_near) - v) < 1e-10
+    assert tw.rho_certificate == ns.rho_certificate
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -176,7 +192,8 @@ def test_doubled_system_solution_space_contradicts_irreducibility():
     # with its twin span a 4-dimensional space
     sys = generate.doubled_system(generate.s0_system())
     ident = identity_tuple(sys.dims)
-    ns = NormalizedSystem.from_forms(sys, ident, ident, 1.0)
+    ns = NormalizedSystem.from_forms(
+        sys, ident, ident, np.linalg.eigvals(transfer_matrix(sys)))
     for other in (ns, twin(ns)):
         result = solve_equivalence(ns, other)
         assert result.status == "undecided"
