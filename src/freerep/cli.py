@@ -45,6 +45,9 @@ NMAX_LIMIT = 4096
 # needs it long (at 128 the fits of the seeded classes and the wide
 # random systems land within 0.08 of the prediction)
 DEFAULT_NMAX = 128
+# largest matrix-space dimension of W_n that the dense congruence checks
+# of classify take on
+CHECK_DIM_LIMIT = 1500
 
 _NORMALIZATION = ("rho_T = 1; B Hermitian positive definite; "
                   "sum_a tr(B_a) = sum_a n_a")
@@ -78,15 +81,15 @@ def _entry(value, tolerance, **extra):
     return out
 
 
-def _checking_depth(nsys, limit=1500):
-    """Largest matrix-space depth (at most 3) whose dimension stays small
-    enough for dense congruence checks."""
+def _checking_depth(nsys):
+    """Largest matrix-space depth (at most 3) whose dimension stays within
+    :data:`CHECK_DIM_LIMIT`."""
     for depth in (3, 2, 1):
         try:
             lay = w_layout(nsys, depth)
         except ValueError:
             continue
-        if lay.dim <= limit:
+        if lay.dim <= CHECK_DIM_LIMIT:
             return depth
     return 1
 
@@ -279,6 +282,9 @@ def _flag_errors(args):
     nmax = getattr(args, "nmax", None)
     if nmax is not None and not 0 <= nmax <= NMAX_LIMIT:
         return "nmax must lie in [0, %d]" % NMAX_LIMIT
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        return "seed must be non-negative"
     return None
 
 

@@ -10,11 +10,12 @@ words of length ``n`` ending in ``c`` obeys a linear recursion, and
 products, so the series is exact to any horizon without enumerating the
 ``(2k−1)^n`` words.
 
-The step is ``S_c ← Σ_{l≠c⁻¹} X_cl S_l X_cl†`` with ``X_cl = T_{l→c}†``
-the pair block of :func:`~freerep.twin.pair_block`.  On vectorized ``S``
-it is the four-row matrix ``D`` of :func:`~freerep.spectral.build_D`
-under its slot map, so ``s_n = wᵀ D^{n−1} x`` for the embedded start
-tuple ``x`` and out tuple ``w``: the growth of the series and the
+The step, :func:`moment_step`, is ``S_c ← Σ_{l≠c⁻¹} X_cl S_l X_cl†``
+with ``X_cl = T_{l→c}†`` the pair block of
+:func:`~freerep.twin.pair_block`.  It is also the four-row operator ``D``
+of :func:`~freerep.spectral.build_D`, whose block rows are the quadrants
+of ``S_c = [[S⁴, S²], [S³, S¹]]``, so ``s_n = wᵀ D^{n−1} x`` for the
+start tuple ``x`` and out tuple ``w``: the growth of the series and the
 eigenvalue-1 structure of ``D`` belong to one operator.
 """
 
@@ -56,13 +57,14 @@ def _first_shell_vectors(f):
     return out
 
 
-def _moment_operator(nsys):
+def moment_operator(nsys):
     """The matrix ``M†`` whose block ``(c, l)`` is ``T_{l→c}†``, the pair
-    block ``X_cl``, and the mask of its diagonal blocks.
+    block ``X_cl``, its adjoint ``M``, and the mask of its diagonal blocks.
 
     The state of letter ``c`` occupies ``d_c + d_{c⁻¹}`` consecutive
     coordinates, ``α`` then ``δ``; the block is zero for ``l = c⁻¹``,
-    where no reduced word continues.
+    where no reduced word continues.  A normalized system holds the
+    three as ``nsys.moment_operator``, built once.
     """
     letters = nsys.alphabet.letters
     dims = nsys.dims
@@ -75,7 +77,15 @@ def _moment_operator(nsys):
         for l in letters:
             if l != c ^ 1:
                 Mh[rows, off[l]:off[l + 1]] = pair_block(nsys, nsys.E, c, l)
-    return Mh, diagonal
+    return Mh, Mh.conj().T, diagonal
+
+
+def moment_step(nsys, S):
+    """One step of the recursion on the block-diagonal moment matrix
+    ``S`` (block ``c``: ``S_c``): the diagonal blocks of ``M† S M``,
+    which are ``Σ_{l≠c⁻¹} X_cl S_l X_cl†``."""
+    Mh, M, diagonal = nsys.moment_operator
+    return np.where(diagonal, Mh @ S @ M, 0)
 
 
 def _ends(v, w):
@@ -111,24 +121,22 @@ def _ends(v, w):
 def sphere_sums(v, w, nmax):
     """Series ``s_0..s_nmax`` for two depth-0 canonical families.
 
-    One step of the recursion maps the block-diagonal moment matrix ``S``
-    (block ``c``: ``S_c``) to the diagonal blocks of ``M† S M``, which are
-    ``Σ_{l≠c⁻¹} T_{l→c}† S_l T_{l→c}``; it starts from ``S_c = x_c† x_c``
-    and reads ``s_n = out† S out`` (see :func:`_ends`).
+    The recursion steps the block-diagonal moment matrix ``S`` by
+    :func:`moment_step`; it starts from ``S_c = x_c† x_c`` and reads
+    ``s_n = out† S out`` (see :func:`_ends`).
     """
     if v.system is not w.system:
         raise ValueError("system mismatch")
     if v.depth != 0 or w.depth != 0:
         raise ValueError("sphere sums require depth-0 canonical families")
     s0, x, out = _ends(v, w)
-    Mh, diagonal = _moment_operator(v.system)
-    M = Mh.conj().T
+    nsys = v.system
     outh = out.conj()
-    S = np.where(diagonal, np.outer(x.conj(), x), 0)
+    S = np.where(nsys.moment_operator[2], np.outer(x.conj(), x), 0)
     sums = []
     for n in range(1, nmax + 1):
         if n > 1:
-            S = np.where(diagonal, Mh @ S @ M, 0)
+            S = moment_step(nsys, S)
         sums.append(float((outh @ S @ out).real))
     return CoefficientSeries(
         s=(s0,) + tuple(sums),

@@ -1,12 +1,16 @@
-"""The four-row block matrix, its eigenvalue-1 analysis, the trace
+"""The four-row operator, its eigenvalue-1 analysis, the trace
 obstruction, the Q tuple, and the symmetry-class decision.
 
 ``D`` is the operator of the sphere-sum recursion of
-:mod:`freerep.series`, read under a slot map.  Letter ``c`` carries a
-matrix ``S_c = [[S⁴, S²], [S³, S¹]]`` on ``V_c ⊕ V̂_c``; block row ``i``
-of ``D`` holds the ``S^i`` of every letter, row-major; and letter ``l``
-feeds letter ``c`` by ``S ↦ X_cl S X_cl†`` with the pair block ``X_cl``
-of :func:`~freerep.twin.pair_block`, realized as ``kron(X, conj(X))``.
+:mod:`freerep.series`, read on the quadrants of its moment matrices.
+Letter ``c`` carries a matrix ``S_c = [[S⁴, S²], [S³, S¹]]`` on
+``V_c ⊕ V̂_c``; block row ``i`` of ``D`` holds the ``S^i`` of every
+letter, row-major; and letter ``l`` feeds letter ``c`` by
+``S ↦ X_cl S X_cl†`` with the pair block ``X_cl`` of
+:func:`~freerep.twin.pair_block`.  ``D`` is never formed: block
+``(m, j)`` acts by :func:`~freerep.series.moment_step` on a moment
+matrix whose only nonzero quadrants are the ``S^j``, read at quadrant
+``m``.
 
 ``D`` is block upper triangular: below the diagonal and in ``(2, 3)``
 its blocks are exactly zero.  Its diagonal blocks are the dual transfer
@@ -15,11 +19,11 @@ mutually conjugate pair (``D_22``, ``D_33``), each with eigenvalue 1 at
 most once.  The eigenvalue-1 analysis reads that structure:
 
 - ``mult_one`` counts the eigenvalues of the four diagonal blocks within
-  ``δ`` of 1, and ``gap`` is the smallest distance to 1 of the others;
-  no eigensolve or SVD of the whole of ``D`` is made.  Only ``D_22`` is
-  eigensolved: ``D_33`` has the conjugate spectrum, and ``D_11`` and
-  ``D_44`` have the conjugated transfer spectra of the twin and of the
-  system, which :func:`~freerep.systems.normalize` already certified.
+  ``δ`` of 1, and ``gap`` is the smallest distance to 1 of the others.
+  Only ``D_22`` is eigensolved: ``D_33`` has the conjugate spectrum, and
+  ``D_11`` and ``D_44`` have the conjugated transfer spectra of the twin
+  and of the system, which :func:`~freerep.systems.normalize` already
+  certified.
 - ``dim_one = mult_one − rank N``.  ``N`` is the strictly upper
   triangular coupling ``N_ij = l_i C_ij r_j`` between the fixed vectors
   ``r_i`` and functionals ``l_i`` (``l_i r_i = 1``) of the blocks that
@@ -41,8 +45,9 @@ from typing import Optional
 
 import numpy as np
 
+from .series import moment_step
 from .systems import UndecidedError, frob_tuple
-from .twin import NULLSPACE_RTOL, _unvec_tuple, pair_block, twin_package
+from .twin import NULLSPACE_RTOL, _unvec_tuple, twin_package
 
 # Eigenvalue-1 cluster radius and the required relative spectral gap.
 DELTA = 1e-6
@@ -57,110 +62,89 @@ FORM_TOL = 1e-8
 
 _ROWS = (1, 2, 3, 4)
 
+# The sides of quadrant i of S_c = [[S⁴, S²], [S³, S¹]], rows then
+# columns: 0 for V_c, 1 for V̂_c.
+_QUADRANTS = {1: (1, 1), 2: (0, 1), 3: (1, 0), 4: (0, 0)}
+
 
 @dataclass
 class DMatrix:
-    """Dense block matrix with its slot index.
+    """The four-row operator ``D`` of a twin package.
 
-    ``slots`` maps ``(i, c)`` for block-row ``i ∈ 1..4`` and letter ``c``
-    to ``(offset, (rows, cols))`` of the vectorized slot; ``side`` is the
-    full dimension.  The matrix is block upper triangular in the block
-    rows (the pair blocks leave every block below the diagonal zero), so its
-    spectrum is that of the four diagonal blocks, ``block_eigenvalues``.
-    ``package`` is the twin package it was built from, the source of the
-    fixed vectors; a hand-built matrix has none, and no fixed pair.
+    ``masks[i]`` marks block row ``i`` on the moment matrix, whose masked
+    entries in row-major order are a row-``i`` vector; ``side``, the
+    dimension of ``D``, is their total count.  ``dense`` holds ``D_22``
+    and ``D_33`` on those vectors.  ``D`` is block upper triangular, so
+    its spectrum is that of the four diagonal blocks,
+    ``block_eigenvalues``.  ``package`` is the twin package it was built
+    from, the source of the fixed vectors and of the step; a hand-built
+    ``D`` has none, and no fixed pair.
     """
 
-    matrix: np.ndarray
-    slots: dict
-    side: int
     block_eigenvalues: tuple
     package: object = None
+    dense: dict = field(default_factory=dict)
+    masks: dict = field(default_factory=dict)
 
-    def rows(self, i):
-        """Slice of block row ``i`` in ``matrix``, which stores the block
-        rows in order, each from the slot of its letter 0."""
-        stop = self.slots[(i + 1, 0)][0] if i < 4 else self.side
-        return slice(self.slots[(i, 0)][0], stop)
-
-    def block(self, i, j):
-        """View of the ``(i, j)`` block of ``matrix``."""
-        return self.matrix[self.rows(i), self.rows(j)]
-
-    def embed(self, i, tuple_of_mats):
-        """Vector with ``tuple_of_mats`` in block-row ``i``, zeros elsewhere."""
-        v = np.zeros(self.side, dtype=complex)
-        for c, m in enumerate(tuple_of_mats):
-            off, shape = self.slots[(i, c)]
-            if m.shape != shape:
-                raise ValueError("slot shape mismatch at (%d, %d)" % (i, c))
-            v[off:off + shape[0] * shape[1]] = m.ravel()
-        return v
-
-    def extract(self, i, vec):
-        """Per-letter matrices of block-row ``i`` from a full vector."""
-        out = []
-        c = 0
-        while (i, c) in self.slots:
-            off, shape = self.slots[(i, c)]
-            out.append(vec[off:off + shape[0] * shape[1]].reshape(shape))
-            c += 1
-        return tuple(out)
+    @property
+    def side(self):
+        return int(sum(mask.sum() for mask in self.masks.values()))
 
 
-def _slot_shapes(dims, c):
-    n, nh = dims[c], dims[c ^ 1]
-    return {1: (nh, nh), 2: (n, nh), 3: (nh, n), 4: (n, n)}
+def _row_masks(nsys):
+    """Block row ``i`` on the moment matrix, for ``i`` in 1..4: quadrant
+    ``i`` of every ``S_c = [[S⁴, S²], [S³, S¹]]``, whose first ``d_c``
+    rows and columns are on ``V_c``."""
+    dims = nsys.dims
+    side = np.concatenate([[0] * dims[c] + [1] * dims[c ^ 1]
+                           for c in nsys.alphabet.letters])
+    return {i: nsys.moment_operator[2] & (side[:, None] == rows)
+            & (side == cols) for i, (rows, cols) in _QUADRANTS.items()}
 
 
-def _slot_index(slots, dims, c):
-    """Position in ``D`` of each row-major entry of ``S_c = [[S⁴, S²],
-    [S³, S¹]]``, whose first ``d_c`` rows and columns are on ``V_c``."""
-    n = dims[c]
-    index = np.empty((n + dims[c ^ 1],) * 2, dtype=int)
-    for i, rows, cols in ((4, slice(None, n), slice(None, n)),
-                          (2, slice(None, n), slice(n, None)),
-                          (3, slice(n, None), slice(None, n)),
-                          (1, slice(n, None), slice(n, None))):
-        off, shape = slots[(i, c)]
-        index[rows, cols] = off + np.arange(shape[0] * shape[1]).reshape(shape)
-    return index.ravel()
+def _moment(d, i, vec):
+    """The moment matrix whose only nonzero entries are the row-``i``
+    vector ``vec``."""
+    S = np.zeros(d.masks[i].shape, dtype=complex)
+    S[d.masks[i]] = vec
+    return S
+
+
+def _flat(mats):
+    """Row-``i`` vector of a tuple of per-letter quadrants ``S^i``."""
+    return np.concatenate([m.ravel() for m in mats])
+
+
+def _dense_block(pkg, i):
+    """``D_ii`` on row-``i`` vectors: block ``(a, b)`` is ``S ↦ P S Q†``
+    for the diagonal quadrants ``P``, ``Q`` of ``X_ab`` (``H[a|b]`` or
+    ``Ĥ_ab``) on the two sides of quadrant ``i``, ``kron(P, conj Q)``."""
+    sides = (pkg.original.h, pkg.hhat)
+    left, right = (sides[side] for side in _QUADRANTS[i])
+    letters = pkg.original.alphabet.letters
+    return np.block([[np.kron(left(a, b), right(a, b).conj())
+                      for b in letters] for a in letters])
 
 
 def build_D(pkg):
-    """Assemble the block matrix from a twin package.
+    """The four-row operator of a twin package.
 
-    ``D`` is the operator of the sphere-sum recursion under the slot map:
-    slot ``(i, c)`` holds ``S^i`` of ``S_c = [[S⁴, S²], [S³, S¹]]``, and
-    the block of letters ``(a, b)`` is ``S_b ↦ X_ab S_b X_ab†`` for the
-    pair block ``X_ab`` of :func:`~freerep.twin.pair_block`.  The zero
-    corner of ``X_ab`` makes every block below the diagonal and the
-    block ``(2, 3)`` exactly zero.  Of the diagonal blocks only ``D_22``
-    is eigensolved (see the module docstring).
+    Block row ``i`` is quadrant ``i`` of the moment matrices ``S_c =
+    [[S⁴, S²], [S³, S¹]]``, and ``D`` is the sphere-sum step
+    :func:`~freerep.series.moment_step` on them.  The zero corner of the
+    pair block ``X_ab`` makes every block below the diagonal and the
+    block ``(2, 3)`` exactly zero.  Only ``D_22`` and ``D_33`` are
+    assembled, for the group solves of :func:`_coupling`, and only
+    ``D_22`` is eigensolved; ``D_11`` and ``D_44`` are formed only where
+    a fixed vector must be eigensolved.
     """
     nsys = pkg.original
-    dims = nsys.dims
-    size = nsys.alphabet.size
-    slots = {}
-    off = 0
-    for i in _ROWS:
-        for c in range(size):
-            shape = _slot_shapes(dims, c)[i]
-            slots[(i, c)] = (off, shape)
-            off += shape[0] * shape[1]
-    index = [_slot_index(slots, dims, c) for c in range(size)]
-    mat = np.zeros((off, off), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            if a != b ^ 1:
-                x = pair_block(nsys, pkg.E, a, b)
-                mat[np.ix_(index[a], index[b])] += np.kron(x, x.conj())
-    lo, hi = slots[(2, 0)][0], slots[(3, 0)][0]
-    mixed = np.linalg.eigvals(mat[lo:hi, lo:hi])
+    dense = {i: _dense_block(pkg, i) for i in (2, 3)}
+    mixed = np.linalg.eigvals(dense[2])
     spectra = (pkg.twin.transfer_spectrum.conj(), mixed, mixed.conj(),
-               pkg.original.transfer_spectrum.conj())
-    return DMatrix(matrix=mat, slots=slots, side=off,
-                   block_eigenvalues=spectra, package=pkg)
+               nsys.transfer_spectrum.conj())
+    return DMatrix(block_eigenvalues=spectra, package=pkg, dense=dense,
+                   masks=_row_masks(nsys))
 
 
 @dataclass
@@ -180,7 +164,7 @@ class EigenOne:
     threshold: float
 
 
-def eigen_one(d, delta=DELTA):
+def eigen_one(d):
     """Count the eigenvalue-1 cluster and its geometric dimension.
 
     The cluster is read off the diagonal blocks.  Each block that has an
@@ -194,21 +178,22 @@ def eigen_one(d, delta=DELTA):
     Raises
     ------
     UndecidedError
-        "ill-conditioned cluster" when the spectral gap around 1 is below
-        ``10·δ``, making the multiplicity count unreliable; and when a
-        diagonal block has more than one eigenvalue in the cluster.
+        "ill-conditioned cluster" when an eigenvalue outside the cluster
+        lies within ``10·δ`` of 1, with or without a cluster, making the
+        multiplicity count unreliable; and when a diagonal block has more
+        than one eigenvalue in the cluster.
     """
     counts = []
     outside = []
     for vals in d.block_eigenvalues:
         dist = np.abs(vals - 1.0)
-        inside = dist < delta
+        inside = dist < DELTA
         counts.append(int(np.sum(inside)))
         outside.append(dist[~inside])
     mult = sum(counts)
     outside = np.concatenate(outside)
     gap = float(outside.min()) if outside.size else np.inf
-    if mult and gap < GAP_FACTOR * delta:
+    if gap < GAP_FACTOR * DELTA:
         raise UndecidedError("ill-conditioned cluster")
     for i, count in zip(_ROWS, counts):
         if count > 1:
@@ -217,14 +202,14 @@ def eigen_one(d, delta=DELTA):
     pairs = {i: _fixed_pair(d, i) for i, count in zip(_ROWS, counts)
              if count}
     sv = np.linalg.svd(_coupling(d, pairs), compute_uv=False)
-    near = sv[(sv > delta / 10) & (sv < delta * 10)]
+    near = sv[(sv > DELTA / 10) & (sv < DELTA * 10)]
     return EigenOne(
         mult_one=mult,
-        dim_one=mult - int(np.sum(sv >= delta)),
+        dim_one=mult - int(np.sum(sv >= DELTA)),
         gap=gap,
         sv_profile=tuple(float(x) for x in sv),
         ambiguous=near.size > 0,
-        threshold=delta,
+        threshold=DELTA,
     )
 
 
@@ -233,25 +218,29 @@ def _fixed_pair(d, i):
     ``D_ii`` on block row ``i``, with ``l·r = 1``.
 
     The closed forms of :func:`_fixed_forms` are used when they pass
-    :data:`FORM_TOL`, otherwise the block is eigensolved.  The pair is
-    balanced so that ``r`` and ``l`` have equal norms in the whitened
-    frame of :func:`_whitening`, which makes ``N`` a gauge invariant up
-    to the phases of its rows and columns.
+    :data:`FORM_TOL`, otherwise the block is eigensolved.  ``D_11`` and
+    ``D_44`` are the dual transfer operators of the twin and of the
+    system, so the residuals of their closed forms are the
+    ``fix_residual`` of ``B`` and of ``B̂``, which the system and its twin
+    store.  The pair is balanced so that ``r`` and ``l`` have equal norms
+    in the whitened frame of :func:`_whitened_norms`, which makes ``N`` a
+    gauge invariant up to the phases of its rows and columns.
     """
-    block = d.block(i, i)
+    pkg = d.package
     pair = None
-    forms = _fixed_forms(d.package, i)
+    forms = _fixed_forms(pkg, i)
     if forms is not None:
-        right, left = forms
-        row = d.rows(i)
-        r = d.embed(i, right)[row]
-        l = d.embed(i, tuple(t.T for t in left))[row]
-        if (np.linalg.norm(block @ r - r) < FORM_TOL * np.linalg.norm(r)
-                and np.linalg.norm(l @ block - l)
-                < FORM_TOL * np.linalg.norm(l)):
+        r, l = _flat(forms[0]), _flat(m.T for m in forms[1])
+        if i in (1, 4):
+            residuals = (pkg.original.fix_residual, pkg.twin.fix_residual)
+        else:
+            block = d.dense[i]
+            residuals = (np.linalg.norm(block @ r - r) / np.linalg.norm(r),
+                         np.linalg.norm(l @ block - l) / np.linalg.norm(l))
+        if max(residuals) < FORM_TOL:
             pair = r, l
     if pair is None:
-        pair = _eig_pair(block)
+        pair = _eig_pair(_dense_block(pkg, i))
     r, l = pair
     l = l / (l @ r)
     r_norm, l_norm = _whitened_norms(d, i, r, l)
@@ -268,42 +257,28 @@ def _eig_pair(block):
             lvecs[:, np.argmin(np.abs(lvals - 1.0))])
 
 
-def _whitening(pkg, i):
-    """Per-letter factors ``((L, L⁻¹), (R, R⁻¹))`` of the change of frame
-    ``S ↦ L S R`` on block row ``i`` that takes ``B`` to the identity.
+def _whitened_norms(d, i, r, l):
+    """Frobenius norms of ``r`` and of ``l`` in the frame where ``B = I``.
 
     That is the gauge ``g_a = B_a^{1/2}``, under which the twin's side of
-    a slot moves by ``B_{a⁻¹}^{-1/2}``.  Any gauge of the system lands in
-    the same frame up to a unitary one, which preserves Frobenius norms.
+    a moment matrix moves by ``B_{a⁻¹}^{-1/2}``: ``S ↦ W S W`` for the
+    block diagonal ``W`` with blocks ``B_c^{1/2}`` and ``B_{c⁻¹}^{-1/2}``
+    on ``V_c ⊕ V̂_c``, and a functional ``l(S) = Σ l_jk S_jk`` moves by
+    ``W⁻ᵀ``.  Any gauge of the system lands in the same frame up to a
+    unitary one, which preserves Frobenius norms.
     """
-    up = []
-    for b in pkg.original.B:
-        w, v = np.linalg.eigh(b)
-        up.append(((v * np.sqrt(w)) @ v.conj().T,
-                   (v / np.sqrt(w)) @ v.conj().T))
-    # which side of the row's slots (rows, columns) belongs to the twin
-    twin_side = {1: (True, True), 2: (False, True), 3: (True, False),
-                 4: (False, False)}[i]
-
-    def factor(a, on_twin):
-        return up[a ^ 1][::-1] if on_twin else up[a]
-
-    return [tuple(factor(a, t) for t in twin_side) for a in range(len(up))]
-
-
-def _whitened_norms(d, i, r, l):
-    """Frobenius norms of ``r`` and of ``l`` in the whitened frame."""
-    start = d.rows(i).start
-    r_sq = l_sq = 0.0
-    for a, ((left, left_inv), (right, right_inv)) in enumerate(
-            _whitening(d.package, i)):
-        off, shape = d.slots[(i, a)]
-        cut = slice(off - start, off - start + shape[0] * shape[1])
-        r_sq += np.linalg.norm(left @ r[cut].reshape(shape) @ right) ** 2
-        # l(S) = Σ l_jk S_jk is tr(lᵀ S); whitened, lᵀ ↦ R⁻¹ lᵀ L⁻¹
-        l_sq += np.linalg.norm(
-            right_inv @ l[cut].reshape(shape).T @ left_inv) ** 2
-    return np.sqrt(r_sq), np.sqrt(l_sq)
+    roots = []
+    for b in d.package.original.B:
+        vals, vecs = np.linalg.eigh(b)
+        roots.append(((vecs * np.sqrt(vals)) @ vecs.conj().T,
+                      (vecs / np.sqrt(vals)) @ vecs.conj().T))
+    letters = range(len(roots))
+    # W for p = 0, W⁻¹ for p = 1
+    w, w_inv = (_moment(d, 4, _flat(roots[c][p] for c in letters))
+                + _moment(d, 1, _flat(roots[c ^ 1][1 - p] for c in letters))
+                for p in (0, 1))
+    return (np.linalg.norm(w @ _moment(d, i, r) @ w),
+            np.linalg.norm(w_inv.T @ _moment(d, i, l) @ w_inv.T))
 
 
 def _coupling(d, pairs):
@@ -312,22 +287,22 @@ def _coupling(d, pairs):
     C_mj`` and ``G_m`` is the group inverse of ``I − D_mm``.
 
     Only the vectors ``C_mj r_j`` are formed, one block row at a time
-    upwards from ``j``; a vector that is exactly zero (``D_23 = 0``) is
-    not solved.
+    upwards from ``j``: a moment matrix holds ``r_j`` and the solved
+    ``G_m C_mj`` in their quadrants, and one step of
+    :func:`~freerep.series.moment_step` gives ``C_mj`` at quadrant ``m``.
+    A vector that is exactly zero (``D_23 = 0``) is not solved.
     """
     rows = sorted(pairs)
     index = {i: k for k, i in enumerate(rows)}
     n = np.zeros((len(rows), len(rows)), dtype=complex)
     for j in rows:
-        solved = {}
+        S = _moment(d, j, pairs[j][0])
         for m in range(j - 1, rows[0] - 1, -1):
-            c = d.block(m, j) @ pairs[j][0]
-            for p, g in solved.items():
-                c += d.block(m, p) @ g
+            c = moment_step(d.package.original, S)[d.masks[m]]
             if m in pairs:
                 n[index[m], index[j]] = pairs[m][1] @ c
             if m > rows[0] and np.any(c):
-                solved[m] = _group_solve(d.block(m, m), pairs.get(m), c)
+                S[d.masks[m]] = _group_solve(d.dense[m], pairs.get(m), c)
     return n
 
 
@@ -518,7 +493,6 @@ class SpectralReport:
     diagnostics: list = field(default_factory=list)
     sv_profile: tuple = ()
     package: object = None
-    dmatrix: object = None
 
 
 _CLASS_TABLE = {
@@ -553,7 +527,7 @@ def classify(nsys):
             predicted_exponent=0, trace_condition_value=0j,
             trace_condition_scale=0.0, Q=None,
             realization_verdict="undecided", q_residual=np.nan, gap=np.nan,
-            diagnostics=[str(err)], package=pkg, dmatrix=d,
+            diagnostics=[str(err)], package=pkg,
         )
     equivalent = pkg.equivalent
     ls_Q, ls_residual = q_least_squares(pkg)
@@ -586,7 +560,7 @@ def classify(nsys):
             realization_verdict="undecided", q_residual=ls_residual,
             gap=eig.gap, diagnostics=diagnostics or ["no class for d=%d"
                                                      % eig.dim_one],
-            sv_profile=eig.sv_profile, package=pkg, dmatrix=d,
+            sv_profile=eig.sv_profile, package=pkg,
         )
     label, exponent, verdict = _CLASS_TABLE[key]
     # Q solvability must match the class: present for AI/BI, absent else
@@ -613,5 +587,4 @@ def classify(nsys):
         trace_condition_scale=trace_scale, Q=q,
         realization_verdict=verdict, q_residual=ls_residual, gap=eig.gap,
         diagnostics=diagnostics, sv_profile=eig.sv_profile, package=pkg,
-        dmatrix=d,
     )

@@ -23,6 +23,8 @@ TOL_PD = 1e-9
 # The Perron eigenvalue is simple when the next eigenvalue of T sits
 # farther than TOL_SIMPLE·ρ from ρ.
 TOL_SIMPLE = 1e-8
+# Relative singular-value floor of the path spans in is_irreducible.
+TOL_SPAN = 1e-10
 
 
 class UndecidedError(RuntimeError):
@@ -118,7 +120,7 @@ def validate(sys):
     return violations
 
 
-def _span_basis(rows, extra, tol=1e-10):
+def _span_basis(rows, extra):
     """Orthonormal row basis of span(rows ∪ extra); rows may be empty."""
     stack = [r for r in (rows, extra) if len(r)]
     mat = np.vstack(stack)
@@ -126,7 +128,7 @@ def _span_basis(rows, extra, tol=1e-10):
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, mat.shape[1]), dtype=complex)
-    return vh[s > tol * s[0]]
+    return vh[s > TOL_SPAN * s[0]]
 
 def is_irreducible(sys):
     """Decide irreducibility via the path-span density criterion.
@@ -324,6 +326,13 @@ class NormalizedSystem:
         and shared by the twin package and the sphere-sum recursion."""
         from .twin import e_maps
         return e_maps(self)
+
+    @cached_property
+    def moment_operator(self):
+        """The sphere-sum step's :func:`~freerep.series.moment_operator`,
+        built once and shared with the operator ``D`` of ``spectral``."""
+        from .series import moment_operator
+        return moment_operator(self)
 
 
 def normalize(sys):

@@ -84,9 +84,9 @@ def pair_block(nsys, E, a, b):
     with ``Ĥ_ab = H[b⁻¹|a⁻¹]†`` and ``E`` from :func:`e_maps`.
 
     It maps ``V_b ⊕ V̂_b → V_a ⊕ V̂_a``.  The block ``(a, b)`` of the
-    four-row matrix ``D`` is ``S ↦ X_ab S X_ab†`` on ``S = [[S⁴, S²], [S³,
-    S¹]]``, and ``X_cl`` is the adjoint transfer step ``T_{l→c}†`` of the
-    sphere-sum recursion.
+    four-row operator ``D`` is ``S ↦ X_ab S X_ab†`` on ``S = [[S⁴,
+    S²], [S³, S¹]]``, and ``X_cl`` is the adjoint transfer step
+    ``T_{l→c}†`` of the sphere-sum recursion.
     """
     return np.block([
         [nsys.h(a, b), np.zeros((nsys.dims[a], nsys.dims[b ^ 1]))],

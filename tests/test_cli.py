@@ -358,6 +358,12 @@ class TestDemo:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["class"] == "BI"
 
+    @pytest.mark.parametrize("name,seed", [("random-ai", "-1"),
+                                           ("random-bi", "-3")])
+    def test_negative_seed_flagged(self, name, seed, capsys):
+        assert main(["demo", name, "--seed", seed]) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+
 
 def perturbed_ai_doc(scale):
     import numpy as np

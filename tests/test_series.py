@@ -28,7 +28,7 @@ from freerep.series import (
     phi_eps_norm,
     sphere_sums,
 )
-from freerep.spectral import build_D
+from dense_d import dense_D
 from freerep.systems import MatrixSystem, normalize
 from freerep.twin import twin_package
 
@@ -149,7 +149,7 @@ class TestSeriesIsD:
         nsys = normalize(make())
         v, w = random_family(nsys, 5), random_family(nsys, 6)
         ser = sphere_sums(v, w, 16)
-        d = build_D(twin_package(nsys))
+        d = dense_D(twin_package(nsys))
         _, x, out = _ends(v, w)
         cut = np.cumsum([0] + [nsys.dims[c] + nsys.dims[c ^ 1]
                                for c in nsys.alphabet.letters])

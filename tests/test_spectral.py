@@ -2,13 +2,16 @@
 obstruction, and the class decision."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_d import dense_D
 from freerep import generate, spectral
 from freerep import systems
+from freerep.series import moment_step
 from freerep.systems import (
     MatrixSystem,
     UndecidedError,
@@ -35,7 +38,7 @@ from freerep.spectral import (
 )
 
 # Entries of the block table, duplicated here by hand as an independent
-# check on the kron realization in build_D.
+# check on the step that realizes D and on its dense oracle.
 _TABLE = {
     (1, 1): ("hh", "hh"), (1, 2): ("e", "hh"), (1, 3): ("hh", "e"),
     (1, 4): ("e", "e"), (2, 2): ("h", "hh"), (2, 4): ("h", "e"),
@@ -330,23 +333,45 @@ def s0_D(s0_pkg):
     return build_D(s0_pkg)
 
 
-class TestBuildD:
-    def test_s0_side(self, s0_D):
-        assert s0_D.side == 16
-        assert s0_D.matrix.shape == (16, 16)
+@pytest.fixture(scope="module")
+def s0_dense(s0_pkg):
+    return dense_D(s0_pkg)
 
-    def test_s0_row4_diagonal_entries(self, s0_D):
+
+def _apply_D(d, rows):
+    """``D`` applied to four block-row tuples by one sphere-sum step on
+    the moment matrix that holds them."""
+    S = np.zeros(d.masks[1].shape, dtype=complex)
+    for i in _ROWS:
+        S[d.masks[i]] = np.concatenate([m.ravel() for m in rows[i]])
+    image = moment_step(d.package.original, S)
+    out = {}
+    for i, mask in d.masks.items():
+        vec, out[i] = image[mask], []
+        for m in rows[i]:
+            out[i].append(vec[:m.size].reshape(m.shape))
+            vec = vec[m.size:]
+    return out
+
+
+class TestBuildD:
+    def test_s0_side(self, s0_D, s0_dense):
+        assert s0_D.side == 16
+        assert s0_dense.matrix.shape == (16, 16)
+
+    def test_s0_row4_diagonal_entries(self, s0_dense):
         # scalar system: the row-4 diagonal couplings are |H_ab|^2 = 1/3
         for a in range(4):
-            ro, _ = s0_D.slots[(4, a)]
+            ro, _ = s0_dense.slots[(4, a)]
             for b in range(4):
-                co, _ = s0_D.slots[(4, b)]
+                co, _ = s0_dense.slots[(4, b)]
                 want = 0.0 if a == b ^ 1 else 1 / 3
-                assert s0_D.matrix[ro, co] == pytest.approx(want, abs=1e-12)
+                assert s0_dense.matrix[ro, co] == pytest.approx(want,
+                                                                abs=1e-12)
 
     def test_structural_zeros_exact(self):
         pkg = twin_package(normalize(generate.random_system(77, k=2, max_dim=2)))
-        d = build_D(pkg)
+        d = dense_D(pkg)
         absent = [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
         for i, j in absent:
             for a in range(4):
@@ -362,7 +387,7 @@ class TestBuildD:
         for seed in (11, 12):
             pkg = twin_package(normalize(generate.random_system(seed, k=2,
                                                                 max_dim=2)))
-            d = build_D(pkg)
+            d = dense_D(pkg)
             rows = random_rows(pkg, rng)
             vec = sum(d.embed(i, rows[i]) for i in (1, 2, 3, 4))
             image = d.matrix @ vec
@@ -373,17 +398,50 @@ class TestBuildD:
                     assert np.linalg.norm(g - w) < 1e-12 * max(
                         np.linalg.norm(w), 1.0)
 
-    def test_rho_is_one(self, s0_D):
-        rho = np.max(np.abs(np.linalg.eigvals(s0_D.matrix)))
+    def test_rho_is_one(self, s0_dense):
+        rho = np.max(np.abs(np.linalg.eigvals(s0_dense.matrix)))
         assert rho == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("seed,k", [(21, 2), (22, 2), (23, 3)])
     def test_rho_is_one_random(self, seed, k):
         pkg = twin_package(normalize(generate.random_system(seed, k=k,
                                                             max_dim=2)))
-        d = build_D(pkg)
+        d = dense_D(pkg)
         rho = np.max(np.abs(np.linalg.eigvals(d.matrix)))
         assert rho == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("index", range(21))
+    def test_step_matches_naive_action(self, index):
+        # the step that D is in src, on random tuples in all four rows
+        pkg = twin_package(normalize(_metamorphic_pool()[index]))
+        rows = random_rows(pkg, np.random.default_rng(index))
+        got = _apply_D(build_D(pkg), rows)
+        want = naive_apply(pkg, rows)
+        for i in _ROWS:
+            gap = frob_tuple(tuple(g - w for g, w in zip(got[i], want[i])))
+            assert gap <= 1e-12 * frob_tuple(want[i])
+
+    @pytest.mark.parametrize("index", [0, 10, 17, 19])
+    def test_dense_blocks_match_oracle(self, index):
+        pkg = twin_package(normalize(_metamorphic_pool()[index]))
+        d, oracle = build_D(pkg), dense_D(pkg)
+        assert d.side == oracle.side
+        for i in (2, 3):
+            assert np.array_equal(d.dense[i], oracle.block(i, i))
+
+    def test_no_dense_D(self):
+        # a dense D of this system (side 784) takes 9.8 MB; holding only
+        # D_22 and D_33 (side 192), classify peaks near 6 MB
+        nsys = normalize(generate.random_system(7, k=2, max_dim=8))
+        side = build_D(twin_package(nsys)).side
+        assert side == 784
+        tracemalloc.start()
+        try:
+            classify(nsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < side * side * 16
 
 
 class TestEigenOne:
@@ -394,11 +452,10 @@ class TestEigenOne:
         assert eig.gap > 1e-2
         assert not eig.ambiguous
 
-    def test_halved_matrix_has_empty_cluster(self, s0_D):
-        half = DMatrix(matrix=s0_D.matrix / 2, slots=s0_D.slots,
-                       side=s0_D.side, block_eigenvalues=tuple(
-                           np.linalg.eigvals(s0_D.block(i, i) / 2)
-                           for i in (1, 2, 3, 4)))
+    def test_halved_matrix_has_empty_cluster(self, s0_dense):
+        half = DMatrix(block_eigenvalues=tuple(
+            np.linalg.eigvals(s0_dense.block(i, i) / 2)
+            for i in (1, 2, 3, 4)))
         eig = eigen_one(half)
         assert eig.mult_one == 0
         assert eig.dim_one == 0
@@ -414,9 +471,15 @@ class TestEigenOne:
     def test_narrow_gap_raises(self):
         # one 1x1 slot per block row: D_11 = 1 and D_22 = 1 − 5e-6
         mat = np.diag([1.0, 1.0 - 5e-6, 0.3, 0.3]).astype(complex)
-        slots = {(i, 0): (i - 1, (1, 1)) for i in (1, 2, 3, 4)}
-        d = DMatrix(matrix=mat, slots=slots, side=4,
-                    block_eigenvalues=tuple(mat.diagonal()[:, None]))
+        d = DMatrix(block_eigenvalues=tuple(mat.diagonal()[:, None]))
+        with pytest.raises(UndecidedError, match="ill-conditioned cluster"):
+            eigen_one(d)
+
+    def test_narrow_gap_without_cluster_raises(self):
+        # no eigenvalue within δ of 1, one at 1 + 2δ: a cluster pushed
+        # just outside δ is ill-conditioned, not multiplicity 0
+        d = DMatrix(block_eigenvalues=tuple(
+            np.array([x]) for x in (0.3, 1.0 + 2 * DELTA, 0.3, 0.3)))
         with pytest.raises(UndecidedError, match="ill-conditioned cluster"):
             eigen_one(d)
 
@@ -430,9 +493,9 @@ class TestEigenOne:
         functools.partial(generate.random_system, 23, k=3, max_dim=2),
     ])
     def test_matches_dense_oracle(self, make):
-        d = build_D(twin_package(normalize(make())))
-        eig = eigen_one(d)
-        want = _eigen_one_dense(d)
+        pkg = twin_package(normalize(make()))
+        eig = eigen_one(build_D(pkg))
+        want = _eigen_one_dense(dense_D(pkg))
         assert eig.mult_one == want.mult_one
         assert eig.gap == pytest.approx(want.gap, rel=1e-9)
         assert not eig.ambiguous
@@ -648,8 +711,12 @@ class TestClassify:
         nsys = normalize(generate.random_system(51, k=2, max_dim=2))
         calls = {name: _recorded(monkeypatch, name)
                  for name in ("eigvals", "eig", "svd")}
+        built = []
+        monkeypatch.setattr(spectral, "_dense_block",
+                            lambda pkg, i, _build=spectral._dense_block:
+                            built.append(i) or _build(pkg, i))
         report = classify(nsys)
-        d = report.dmatrix
+        d = dense_D(report.package)
         assert not [m for seen in calls.values() for m, _ in seen
                     if m.shape == (d.side, d.side)]
         [(m, mixed)] = calls["eigvals"]
@@ -658,14 +725,15 @@ class TestClassify:
                     if any(m.shape == d.block(i, i).shape for i in _ROWS)]
         assert report.rho_D == max(
             float(np.max(np.abs(v))) for v in (nsys.transfer_spectrum, mixed))
-
+        # D_11 and D_44 are formed only for an eigensolve of their fixed
+        # vectors, which the closed forms spare here
+        assert built == [2, 3]
 
     def test_ambiguous_rank_reports_margin(self, monkeypatch):
         # δ = 0.02 sits within a factor 10 of the second singular value
         # of N (0.0212) on this system
         nsys = normalize(_gate_systems()[0])
-        monkeypatch.setattr(spectral, "eigen_one",
-                            functools.partial(eigen_one, delta=0.02))
+        monkeypatch.setattr(spectral, "DELTA", 0.02)
         report = classify(nsys)
         assert report.class_label == "undecided"
         [diag] = [m for m in report.diagnostics if "ambiguous" in m]
@@ -686,7 +754,7 @@ class TestBlockSpectra:
     ])
     def test_diagonal_block_spectra(self, make):
         pkg = twin_package(normalize(make()))
-        d = build_D(pkg)
+        d = dense_D(pkg)
         eigvals = np.linalg.eigvals
         assert _spectrum_gap(eigvals(d.block(4, 4)), eigvals(
             transfer_matrix(pkg.original.system))) < 1e-9
@@ -694,7 +762,7 @@ class TestBlockSpectra:
             transfer_matrix(pkg.twin.system))) < 1e-9
         assert _spectrum_gap(eigvals(d.block(3, 3)),
                              np.conj(eigvals(d.block(2, 2)))) < 1e-9
-        self._assert_block_eigenvalues(d)
+        self._assert_block_eigenvalues(build_D(pkg))
 
     @pytest.mark.parametrize("index", range(21))
     def test_block_eigenvalues_on_pool(self, index):
@@ -704,9 +772,10 @@ class TestBlockSpectra:
     @staticmethod
     def _assert_block_eigenvalues(d):
         # the spectra build_D reuses match a dense eigensolve of each block
+        oracle = dense_D(d.package)
         for i, vals in zip(_ROWS, d.block_eigenvalues):
             assert _spectrum_gap(vals,
-                                 np.linalg.eigvals(d.block(i, i))) < 1e-9
+                                 np.linalg.eigvals(oracle.block(i, i))) < 1e-9
 
 
 class TestSelfTwinGate:
