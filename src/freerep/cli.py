@@ -311,6 +311,9 @@ def cmd_classify(args):
     if len(args.paths) > 1 and args.out is not None:
         _err("--out needs a single input; use --out-dir for several")
         return EXIT_INVALID
+    if args.out is not None and args.out_dir is not None:
+        _err("--out and --out-dir exclude each other")
+        return EXIT_INVALID
     invalid = False
     undecided = False
     for path in args.paths:
@@ -381,10 +384,11 @@ def cmd_series(args):
     mirror_path = None
     if args.out is not None:
         mirror_path = Path(args.out).with_suffix(".json")
-        if mirror_path.resolve() == Path(args.path).resolve():
-            _err("JSON mirror %s would overwrite the input; choose "
-                 "another --out" % mirror_path)
-            return EXIT_INVALID
+        for path, what in ((args.path, "the input"), (args.out, "the CSV")):
+            if mirror_path.resolve() == Path(path).resolve():
+                _err("JSON mirror %s would overwrite %s; choose "
+                     "another --out" % (mirror_path, what))
+                return EXIT_INVALID
     series = sphere_sums(f, f, args.nmax)
     _write_or_print(series_csv(series), args.out)
     if args.out is not None:

@@ -43,7 +43,8 @@ def decode_matrix(obj, shape, where):
             _fail("%s: row %d must have %d entries" % (where, i, shape[1]))
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(t, (int, float)) for t in entry)):
+                    or not all(isinstance(t, (int, float))
+                               and not isinstance(t, bool) for t in entry)):
                 _fail("%s: entry (%d, %d) must be an [re, im] pair"
                       % (where, i, j))
             out[i, j] = complex(entry[0], entry[1])
@@ -95,7 +96,7 @@ def parse_system(doc):
         if name not in dims_obj:
             _fail("dims is missing letter %r (inverses included)" % name)
         n = dims_obj[name]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             _fail("dims[%r] must be a positive integer" % name)
         dims.append(n)
 

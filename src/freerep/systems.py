@@ -4,9 +4,9 @@ A system assigns a complex space of dimension ``n_a`` to every letter and a
 block ``H[b, a]`` to every ordered letter pair with ``ba ≠ e``.  This module
 validates systems, tests irreducibility, applies the transfer operator, and
 produces the normalized form (unit transfer radius, positive definite fixed
-forms with the trace convention ``Σ_a tr(B_a) = Σ_a n_a``).  One Perron
-solve of the transfer matrix and of its adjoint gives the radius, the forms
-of the system and of its twin, and the irreducibility decision.
+forms with the trace convention ``Σ_a tr(B_a) = Σ_a n_a``).  One
+eigendecomposition of the transfer matrix gives the radius, its spectrum,
+the forms of the system and of its twin, and the irreducibility decision.
 """
 
 from dataclasses import dataclass
@@ -282,10 +282,10 @@ class NormalizedSystem:
     B_hat : tuple of ndarray
         The twin system's fixed forms, with the same convention.
     transfer_spectrum : ndarray
-        Eigenvalues of the stored system's transfer matrix: the radius
-        certificate, and conjugated the spectrum of ``D_44`` in ``spectral``.
+        Eigenvalues of the stored system's transfer matrix; conjugated, the
+        spectrum of ``D_44`` in ``spectral``.
     fix_residual : float
-        Relative fixed-point residual of ``B``.
+        Relative fixed-point residual of ``B``, the radius certificate.
     b_min_eig : float
         Smallest eigenvalue over the ``B_a``.
     """
@@ -306,7 +306,7 @@ class NormalizedSystem:
 
     @property
     def rho_certificate(self):
-        """Transfer radius of the stored system; 1 within tolerance."""
+        """Transfer radius of the stored system: 1 by construction."""
         return float(np.max(np.abs(self.transfer_spectrum)))
 
     @property
@@ -338,14 +338,14 @@ class NormalizedSystem:
 def normalize(sys):
     """Scale to unit transfer radius and compute the fixed forms.
 
-    One eigensolve of the transfer matrix ``T`` (:func:`transfer_matrix`)
-    gives ``ρ = max|λ|`` and the right eigenvector at the eigenvalue nearest
-    ``ρ``: reshaped per letter, phase-fixed and hermitized, it is ``B``.
-    One eigensolve of ``T†`` gives the left vector ``S``.  The twin's
-    transfer operator is the Hilbert–Schmidt adjoint ``T†`` with letters
-    relabelled ``c ↦ c⁻¹``, so the twin's forms are ``B̂_c = S_{c⁻¹}``, with
-    no transpose.  Blocks are divided by ``√ρ``; both tuples have trace
-    ``Σ_a n_a``.
+    One eigendecomposition ``T = V Λ V⁻¹`` of the transfer matrix gives
+    ``ρ = max|λ|`` and the right eigenvector at the eigenvalue nearest ``ρ``:
+    reshaped per letter, phase-fixed and hermitized, it is ``B``.  The
+    matching column of ``V⁻ᴴ`` (one LU solve with ``Vᴴ``) is the left
+    vector; as a form it is ``S``.  The twin's transfer operator is the
+    Hilbert–Schmidt adjoint ``T†`` with letters relabelled ``c ↦ c⁻¹``, so
+    the twin's forms are ``B̂_c = S_{c⁻¹}``, with no transpose.  Blocks are
+    divided by ``√ρ``; both tuples have trace ``Σ_a n_a``.
 
     The same data decide irreducibility: the system is irreducible exactly
     when ``ρ`` is a simple eigenvalue of ``T`` and ``B`` and ``B̂`` are both
@@ -362,10 +362,11 @@ def normalize(sys):
     matrices, a block-triangular system has a singular ``B`` or ``B̂``, and
     a direct sum has a non-simple ``ρ`` or a singular form.
 
-    The fixed-point residual of ``B`` is checked against ``TOL_FIX``, and a
-    separate eigensolve certifies the radius of the rescaled system.  Its
-    spectrum, kept as ``transfer_spectrum``, also serves the blocks ``D_44``
-    and (on the twin) ``D_11`` of :func:`~freerep.spectral.build_D`.
+    The fixed-point residual ``ε`` of ``B`` is checked against ``TOL_FIX``.
+    The map ``T/ρ`` is positive and ``B`` is definite, so this certifies
+    its radius: ``|ρ(T/ρ) − 1| ≤ ε‖B‖_F / λ_min(B)``.  Its spectrum
+    ``Λ/ρ``, kept as ``transfer_spectrum``, serves the blocks ``D_44`` and
+    (on the twin) ``D_11`` of :func:`~freerep.spectral.build_D`.
 
     Raises
     ------
@@ -378,14 +379,14 @@ def normalize(sys):
     violations = validate(sys)
     if violations:
         raise ValueError("invalid system: " + "; ".join(violations))
-    mat = transfer_matrix(sys)
-    vals, vecs = np.linalg.eig(mat)
+    vals, vecs = np.linalg.eig(transfer_matrix(sys))
     rho = float(np.max(np.abs(vals)))
     dist = np.abs(vals - rho)
     nearest, second = np.argsort(dist)[:2]
     gap = dist[second] / max(rho, np.finfo(float).tiny)
-    adj_vals, adj_vecs = np.linalg.eig(mat.conj().T)
-    left = adj_vecs[:, np.argmin(np.abs(adj_vals - rho))]
+    unit = np.zeros(len(vals))
+    unit[nearest] = 1.0
+    left = np.linalg.solve(vecs.conj().T, unit)
     target = float(sum(sys.dims))
     B = _form_from_vector(vecs[:, nearest], sys.dims, target)
     S = _form_from_vector(left, sys.dims, target)
@@ -398,8 +399,7 @@ def normalize(sys):
             "form ratios lambda_min/lambda_max %.2e (B) and %.2e (twin)"
             % ((gap, TOL_SIMPLE) + tuple(lo / hi for lo, hi in ends)))
     scaled = sys.scaled(1.0 / np.sqrt(rho))
-    nsys = NormalizedSystem.from_forms(
-        scaled, B, B_hat, np.linalg.eigvals(transfer_matrix(scaled)))
+    nsys = NormalizedSystem.from_forms(scaled, B, B_hat, vals / rho)
     if nsys.fix_residual > TOL_FIX:
         raise RuntimeError("fixed-point residual %.2e of B exceeds %.0e"
                            % (nsys.fix_residual, TOL_FIX))

@@ -3,6 +3,8 @@
 import csv
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,18 @@ class TestValidate:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(path)]) == 1
         assert "unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ("dims", "entry"))
+    def test_json_booleans_rejected(self, s0_file, tmp_path, capsys, where):
+        doc = json.loads(s0_file.read_text(encoding="utf-8"))
+        if where == "dims":
+            doc["dims"]["a"] = True
+        else:
+            doc["H"]["a|a"] = [[[True, False]]]
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_multiple_paths_worst_exit_wins(self, s0_file, tmp_path):
         missing = tmp_path / "gone.json"
@@ -234,6 +248,14 @@ class TestClassify:
         assert code == 1
         assert "--out-dir" in capsys.readouterr().err
 
+    def test_out_with_out_dir_rejected(self, s0_file, tmp_path, capsys):
+        out, out_dir = tmp_path / "r.json", tmp_path / "reports"
+        code = main(["classify", str(s0_file), "--out", str(out),
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "--out-dir" in capsys.readouterr().err
+        assert not out.exists() and not out_dir.exists()
+
     def test_out_dir_many_inputs(self, s0_file, ai_file, tmp_path):
         out_dir = tmp_path / "reports"
         code = main(["classify", str(s0_file), str(ai_file),
@@ -311,6 +333,14 @@ class TestSeries:
         assert "overwrite the input" in capsys.readouterr().err
         # input survived untouched
         assert "generators" in json.loads(target.read_text(encoding="utf-8"))
+
+    def test_mirror_equal_to_out_rejected(self, s0_file, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code = main(["series", str(s0_file), "--vector", "e|a",
+                     "--out", str(out)])
+        assert code == 1
+        assert "overwrite the CSV" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_long_horizon_k3_exits_0(self, tmp_path):
         doc = system_to_doc(generate.random_system(5, k=3, max_dim=3))
@@ -405,3 +435,16 @@ class TestReportFunction:
             build_parser().parse_args(["--version"])
         assert err.value.code == 0
         assert "freerep" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    # every `freerep …` line of README's command-line block, parsed only
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text,
+                      re.DOTALL).group(1)
+    commands = [line for line in block.splitlines()
+                if line.startswith("freerep ")]
+    assert len(commands) == 5
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -43,6 +43,8 @@ class TestMatrixCodec:
     def test_entry_shape_checked(self):
         with pytest.raises(ValueError, match=r"\[re, im\] pair"):
             decode_matrix([[[1.0, 0.0, 2.0]]], (1, 1), "H")
+        with pytest.raises(ValueError, match=r"\[re, im\] pair"):
+            decode_matrix([[[True, False]]], (1, 1), "H")
 
 
 class TestParseSystem:
@@ -92,6 +94,9 @@ class TestParseSystem:
     def test_dims_positive_integer(self):
         doc = s0_doc()
         doc["dims"]["a"] = 0
+        with pytest.raises(ValueError, match="positive integer"):
+            parse_system(doc)
+        doc["dims"]["a"] = True
         with pytest.raises(ValueError, match="positive integer"):
             parse_system(doc)
 

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from freerep import generate, systems
 from freerep.freegroup import Alphabet
+from freerep.twin import twin
 from freerep.systems import (
     MatrixSystem,
     frob_tuple,
@@ -16,6 +18,7 @@ from freerep.systems import (
     transfer_matrix,
     validate,
 )
+from test_spectral import _metamorphic_pool, _recorded
 
 a, ai, b, bi = 0, 1, 2, 3
 
@@ -361,3 +364,68 @@ def test_transfer_matrix_matches_apply():
     direct = transfer_matrix(sys) @ vec
     looped = np.concatenate([m.ravel() for m in transfer_apply(sys, t)])
     assert np.allclose(direct, looped, atol=1e-12 * max(1.0, abs(looped).max()))
+
+
+def test_normalize_makes_one_eigendecomposition(monkeypatch):
+    # ρ, the gap, B, B̂ and the transfer spectrum all come off one eig(T)
+    sys = generate.random_system(730, k=2, max_dim=3)
+    calls = {name: _recorded(monkeypatch, name)
+             for name in ("eig", "eigvals")}
+    assembled = []
+    monkeypatch.setattr(systems, "transfer_matrix",
+                        lambda s, _build=systems.transfer_matrix:
+                        assembled.append(s) or _build(s))
+    normalize(sys)
+    assert len(calls["eig"]) == 1
+    assert calls["eigvals"] == []
+    assert assembled == [sys]
+
+
+# the eigenvalue-1 pool, and the wide benchmark systems (letter dims up
+# to 8, transfer matrices of side up to 256)
+_SPECTRUM_NAMES = (["pool-%d" % i for i in range(len(_metamorphic_pool()))]
+                   + ["wide-%d" % seed for seed in range(12)])
+
+
+def _spectrum_system(name):
+    kind, index = name.split("-")
+    if kind == "pool":
+        return _metamorphic_pool()[int(index)]
+    return generate.random_system(int(index), k=2, max_dim=8)
+
+
+@functools.lru_cache(maxsize=None)
+def _normalized(name):
+    return normalize(_spectrum_system(name))
+
+
+def _adjoint_perron_forms(sys):
+    """The twin's forms from a separate eigensolve of ``T†``: its
+    eigenvector at the eigenvalue nearest the radius, read as a form and
+    relabelled ``c ↦ c⁻¹``."""
+    vals, vecs = np.linalg.eig(transfer_matrix(sys).conj().T)
+    rho = np.max(np.abs(vals))
+    left = vecs[:, np.argmin(np.abs(vals - rho))]
+    S = systems._form_from_vector(left, sys.dims, float(sum(sys.dims)))
+    return tuple(S[c ^ 1] for c in sys.alphabet.letters)
+
+
+@pytest.mark.parametrize("name", _SPECTRUM_NAMES)
+def test_transfer_spectrum_is_the_spectrum_of_the_stored_system(name):
+    # the measurement behind rho_certificate, which is 1 by construction
+    nsys = _normalized(name)
+    dense = np.linalg.eigvals(transfer_matrix(nsys.system))
+    kept = nsys.transfer_spectrum
+    assert len(kept) == len(dense)
+    apart = np.abs(kept[:, None] - dense[None, :])
+    assert apart.min(axis=1).max() < 1e-12
+    assert apart.min(axis=0).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", _SPECTRUM_NAMES)
+def test_twin_forms_match_adjoint_eigensolve(name):
+    nsys = _normalized(name)
+    oracle = _adjoint_perron_forms(_spectrum_system(name))
+    diff = frob_tuple(tuple(x - y for x, y in zip(nsys.B_hat, oracle)))
+    assert diff < 1e-10 * frob_tuple(oracle)
+    assert twin(nsys).fix_residual < 1e-12
