@@ -314,9 +314,18 @@ def cmd_classify(args):
     if args.out is not None and args.out_dir is not None:
         _err("--out and --out-dir exclude each other")
         return EXIT_INVALID
+    targets = [args.out] * len(args.paths)
+    if args.out_dir is not None:
+        targets = [Path(args.out_dir) / (Path(path).stem + ".report.json")
+                   for path in args.paths]
+        clashes = sorted({str(t) for t in targets if targets.count(t) > 1})
+        if clashes:
+            _err("--out-dir would write %s more than once; give the inputs "
+                 "distinct file names" % ", ".join(clashes))
+            return EXIT_INVALID
     invalid = False
     undecided = False
-    for path in args.paths:
+    for path, target in zip(args.paths, targets):
         report, msg, code = _classify_one(path, args)
         if report is None:
             _err(msg)
@@ -324,13 +333,9 @@ def cmd_classify(args):
             continue
         if code == EXIT_UNDECIDED:
             undecided = True
-        text = dump_json(report)
         if args.out_dir is not None:
-            target = Path(args.out_dir) / (Path(path).stem + ".report.json")
             target.parent.mkdir(parents=True, exist_ok=True)
-            _write_or_print(text, target)
-        else:
-            _write_or_print(text, args.out)
+        _write_or_print(dump_json(report), target)
     if invalid:
         return EXIT_INVALID
     return EXIT_UNDECIDED if undecided else EXIT_OK

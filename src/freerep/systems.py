@@ -4,9 +4,13 @@ A system assigns a complex space of dimension ``n_a`` to every letter and a
 block ``H[b, a]`` to every ordered letter pair with ``ba ≠ e``.  This module
 validates systems, tests irreducibility, applies the transfer operator, and
 produces the normalized form (unit transfer radius, positive definite fixed
-forms with the trace convention ``Σ_a tr(B_a) = Σ_a n_a``).  One
-eigendecomposition of the transfer matrix gives the radius, its spectrum,
-the forms of the system and of its twin, and the irreducibility decision.
+forms with the trace convention ``Σ_a tr(B_a) = Σ_a n_a``).  The transfer
+operator maps Hermitian tuples to Hermitian tuples, so :func:`normalize`
+works with its real matrix in an orthonormal Hermitian basis: the
+eigenvalues of that matrix give the radius and its spectrum, and one
+bordered linear system and its transpose give the forms of the system and
+of its twin, with no eigenvector computed.  The same data decide
+irreducibility.
 """
 
 from dataclasses import dataclass
@@ -246,14 +250,59 @@ def identity_tuple(dims):
     return tuple(np.eye(n, dtype=complex) for n in dims)
 
 
-def _form_from_vector(vec, dims, target):
-    """Hermitian tuple of a row-major vec'd eigenvector, trace ``target``.
-    The phase comes off the trace, real positive for a definite form."""
+def _hermitian_basis(dims):
+    """An orthonormal basis of the Hermitian tuples, on row-major vec'd
+    tuples, as index data.
+
+    Position ``p = (j, l)`` of letter ``c`` carries ``E_jj`` on the
+    diagonal, ``(E_jl + E_lj)/√2`` above it and ``i(E_lj − E_jl)/√2``
+    below it.  Basis vector ``p`` is ``own[p]`` at ``p`` plus
+    ``other[p]`` at ``swap[p]``, the transposed position of the same
+    letter; ``diagonal`` marks the ``E_jj``, so it holds the coordinates
+    of the identity tuple.  The basis is the unitary ``Q`` with these two
+    nonzeros per column, which is never formed.
+    """
+    swap, own, diagonal = [], [], []
+    start = 0
+    for n in dims:
+        j, l = np.divmod(np.arange(n * n), n)
+        swap.append(start + l * n + j)
+        own.append(np.select([j == l, j < l], [1.0, np.sqrt(0.5)],
+                             -1j * np.sqrt(0.5)))
+        diagonal.append(j == l)
+        start += n * n
+    own, diagonal = np.concatenate(own), np.concatenate(diagonal)
+    other = np.where(diagonal, 0.0, own.conj())
+    return np.concatenate(swap), own, other, diagonal
+
+
+def _hermitian_matrix(t, basis):
+    """``Re(Qᴴ t Q)`` for the basis ``Q`` of :func:`_hermitian_basis`:
+    the real matrix of a map of Hermitian tuples, by index arithmetic.
+    Overwrites ``t``, so that one more matrix of its size is all the
+    memory it takes."""
+    swap, own, other, _ = basis
+    moved = t[:, swap]
+    moved *= other
+    t *= own
+    t += moved
+    np.take(t, swap, axis=0, out=moved)
+    moved *= other.conj()[:, None]
+    t *= own.conj()[:, None]
+    t += moved
+    return t.real
+
+
+def _hermitian_form(x, dims, basis, target):
+    """The Hermitian tuple ``Q x`` of real coordinates ``x``, scaled to
+    trace ``target``; its entries across the diagonal are conjugate to
+    the last bit."""
+    swap, own, other, diagonal = basis
+    x = x * (target / x[diagonal].sum())
+    vec = own * x + (other * x)[swap]
     offs = np.cumsum((0,) + tuple(n * n for n in dims))
-    t = [vec[offs[c]:offs[c + 1]].reshape(n, n) for c, n in enumerate(dims)]
-    total = sum(np.trace(m) for m in t)
-    t = [m * (target / total if total else 1.0) for m in t]
-    return tuple((m + m.conj().T) / 2 for m in t)
+    return tuple(vec[offs[c]:offs[c + 1]].reshape(n, n)
+                 for c, n in enumerate(dims))
 
 
 def _spectrum_ends(t):
@@ -282,8 +331,10 @@ class NormalizedSystem:
     B_hat : tuple of ndarray
         The twin system's fixed forms, with the same convention.
     transfer_spectrum : ndarray
-        Eigenvalues of the stored system's transfer matrix; conjugated, the
-        spectrum of ``D_44`` in ``spectral``.
+        Eigenvalues of the stored system's transfer matrix, complex, taken
+        from its real matrix in Hermitian coordinates, so non-real ones
+        come in exact conjugate pairs; conjugated, the spectrum of
+        ``D_44`` in ``spectral``.
     fix_residual : float
         Relative fixed-point residual of ``B``, the radius certificate.
     b_min_eig : float
@@ -335,17 +386,42 @@ class NormalizedSystem:
         return moment_operator(self)
 
 
+def _not_irreducible(gap, ends=None):
+    """The error of a system that fails the Perron test: its relative
+    Perron gap and, where the forms exist, the ratios ``λ_min/λ_max``
+    of both (``ends`` from :func:`_spectrum_ends`)."""
+    ratios = ("%.2e (B) and %.2e (twin)" % tuple(lo / hi for lo, hi in ends)
+              if ends else "undefined (no unique Perron vectors)")
+    return ValueError(
+        "system is not irreducible: Perron gap %.2e (needs > %.0e), "
+        "form ratios lambda_min/lambda_max %s" % (gap, TOL_SIMPLE, ratios))
+
+
 def normalize(sys):
     """Scale to unit transfer radius and compute the fixed forms.
 
-    One eigendecomposition ``T = V Λ V⁻¹`` of the transfer matrix gives
-    ``ρ = max|λ|`` and the right eigenvector at the eigenvalue nearest ``ρ``:
-    reshaped per letter, phase-fixed and hermitized, it is ``B``.  The
-    matching column of ``V⁻ᴴ`` (one LU solve with ``Vᴴ``) is the left
-    vector; as a form it is ``S``.  The twin's transfer operator is the
-    Hilbert–Schmidt adjoint ``T†`` with letters relabelled ``c ↦ c⁻¹``, so
-    the twin's forms are ``B̂_c = S_{c⁻¹}``, with no transpose.  Blocks are
-    divided by ``√ρ``; both tuples have trace ``Σ_a n_a``.
+    ``T`` maps Hermitian tuples to Hermitian tuples, so in the orthonormal
+    Hermitian basis ``Q`` of :func:`_hermitian_basis` its matrix ``T_h =
+    Qᴴ T Q`` is real, of the same side ``Σ_a n_a²``; it is read off the
+    transfer matrix by index arithmetic, two nonzeros per column of ``Q``.
+    The eigenvalues of ``T_h`` give ``ρ = max|λ|`` and the relative Perron
+    gap.  No eigenvector is computed.  With ``u`` the identity tuple in
+    these coordinates (``uᵀx = Σ_a tr X_a``), the bordered matrix
+
+        ``A = [[T_h − ρI, u], [uᵀ, 0]]``
+
+    gives the right Perron vector from ``A [x; μ] = e`` and the left one
+    from ``Aᵀ`` (H. B. Keller's bordering lemma, *Applications of
+    Bifurcation Theory*, 1977): as forms they are ``B`` and ``S``.  ``A``
+    is nonsingular exactly when ``ρ`` is simple and neither Perron vector
+    has trace zero.  For a positive map the Perron vectors of a simple
+    ``ρ`` are semidefinite forms, of positive trace, so ``A`` is
+    nonsingular exactly when ``ρ`` is simple: unlike ``T_h − ρI``, it is
+    not singular at the root it solves for.
+    The twin's transfer operator is the Hilbert–Schmidt adjoint ``T†``
+    with letters relabelled ``c ↦ c⁻¹``, so the twin's forms are ``B̂_c =
+    S_{c⁻¹}``, with no transpose.  Blocks are divided by ``√ρ``; both
+    tuples have trace ``Σ_a n_a``.
 
     The same data decide irreducibility: the system is irreducible exactly
     when ``ρ`` is a simple eigenvalue of ``T`` and ``B`` and ``B̂`` are both
@@ -360,7 +436,8 @@ def normalize(sys):
     ``B`` puts its eigenvalue at ``ρ``, and a simple ``ρ`` makes ``Y`` a
     multiple of ``S``, which is then singular.  As for nonnegative
     matrices, a block-triangular system has a singular ``B`` or ``B̂``, and
-    a direct sum has a non-simple ``ρ`` or a singular form.
+    a direct sum has a non-simple ``ρ`` or a singular form.  Simplicity is
+    tested before the bordered solve.
 
     The fixed-point residual ``ε`` of ``B`` is checked against ``TOL_FIX``.
     The map ``T/ρ`` is positive and ``B`` is definite, so this certifies
@@ -372,32 +449,42 @@ def normalize(sys):
     ------
     ValueError
         Invalid input, or "system is not irreducible" followed by the
-        relative Perron gap and the ratios ``λ_min/λ_max`` of both forms.
+        relative Perron gap and the ratios ``λ_min/λ_max`` of both forms
+        (undefined when ``ρ`` is not simple or ``A`` is singular).
     RuntimeError
         The fixed-point residual of ``B`` exceeds ``TOL_FIX``.
     """
     violations = validate(sys)
     if violations:
         raise ValueError("invalid system: " + "; ".join(violations))
-    vals, vecs = np.linalg.eig(transfer_matrix(sys))
+    basis = _hermitian_basis(sys.dims)
+    t_h = _hermitian_matrix(transfer_matrix(sys), basis)
+    vals = np.linalg.eigvals(t_h).astype(complex)
     rho = float(np.max(np.abs(vals)))
-    dist = np.abs(vals - rho)
-    nearest, second = np.argsort(dist)[:2]
-    gap = dist[second] / max(rho, np.finfo(float).tiny)
-    unit = np.zeros(len(vals))
-    unit[nearest] = 1.0
-    left = np.linalg.solve(vecs.conj().T, unit)
+    gap = (np.partition(np.abs(vals - rho), 1)[1]
+           / max(rho, np.finfo(float).tiny))
+    if not gap > TOL_SIMPLE:
+        raise _not_irreducible(gap)
+    n = len(vals)
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = t_h
+    border[range(n), range(n)] -= rho
+    border[:n, n] = border[n, :n] = basis[3]  # u, the identity tuple
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
+    try:
+        right = np.linalg.solve(border, unit)[:n]
+        left = np.linalg.solve(border.T, unit)[:n]
+    except np.linalg.LinAlgError:
+        raise _not_irreducible(gap) from None
     target = float(sum(sys.dims))
-    B = _form_from_vector(vecs[:, nearest], sys.dims, target)
-    S = _form_from_vector(left, sys.dims, target)
+    B = _hermitian_form(right, sys.dims, basis, target)
+    S = _hermitian_form(left, sys.dims, basis, target)
     B_hat = tuple(S[c ^ 1] for c in sys.alphabet.letters)
     ends = [_spectrum_ends(t) for t in (B, B_hat)]
-    if not (gap > TOL_SIMPLE and all(
-            lo > TOL_PD * frob_tuple(t) for (lo, _), t in zip(ends, (B, B_hat)))):
-        raise ValueError(
-            "system is not irreducible: Perron gap %.2e (needs > %.0e), "
-            "form ratios lambda_min/lambda_max %.2e (B) and %.2e (twin)"
-            % ((gap, TOL_SIMPLE) + tuple(lo / hi for lo, hi in ends)))
+    if not all(lo > TOL_PD * frob_tuple(t)
+               for (lo, _), t in zip(ends, (B, B_hat))):
+        raise _not_irreducible(gap, ends)
     scaled = sys.scaled(1.0 / np.sqrt(rho))
     nsys = NormalizedSystem.from_forms(scaled, B, B_hat, vals / rho)
     if nsys.fix_residual > TOL_FIX:

@@ -6,8 +6,9 @@ letter.  In conjugate-dual coordinates the twin's blocks are plain data:
 ``Ĥ[b, a] = H[a⁻¹, b⁻¹]†``, which makes the construction an involution on
 the nose.  The twin's transfer operator is the adjoint of the system's with
 letters relabelled, so :func:`~freerep.systems.normalize` already holds the
-twin's forms ``B̂`` and spectrum from its one eigendecomposition, and
-:func:`twin` reads them off.
+twin's forms ``B̂``, from the left Perron vector of its bordered solve, and
+the twin's spectrum, the conjugate of the system's; :func:`twin` reads
+them off.
 
 One SVD of the intertwining operator ``M : (J_a) ↦ (Ĥ_ab J_b − J_a H_ab)``
 serves two linear problems: its kernel is the equivalence tuple ``K``, and

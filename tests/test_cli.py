@@ -266,6 +266,23 @@ class TestClassify:
                 (out_dir / f"{stem}.report.json").read_text(encoding="utf-8"))
             validate_report(report)
 
+    def test_out_dir_refuses_colliding_report_names(self, s0_file, ai_file,
+                                                    tmp_path, capsys):
+        # same file name in two directories, and one path given twice
+        other = tmp_path / "elsewhere" / s0_file.name
+        other.parent.mkdir()
+        other.write_text(ai_file.read_text(encoding="utf-8"),
+                         encoding="utf-8")
+        out_dir = tmp_path / "reports"
+        for paths in ((s0_file, other), (ai_file, s0_file, ai_file)):
+            code = main(["classify", *map(str, paths),
+                         "--out-dir", str(out_dir), "--nmax", "6"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert paths[-1].stem + ".report.json" in err
+            assert not out_dir.exists()
+
     def test_missing_input_does_not_block_others(self, s0_file, tmp_path,
                                                  capsys):
         out_dir = tmp_path / "reports"

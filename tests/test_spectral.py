@@ -796,7 +796,7 @@ class TestSelfTwinGate:
 
 
 class TestGatePerronSolve:
-    """One eigensolve of ``T`` and of ``T†`` gives the forms of a gate
+    """The right and left Perron vectors of ``T`` give the forms of a gate
     system and of its twin; power iteration spun to its cap on the twin
     of gauge copy 11, whose residual floor sat above its target."""
 
@@ -824,7 +824,49 @@ class TestGatePerronSolve:
         assert twin(nsys).fix_residual <= 1e-12
 
 
-_METAMORPHIC = settings(derandomize=True, database=None, max_examples=5,
+def _conditioned_gauge(rng, dims, condition):
+    """Gauge ``g_c = U·diag(logspace(0, −log10 condition, n))·V`` with
+    Haar unitary ``U`` and ``V``."""
+    def haar(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    return [haar(n) @ np.diag(np.logspace(0, -np.log10(condition), n))
+            @ haar(n) for n in dims]
+
+
+class TestGaugeConditioning:
+    """Gauge copies of condition 1e3 normalize without a raise and keep
+    their label or read ``undecided``.  With the forms taken from an
+    eigenvector of the complex transfer matrix, the fixed-point residual
+    of 16 of the 54 self-twin copies and 4 of the 18 ``wide-3`` copies
+    exceeded ``TOL_FIX``; the undecided copies are a frame question
+    (ROADMAP item 1)."""
+
+    BASES = {
+        "self-twin": (lambda: generate.self_twin_system(0, k=2, dim=3), 18,
+                      ("BII", 2)),
+        "wide-3": (lambda: generate.random_system(3, k=2, max_dim=8), 6,
+                   ("AII", 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_normalizes_and_keeps_label(self, name):
+        base, copies, decision = self.BASES[name]
+        sys_ = base()
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for _ in range(copies):
+                nsys = normalize(_gauged(
+                    sys_, _conditioned_gauge(rng, sys_.dims, 1e3)))
+                report = classify(nsys)
+                assert (report.class_label == "undecided"
+                        or (report.class_label, report.dim_one)
+                        == decision), report.diagnostics
+
+
+_METAMORPHIC =settings(derandomize=True, database=None, max_examples=5,
                         deadline=None)
 _POOL_INDEX = st.integers(0, 20)
 

@@ -338,12 +338,23 @@ def test_normalize_agrees_with_span_oracle_on_random(k, seed):
     normalize(sys)
 
 
+def _form_from_vector(vec, dims, target):
+    """Hermitian tuple of a row-major vec'd complex eigenvector, trace
+    ``target``: the oracle's reading of an eigenvector as a form.  The
+    phase comes off the trace, real positive for a definite form."""
+    offs = np.cumsum((0,) + tuple(n * n for n in dims))
+    t = [vec[offs[c]:offs[c + 1]].reshape(n, n) for c, n in enumerate(dims)]
+    total = sum(np.trace(m) for m in t)
+    t = [m * (target / total if total else 1.0) for m in t]
+    return tuple((m + m.conj().T) / 2 for m in t)
+
+
 @pytest.mark.parametrize("phase", (1.0, -1.0, 1j, np.exp(2.1j)))
 def test_form_from_vector_ignores_eigenvector_phase(phase):
     form = normalize(generate.random_system(720, k=2, max_dim=3)).B
     vec = phase * np.concatenate([m.ravel() for m in form]) / 7.0
-    back = systems._form_from_vector(vec, tuple(len(m) for m in form),
-                                     sum(len(m) for m in form))
+    back = _form_from_vector(vec, tuple(len(m) for m in form),
+                             sum(len(m) for m in form))
     assert frob_tuple(tuple(x - y for x, y in zip(back, form))) < 1e-13
 
 
@@ -367,7 +378,9 @@ def test_transfer_matrix_matches_apply():
 
 
 def test_normalize_makes_one_eigendecomposition(monkeypatch):
-    # ρ, the gap, B, B̂ and the transfer spectrum all come off one eig(T)
+    # ρ, the gap and the transfer spectrum come off the eigenvalues of the
+    # real matrix of T in Hermitian coordinates; B and B̂ off a bordered
+    # solve, with no eigenvector computed
     sys = generate.random_system(730, k=2, max_dim=3)
     calls = {name: _recorded(monkeypatch, name)
              for name in ("eig", "eigvals")}
@@ -376,8 +389,11 @@ def test_normalize_makes_one_eigendecomposition(monkeypatch):
                         lambda s, _build=systems.transfer_matrix:
                         assembled.append(s) or _build(s))
     normalize(sys)
-    assert len(calls["eig"]) == 1
-    assert calls["eigvals"] == []
+    assert calls["eig"] == []
+    assert len(calls["eigvals"]) == 1
+    (matrix, _), = calls["eigvals"]
+    side = sum(n * n for n in sys.dims)
+    assert matrix.dtype == np.float64 and matrix.shape == (side, side)
     assert assembled == [sys]
 
 
@@ -406,7 +422,7 @@ def _adjoint_perron_forms(sys):
     vals, vecs = np.linalg.eig(transfer_matrix(sys).conj().T)
     rho = np.max(np.abs(vals))
     left = vecs[:, np.argmin(np.abs(vals - rho))]
-    S = systems._form_from_vector(left, sys.dims, float(sum(sys.dims)))
+    S = _form_from_vector(left, sys.dims, float(sum(sys.dims)))
     return tuple(S[c ^ 1] for c in sys.alphabet.letters)
 
 
@@ -429,3 +445,57 @@ def test_twin_forms_match_adjoint_eigensolve(name):
     diff = frob_tuple(tuple(x - y for x, y in zip(nsys.B_hat, oracle)))
     assert diff < 1e-10 * frob_tuple(oracle)
     assert twin(nsys).fix_residual < 1e-12
+
+
+def _dense_hermitian_basis(dims):
+    """The unitary ``Q`` of the Hermitian coordinates, column by column:
+    ``E_jj`` at a diagonal position ``(j, l = j)``, ``(E_jl + E_lj)/√2``
+    above the diagonal and ``i(E_lj − E_jl)/√2`` below it."""
+    side = sum(n * n for n in dims)
+    q = np.zeros((side, side), dtype=complex)
+    start = 0
+    for n in dims:
+        for j in range(n):
+            for l in range(n):
+                col, mirror = start + j * n + l, start + l * n + j
+                if j == l:
+                    q[col, col] = 1.0
+                elif j < l:
+                    q[col, col] = q[mirror, col] = np.sqrt(0.5)
+                else:
+                    q[mirror, col], q[col, col] = (1j * np.sqrt(0.5),
+                                                   -1j * np.sqrt(0.5))
+        start += n * n
+    return q
+
+
+@pytest.mark.parametrize("name", _SPECTRUM_NAMES)
+def test_hermitian_coordinates_match_dense_basis(name):
+    sys = _spectrum_system(name)
+    t = transfer_matrix(sys)
+    q = _dense_hermitian_basis(sys.dims)
+    assert np.allclose(q.conj().T @ q, np.eye(len(q)), atol=1e-15)
+    dense = q.conj().T @ t @ q
+    scale = np.abs(t).max()
+    assert np.abs(dense.imag).max() < 1e-14 * scale
+    t_h = systems._hermitian_matrix(t.copy(),
+                                    systems._hermitian_basis(sys.dims))
+    assert t_h.dtype == np.float64
+    assert np.abs(t_h - dense.real).max() < 1e-14 * scale
+    nsys = _normalized(name)
+    for form in (nsys.B, nsys.B_hat):
+        for m in form:
+            assert np.array_equal(m, m.conj().T)
+
+
+def test_singular_bordered_matrix_reads_as_reducible(monkeypatch):
+    # no input reaches this branch: a non-simple root is caught first
+    # (doubled-s0 above), and on a simple one both Perron vectors are
+    # semidefinite forms of positive trace
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ValueError, match="^system is not irreducible: "
+                       "Perron gap .* form ratios"):
+        normalize(generate.random_system(730, k=2, max_dim=3))
