@@ -19,17 +19,24 @@ mutually conjugate pair (``D_22``, ``D_33``), each with eigenvalue 1 at
 most once.  The eigenvalue-1 analysis reads that structure:
 
 - ``mult_one`` counts the eigenvalues of the four diagonal blocks within
-  ``δ`` of 1, and ``gap`` is the smallest distance to 1 of the others.
-  Only ``D_22`` is eigensolved: ``D_33`` has the conjugate spectrum, and
-  ``D_11`` and ``D_44`` have the conjugated transfer spectra of the twin
-  and of the system, which :func:`~freerep.systems.normalize` already
-  certified.
+  ``δ`` of 1, and ``gap`` bounds the distance to 1 of the others from
+  below.  ``D_11`` and ``D_44`` have the conjugated transfer spectra of
+  the twin and of the system, which :func:`~freerep.systems.normalize`
+  already certified.  ``D_33`` has the conjugate spectrum of ``D_22``,
+  whose cluster is certified without an eigensolve: with ``A = I − D_22``,
+  plus ``r l`` for its fixed pair when the twins are equivalent, every
+  eigenvalue ``μ`` of ``D_22`` but that fixed one has ``|1 − μ| ≥
+  σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F`` for ``A_w`` the matrix ``A`` in the frame
+  where ``B = I`` (Trefethen & Embree, *Spectra and Pseudospectra*,
+  2005).  One inverse gives that bound; when it is below ``10·δ`` the
+  block is eigensolved instead.
 - ``dim_one = mult_one − rank N``.  ``N`` is the strictly upper
   triangular coupling ``N_ij = l_i C_ij r_j`` between the fixed vectors
   ``r_i`` and functionals ``l_i`` (``l_i r_i = 1``) of the blocks that
   have one, through ``C_ij = D_ij + Σ_{i<m<j} D_im G_m C_mj`` with
-  ``G_m`` the group inverse of ``I − D_mm`` (LU solves).  It is at most
-  4×4, so its rank is read from its singular values.
+  ``G_m`` the group inverse of ``I − D_mm`` (the certificate's inverse
+  on row 2, LU solves elsewhere).  It is at most 4×4, so its rank is
+  read from its singular values.
 - ``r_i`` and ``l_i`` are the closed forms in ``B``, ``B̂`` and ``K``
   (an eigensolve of the one block where a form does not hold), balanced
   to equal norms in the frame where ``B = I``.  The singular values of
@@ -41,6 +48,7 @@ most once.  The eigenvalue-1 analysis reads that structure:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,19 +84,61 @@ class DMatrix:
     dimension of ``D``, is their total count.  ``dense`` holds ``D_22``
     and ``D_33`` on those vectors.  ``D`` is block upper triangular, so
     its spectrum is that of the four diagonal blocks,
-    ``block_eigenvalues``.  ``package`` is the twin package it was built
-    from, the source of the fixed vectors and of the step; a hand-built
-    ``D`` has none, and no fixed pair.
+    ``block_eigenvalues``; rows 2 and 3 are ``None`` there when
+    ``mixed`` certifies their cluster instead.  ``forms[i]`` is the
+    closed-form fixed pair of row ``i`` from :func:`_closed_pair`.
+    ``package`` is the twin package it was built from, the source of the
+    fixed vectors and of the step; a hand-built ``D`` has none, and no
+    fixed pair.
     """
 
     block_eigenvalues: tuple
     package: object = None
     dense: dict = field(default_factory=dict)
     masks: dict = field(default_factory=dict)
+    forms: dict = field(default_factory=dict)
+    mixed: Optional["MixedBound"] = None
 
     @property
     def side(self):
         return int(sum(mask.sum() for mask in self.masks.values()))
+
+    @cached_property
+    def frame(self):
+        """``W`` and ``W⁻¹`` on the moment matrix, for the frame where
+        ``B = I``.
+
+        That is the gauge ``g_a = B_a^{1/2}``, under which the twin's side
+        of a moment matrix moves by ``B_{a⁻¹}^{-1/2}``: ``S ↦ W S W`` for
+        the block diagonal ``W`` with blocks ``B_c^{1/2}`` and
+        ``B_{c⁻¹}^{-1/2}`` on ``V_c ⊕ V̂_c``, and a functional ``l(S) = Σ
+        l_jk S_jk`` moves by ``W⁻ᵀ``.  Any gauge of the system lands in the
+        same frame up to a unitary one.
+        """
+        roots = self.package.original.B_roots
+        letters = range(len(roots))
+        # W for p = 0, W⁻¹ for p = 1
+        return tuple(_moment(self, 4, _flat(roots[c][p] for c in letters))
+                     + _moment(self, 1, _flat(roots[c ^ 1][1 - p]
+                                              for c in letters))
+                     for p in (0, 1))
+
+
+@dataclass
+class MixedBound:
+    """The eigenvalue-1 cluster of ``D_22``, certified without its
+    spectrum; ``D_33``, of conjugate spectrum, has the same.
+
+    ``count`` is 1 when the twins are equivalent (the cluster is the
+    eigenvalue of the fixed pair) and 0 when not.  Every other eigenvalue
+    ``μ`` of ``D_22`` has ``|1 − μ| ≥ bound``.  ``inverse`` is
+    ``(I − D_22 + r l)⁻¹`` (without ``r l`` when ``count`` is 0) in the
+    frame of :attr:`DMatrix.frame`.
+    """
+
+    count: int
+    bound: float
+    inverse: np.ndarray
 
 
 def _row_masks(nsys):
@@ -115,15 +165,37 @@ def _flat(mats):
     return np.concatenate([m.ravel() for m in mats])
 
 
-def _dense_block(pkg, i):
+def _dense_block(pkg, i, whitened=False):
     """``D_ii`` on row-``i`` vectors: block ``(a, b)`` is ``S ↦ P S Q†``
     for the diagonal quadrants ``P``, ``Q`` of ``X_ab`` (``H[a|b]`` or
-    ``Ĥ_ab``) on the two sides of quadrant ``i``, ``kron(P, conj Q)``."""
-    sides = (pkg.original.h, pkg.hhat)
+    ``Ĥ_ab``) on the two sides of quadrant ``i``, ``kron(P, conj Q)``,
+    and exactly zero for ``b = a⁻¹``.
+
+    ``whitened`` takes the pair blocks in the frame where ``B = I``,
+    ``W_a X_ab W_b⁻¹`` (see :attr:`DMatrix.frame`), which gives ``W D_ii
+    W⁻¹``.
+    """
+    nsys = pkg.original
+    sides = (nsys.h, pkg.hhat)
+    if whitened:
+        roots = nsys.B_roots
+        sides = (lambda a, b: roots[a][0] @ nsys.h(a, b) @ roots[b][1],
+                 lambda a, b: roots[a ^ 1][1] @ pkg.hhat(a, b)
+                 @ roots[b ^ 1][0])
     left, right = (sides[side] for side in _QUADRANTS[i])
-    letters = pkg.original.alphabet.letters
-    return np.block([[np.kron(left(a, b), right(a, b).conj())
-                      for b in letters] for a in letters])
+    letters = nsys.alphabet.letters
+    sizes = [nsys.dims[c ^ _QUADRANTS[i][0]] * nsys.dims[c ^ _QUADRANTS[i][1]]
+             for c in letters]
+    offs = np.cumsum([0] + sizes)
+    out = np.zeros((offs[-1],) * 2, dtype=complex)
+    for a in letters:
+        for b in letters:
+            if a != b ^ 1:
+                p, q = left(a, b), right(a, b).conj()
+                out[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = (
+                    p[:, None, :, None] * q[None, :, None, :]).reshape(
+                        sizes[a], sizes[b])
+    return out
 
 
 def build_D(pkg):
@@ -134,23 +206,68 @@ def build_D(pkg):
     :func:`~freerep.series.moment_step` on them.  The zero corner of the
     pair block ``X_ab`` makes every block below the diagonal and the
     block ``(2, 3)`` exactly zero.  Only ``D_22`` and ``D_33`` are
-    assembled, for the group solves of :func:`_coupling`, and only
-    ``D_22`` is eigensolved; ``D_11`` and ``D_44`` are formed only where
-    a fixed vector must be eigensolved.
+    assembled, for the closed-form residuals and the group solves of
+    :func:`_coupling`; ``D_11`` and ``D_44`` are formed only where a fixed
+    vector must be eigensolved.  The cluster of ``D_22`` is certified by
+    :func:`_mixed_bound`, and ``D_22`` is eigensolved only where that
+    bound is inconclusive.
     """
     nsys = pkg.original
     dense = {i: _dense_block(pkg, i) for i in (2, 3)}
-    mixed = np.linalg.eigvals(dense[2])
-    spectra = (pkg.twin.transfer_spectrum.conj(), mixed, mixed.conj(),
-               nsys.transfer_spectrum.conj())
-    return DMatrix(block_eigenvalues=spectra, package=pkg, dense=dense,
-                   masks=_row_masks(nsys))
+    d = DMatrix(block_eigenvalues=(), package=pkg, dense=dense,
+                masks=_row_masks(nsys),
+                forms={i: _closed_pair(pkg, dense, i) for i in _ROWS})
+    d.mixed = _mixed_bound(d)
+    mixed = (None, None)
+    if d.mixed is None:
+        vals = np.linalg.eigvals(dense[2])
+        mixed = (vals, vals.conj())
+    d.block_eigenvalues = (pkg.twin.transfer_spectrum.conj(), *mixed,
+                           nsys.transfer_spectrum.conj())
+    return d
+
+
+def _mixed_bound(d):
+    """The :class:`MixedBound` of ``D_22``, or ``None`` when it cannot
+    decide.
+
+    ``A = I − D_22``; with equivalent twins it is ``I − D_22 + r l`` for
+    the closed-form fixed pair (``l·r = 1``), which by Brauer's theorem
+    moves the eigenvalue 1 of ``D_22`` to 0 of ``D_22 − r l`` and keeps
+    the others.  For any matrix ``σ_min ≤ |λ|`` for each eigenvalue
+    ``λ``, and ``σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F``, so every other eigenvalue
+    ``μ`` of ``D_22`` has ``|1 − μ| ≥ 1/‖A_w⁻¹‖_F``.  ``σ_min`` is not
+    similarity invariant: ``A_w = W A W⁻¹`` is taken in the frame where
+    ``B = I``, where it is a property of the system, while in a badly
+    conditioned basis ``σ_min(A)`` itself can fall far below the gap.
+
+    Inconclusive when the bound is below ``GAP_FACTOR·δ``, or when the
+    twins are equivalent and the closed-form pair fails :data:`FORM_TOL`.
+    """
+    pkg = d.package
+    a = np.eye(d.dense[2].shape[0]) - _dense_block(pkg, 2, whitened=True)
+    count = int(pkg.K is not None)
+    if count:
+        r, l, residual = d.forms[2]
+        if residual >= FORM_TOL:
+            return None
+        w, w_inv = d.frame
+        a += np.outer(_sandwich(d, 2, r, w), _sandwich(d, 2, l, w_inv.T))
+    inverse = np.linalg.inv(a)
+    bound = 1.0 / float(np.linalg.norm(inverse))
+    if bound < GAP_FACTOR * DELTA:
+        return None
+    return MixedBound(count=count, bound=bound, inverse=inverse)
 
 
 @dataclass
 class EigenOne:
     """Eigenvalue-1 data: algebraic count in the δ-cluster, geometric
     dimension ``mult − rank N``, and the margin of the rank decision.
+
+    ``gap`` is a lower bound on the distance to 1 of every eigenvalue
+    outside the cluster: exact on rows 1 and 4, and on rows 2 and 3 the
+    :class:`MixedBound` where it decided.
 
     ``sv_profile`` holds the singular values of the coupling matrix ``N``
     (descending) and ``threshold`` the value they are ranked against.
@@ -167,7 +284,8 @@ class EigenOne:
 def eigen_one(d):
     """Count the eigenvalue-1 cluster and its geometric dimension.
 
-    The cluster is read off the diagonal blocks.  Each block that has an
+    The cluster is read off the diagonal blocks, or off the certificate
+    :attr:`DMatrix.mixed` for rows 2 and 3.  Each block that has an
     eigenvalue within ``δ`` of 1 has exactly one; its right and left
     fixed vectors couple through the blocks above the diagonal into the
     strictly upper triangular ``N``, and ``dim_one = mult − rank N``.
@@ -186,6 +304,11 @@ def eigen_one(d):
     counts = []
     outside = []
     for vals in d.block_eigenvalues:
+        if vals is None:
+            # rows 2 and 3, certified without their spectrum
+            counts.append(d.mixed.count)
+            outside.append([d.mixed.bound])
+            continue
         dist = np.abs(vals - 1.0)
         inside = dist < DELTA
         counts.append(int(np.sum(inside)))
@@ -217,35 +340,44 @@ def _fixed_pair(d, i):
     """Right fixed vector ``r`` and left fixed functional ``l`` of
     ``D_ii`` on block row ``i``, with ``l·r = 1``.
 
-    The closed forms of :func:`_fixed_forms` are used when they pass
-    :data:`FORM_TOL`, otherwise the block is eigensolved.  ``D_11`` and
-    ``D_44`` are the dual transfer operators of the twin and of the
-    system, so the residuals of their closed forms are the
-    ``fix_residual`` of ``B`` and of ``B̂``, which the system and its twin
-    store.  The pair is balanced so that ``r`` and ``l`` have equal norms
-    in the whitened frame of :func:`_whitened_norms`, which makes ``N`` a
-    gauge invariant up to the phases of its rows and columns.
+    The closed forms of :func:`_closed_pair` are used when they pass
+    :data:`FORM_TOL`, otherwise the block is eigensolved.  The pair is
+    balanced so that ``r`` and ``l`` have equal norms in the whitened
+    frame of :func:`_whitened_norms`, which makes ``N`` a gauge invariant
+    up to the phases of its rows and columns.
     """
-    pkg = d.package
-    pair = None
-    forms = _fixed_forms(pkg, i)
-    if forms is not None:
-        r, l = _flat(forms[0]), _flat(m.T for m in forms[1])
-        if i in (1, 4):
-            residuals = (pkg.original.fix_residual, pkg.twin.fix_residual)
-        else:
-            block = d.dense[i]
-            residuals = (np.linalg.norm(block @ r - r) / np.linalg.norm(r),
-                         np.linalg.norm(l @ block - l) / np.linalg.norm(l))
-        if max(residuals) < FORM_TOL:
-            pair = r, l
-    if pair is None:
-        pair = _eig_pair(_dense_block(pkg, i))
-    r, l = pair
-    l = l / (l @ r)
+    forms = d.forms[i]
+    if forms is not None and forms[2] < FORM_TOL:
+        r, l, _ = forms
+    else:
+        r, l = _eig_pair(_dense_block(d.package, i))
+        l = l / (l @ r)
     r_norm, l_norm = _whitened_norms(d, i, r, l)
     scale = np.sqrt(l_norm / r_norm)
     return r * scale, l / scale
+
+
+def _closed_pair(pkg, dense, i):
+    """The closed forms of :func:`_fixed_forms` as a right vector ``r``
+    and a left functional ``l`` of row ``i``, ``l·r = 1``, with the
+    larger of their relative residuals; ``None`` where there is no form.
+
+    ``D_11`` and ``D_44`` are the dual transfer operators of the twin and
+    of the system, so their residuals are the ``fix_residual`` of ``B``
+    and of ``B̂``, which the system and its twin store; rows 2 and 3 are
+    measured on the assembled block in ``dense``.
+    """
+    forms = _fixed_forms(pkg, i)
+    if forms is None:
+        return None
+    r, l = _flat(forms[0]), _flat(m.T for m in forms[1])
+    if i in (1, 4):
+        residual = max(pkg.original.fix_residual, pkg.twin.fix_residual)
+    else:
+        block = dense[i]
+        residual = max(np.linalg.norm(block @ r - r) / np.linalg.norm(r),
+                       np.linalg.norm(l @ block - l) / np.linalg.norm(l))
+    return r, l / (l @ r), residual
 
 
 def _eig_pair(block):
@@ -257,28 +389,21 @@ def _eig_pair(block):
             lvecs[:, np.argmin(np.abs(lvals - 1.0))])
 
 
-def _whitened_norms(d, i, r, l):
-    """Frobenius norms of ``r`` and of ``l`` in the frame where ``B = I``.
+def _sandwich(d, i, vec, m):
+    """Row-``i`` vector of ``m S m``, for ``S`` the moment matrix that
+    holds the row-``i`` vector ``vec``."""
+    return (m @ _moment(d, i, vec) @ m)[d.masks[i]]
 
-    That is the gauge ``g_a = B_a^{1/2}``, under which the twin's side of
-    a moment matrix moves by ``B_{a⁻¹}^{-1/2}``: ``S ↦ W S W`` for the
-    block diagonal ``W`` with blocks ``B_c^{1/2}`` and ``B_{c⁻¹}^{-1/2}``
-    on ``V_c ⊕ V̂_c``, and a functional ``l(S) = Σ l_jk S_jk`` moves by
-    ``W⁻ᵀ``.  Any gauge of the system lands in the same frame up to a
-    unitary one, which preserves Frobenius norms.
+
+def _whitened_norms(d, i, r, l):
+    """Frobenius norms of ``r`` and of ``l`` in the frame where ``B = I``
+    (:attr:`DMatrix.frame`), where ``r`` moves by ``W`` and ``l`` by
+    ``W⁻ᵀ``.  Any gauge of the system lands in that frame up to a unitary
+    one, which preserves Frobenius norms.
     """
-    roots = []
-    for b in d.package.original.B:
-        vals, vecs = np.linalg.eigh(b)
-        roots.append(((vecs * np.sqrt(vals)) @ vecs.conj().T,
-                      (vecs / np.sqrt(vals)) @ vecs.conj().T))
-    letters = range(len(roots))
-    # W for p = 0, W⁻¹ for p = 1
-    w, w_inv = (_moment(d, 4, _flat(roots[c][p] for c in letters))
-                + _moment(d, 1, _flat(roots[c ^ 1][1 - p] for c in letters))
-                for p in (0, 1))
-    return (np.linalg.norm(w @ _moment(d, i, r) @ w),
-            np.linalg.norm(w_inv.T @ _moment(d, i, l) @ w_inv.T))
+    w, w_inv = d.frame
+    return (np.linalg.norm(_sandwich(d, i, r, w)),
+            np.linalg.norm(_sandwich(d, i, l, w_inv.T)))
 
 
 def _coupling(d, pairs):
@@ -302,23 +427,31 @@ def _coupling(d, pairs):
             if m in pairs:
                 n[index[m], index[j]] = pairs[m][1] @ c
             if m > rows[0] and np.any(c):
-                S[d.masks[m]] = _group_solve(d.dense[m], pairs.get(m), c)
+                S[d.masks[m]] = _group_solve(d, m, pairs.get(m), c)
     return n
 
 
-def _group_solve(block, pair, y):
-    """``G y`` for ``G`` the group inverse of ``A = I − block``.
+def _group_solve(d, i, pair, y):
+    """``G y`` for ``G`` the group inverse of ``A = I − D_ii``.
 
     Without a fixed pair ``A`` is invertible and ``G = A⁻¹``.  With the
     fixed pair ``(r, l)``, ``l·r = 1``, the kernel of ``A`` is simple and
-    ``G = (A + r l)⁻¹ − r l``.  One LU solve either way.
+    ``G = (A + r l)⁻¹ − r l``.  Row 2 reads that inverse off its
+    :class:`MixedBound` where one was certified, as ``W⁻¹ A_w⁻¹ W``; any
+    other row takes one LU solve.
     """
-    a = np.eye(block.shape[0]) - block
+    if i == 2 and d.mixed is not None:
+        w, w_inv = d.frame
+        x = _sandwich(d, i, d.mixed.inverse @ _sandwich(d, i, y, w), w_inv)
+    else:
+        a = np.eye(y.size) - d.dense[i]
+        if pair is not None:
+            a += np.outer(*pair)
+        x = np.linalg.solve(a, y)
     if pair is None:
-        return np.linalg.solve(a, y)
+        return x
     r, l = pair
-    a += np.outer(r, l)
-    return np.linalg.solve(a, y) - r * (l @ y)
+    return x - r * (l @ y)
 
 
 def _fixed_forms(pkg, i):
@@ -517,7 +650,8 @@ def classify(nsys):
     diagnostics = []
     pkg = twin_package(nsys)
     d = build_D(pkg)
-    rho_d = max(float(np.max(np.abs(v))) for v in d.block_eigenvalues)
+    rho_d = max(float(np.max(np.abs(v))) for v in d.block_eigenvalues
+                if v is not None)
     try:
         eig = eigen_one(d)
     except UndecidedError as err:

@@ -379,6 +379,17 @@ class NormalizedSystem:
         return e_maps(self)
 
     @cached_property
+    def B_roots(self):
+        """``(B_a^{1/2}, B_a^{-1/2})`` for each letter, one ``eigh`` each:
+        the gauge ``g_a = B_a^{1/2}`` to the frame where ``B = I``."""
+        roots = []
+        for b in self.B:
+            vals, vecs = np.linalg.eigh(b)
+            roots.append(((vecs * np.sqrt(vals)) @ vecs.conj().T,
+                          (vecs / np.sqrt(vals)) @ vecs.conj().T))
+        return tuple(roots)
+
+    @cached_property
     def moment_operator(self):
         """The sphere-sum step's :func:`~freerep.series.moment_operator`,
         built once and shared with the operator ``D`` of ``spectral``."""

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -465,3 +468,16 @@ def test_readme_commands_parse():
     assert len(commands) == 5
     for line in commands:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays for `import freerep`, and importing scipy.linalg
+    # costs more than all of freerep: the package uses numpy.linalg only
+    code = ("import sys, freerep.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -24,6 +24,7 @@ from freerep.twin import twin, twin_package, twin_system
 from freerep.spectral import (
     _ROWS,
     DELTA,
+    GAP_FACTOR,
     DMatrix,
     EigenOne,
     _accept_Q,
@@ -497,7 +498,8 @@ class TestEigenOne:
         eig = eigen_one(build_D(pkg))
         want = _eigen_one_dense(dense_D(pkg))
         assert eig.mult_one == want.mult_one
-        assert eig.gap == pytest.approx(want.gap, rel=1e-9)
+        # rows 2 and 3 give a certified lower bound, not the eigen-gap
+        assert GAP_FACTOR * DELTA <= eig.gap <= want.gap * (1 + 1e-12)
         assert not eig.ambiguous
         if not want.ambiguous:
             assert eig.dim_one == want.dim_one
@@ -706,28 +708,28 @@ class TestClassify:
         assert report.Q is None
 
     def test_no_dense_solve_of_D(self, monkeypatch):
-        # one eigensolve, of D_22: D_33 is its conjugate, and D_11 and D_44
-        # read the transfer spectrum normalize certified
+        # no eigensolve at all: D_11 and D_44 read the transfer spectrum
+        # normalize certified, and one inverse of the whitened I − D_22
+        # certifies the cluster of D_22 and of its conjugate D_33
         nsys = normalize(generate.random_system(51, k=2, max_dim=2))
         calls = {name: _recorded(monkeypatch, name)
-                 for name in ("eigvals", "eig", "svd")}
+                 for name in ("eigvals", "eig", "inv", "svd")}
         built = []
         monkeypatch.setattr(spectral, "_dense_block",
-                            lambda pkg, i, _build=spectral._dense_block:
-                            built.append(i) or _build(pkg, i))
+                            lambda pkg, i, whitened=False,
+                            _build=spectral._dense_block:
+                            built.append((i, whitened))
+                            or _build(pkg, i, whitened))
         report = classify(nsys)
         d = dense_D(report.package)
         assert not [m for seen in calls.values() for m, _ in seen
                     if m.shape == (d.side, d.side)]
-        [(m, mixed)] = calls["eigvals"]
-        assert np.array_equal(m, d.block(2, 2))
-        assert not [m for m, _ in calls["eig"]
-                    if any(m.shape == d.block(i, i).shape for i in _ROWS)]
-        assert report.rho_D == max(
-            float(np.max(np.abs(v))) for v in (nsys.transfer_spectrum, mixed))
+        assert not calls["eigvals"] and not calls["eig"]
+        assert [m.shape for m, _ in calls["inv"]] == [d.block(2, 2).shape]
+        assert report.rho_D == float(np.max(np.abs(nsys.transfer_spectrum)))
         # D_11 and D_44 are formed only for an eigensolve of their fixed
         # vectors, which the closed forms spare here
-        assert built == [2, 3]
+        assert built == [(2, False), (3, False), (2, True)]
 
     def test_ambiguous_rank_reports_margin(self, monkeypatch):
         # δ = 0.02 sits within a factor 10 of the second singular value
@@ -771,10 +773,11 @@ class TestBlockSpectra:
 
     @staticmethod
     def _assert_block_eigenvalues(d):
-        # the spectra build_D reuses match a dense eigensolve of each block
+        # the transfer spectra build_D reuses for D_11 and D_44 match a
+        # dense eigensolve of each block; D_22 and D_33 are certified
         oracle = dense_D(d.package)
-        for i, vals in zip(_ROWS, d.block_eigenvalues):
-            assert _spectrum_gap(vals,
+        for i in (1, 4):
+            assert _spectrum_gap(d.block_eigenvalues[i - 1],
                                  np.linalg.eigvals(oracle.block(i, i))) < 1e-9
 
 
@@ -864,6 +867,137 @@ class TestGaugeConditioning:
                 assert (report.class_label == "undecided"
                         or (report.class_label, report.dim_one)
                         == decision), report.diagnostics
+
+
+_MIXED_SYSTEMS = {
+    **{"pool-%d" % i: functools.partial(lambda i: _metamorphic_pool()[i], i)
+       for i in range(21)},
+    **{"wide-%d" % seed: functools.partial(generate.random_system, seed,
+                                           k=2, max_dim=8)
+       for seed in range(12)},
+    **{"%s-%d" % (name, seed): functools.partial(make, seed)
+       for name, make, seeds in (("ai", generate.ai_instance, range(1, 6)),
+                                 ("bi", generate.bi_instance, range(1, 6)),
+                                 ("aii", generate.aii_instance, range(1, 4)))
+       for seed in seeds},
+    "s0": generate.s0_system,
+}
+
+
+def _frame_oracle(nsys):
+    """``W`` on row-2 vectors as one matrix, for the frame where ``B = I``:
+    block diagonal with ``kron(B_c^{1/2}, (B_{c⁻¹}^{-1/2})ᵀ)``."""
+    def power(b, p):
+        vals, vecs = np.linalg.eigh(b)
+        return (vecs * vals ** p) @ vecs.conj().T
+
+    blocks = [np.kron(power(nsys.B[c], 0.5), power(nsys.B[c ^ 1], -0.5).T)
+              for c in range(nsys.alphabet.size)]
+    w = np.zeros((sum(map(len, blocks)),) * 2, dtype=complex)
+    off = 0
+    for b in blocks:
+        w[off:off + len(b), off:off + len(b)] = b
+        off += len(b)
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_case(name):
+    """``D`` of a named system, its dense ``D_22`` and that block's
+    eigenvalues, and ``σ_min(A_w)`` for the certificate's matrix built
+    from the dense oracle: ``A = I − D_22`` plus ``r l`` for the
+    closed-form pair of equivalent twins, in the frame where ``B = I``."""
+    pkg = twin_package(normalize(_MIXED_SYSTEMS[name]()))
+    # a copy, so the cache does not keep the whole dense D alive
+    block = dense_D(pkg).block(2, 2).copy()
+    a = np.eye(len(block)) - block
+    if pkg.K is not None:
+        r, l = (np.concatenate([m.ravel() for m in t])
+                for t in (_fixed_forms(pkg, 2)[0],
+                          tuple(m.T for m in _fixed_forms(pkg, 2)[1])))
+        a += np.outer(r, l / (l @ r))
+    w = _frame_oracle(pkg.original)
+    a_w = w @ a @ np.linalg.inv(w)
+    return (build_D(pkg), block, np.linalg.eigvals(block),
+            np.linalg.svd(a_w, compute_uv=False)[-1])
+
+
+class TestMixedBound:
+    """One inverse of ``I − D_22`` (deflated), taken in the frame where
+    ``B = I``, certifies the eigenvalue-1 cluster of ``D_22`` and of its
+    conjugate ``D_33`` in place of an eigensolve."""
+
+    @pytest.mark.parametrize("name", sorted(_MIXED_SYSTEMS))
+    def test_bound_is_sound(self, name):
+        # bound ≤ σ_min(A_w) ≤ the distance to 1 of every eigenvalue of
+        # D_22 outside the cluster, and of the deflated one, moved to 0
+        d, _, vals, sigma_min = _mixed_case(name)
+        assert d.mixed is not None
+        dist = np.abs(vals - 1.0)
+        inside = dist < DELTA
+        assert d.mixed.count == int(np.sum(inside)) == int(
+            d.package.equivalent)
+        gap = min(dist[~inside].min(), 1.0 if d.mixed.count else np.inf)
+        assert GAP_FACTOR * DELTA <= d.mixed.bound <= sigma_min * (1 + 1e-12)
+        assert sigma_min <= gap * (1 + 1e-12)
+        assert d.block_eigenvalues[1] is None and d.block_eigenvalues[2] is None
+
+    @pytest.mark.parametrize("name", sorted(_MIXED_SYSTEMS))
+    def test_rho_D_is_the_transfer_radius(self, name):
+        # ρ(D_22) ≤ √(ρ(D_11) ρ(D_44)) = 1, so rho_D loses nothing by
+        # reading the transfer spectra alone
+        d, _, vals, _ = _mixed_case(name)
+        assert np.max(np.abs(vals)) <= 1 + 1e-12
+        assert abs(np.max(np.abs(d.block_eigenvalues[3])) - 1) <= 1e-12
+
+    def test_bound_is_gauge_invariant_on_gate_copies(self):
+        # the 7 non-unitary gauge copies of gate system 0
+        bounds = [build_D(twin_package(normalize(s))).mixed.bound
+                  for s in _gate_systems()[10:]]
+        base = build_D(twin_package(normalize(_gate_systems()[0]))).mixed
+        assert len(bounds) == 7
+        for bound in bounds:
+            assert abs(bound - base.bound) <= 1e-9 * base.bound
+
+    @pytest.mark.parametrize("name", sorted(TestGaugeConditioning.BASES))
+    def test_bound_on_conditioned_copies(self, name):
+        # at gauge condition 1e3 the forms B and K, computed in the
+        # conditioned basis, carry about 1e-6 relative error into the
+        # frame (worst 2.5e-6 measured), and so does the bound; a copy
+        # whose closed-form pair fails FORM_TOL is left to the eigensolve
+        base, copies, _ = TestGaugeConditioning.BASES[name]
+        sys_ = base()
+        want = build_D(twin_package(normalize(sys_))).mixed.bound
+        decided = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for _ in range(copies):
+                d = build_D(twin_package(normalize(_gauged(
+                    sys_, _conditioned_gauge(rng, sys_.dims, 1e3)))))
+                forms = d.forms[2]
+                if forms is not None and forms[2] >= spectral.FORM_TOL:
+                    assert d.mixed is None
+                    continue
+                decided += 1
+                assert abs(d.mixed.bound - want) <= 1e-5 * want
+        assert decided >= copies
+
+    @pytest.mark.parametrize("name", ["pool-0", "pool-11", "pool-17",
+                                      "pool-19", "aii-1", "wide-3", "s0"])
+    def test_forced_fallback_keeps_decision(self, name, monkeypatch):
+        d, block, _, _ = _mixed_case(name)
+        nsys = d.package.original
+        certified = classify(nsys)
+        monkeypatch.setattr(spectral, "_mixed_bound", lambda d: None)
+        calls = _recorded(monkeypatch, "eigvals")
+        fallback = classify(nsys)
+        [(m, _)] = calls
+        assert np.array_equal(m, block)
+        assert _decision(fallback) == _decision(certified)
+        assert certified.class_label != "undecided"
+        # the eigensolve adds only rounding: on the non-normal D_22 of
+        # gauge copy 11 it reads ρ(D_22) = 1 + 2.4e-14
+        assert 0 <= fallback.rho_D - certified.rho_D <= 1e-13
 
 
 _METAMORPHIC =settings(derandomize=True, database=None, max_examples=5,
