@@ -182,10 +182,10 @@ def _dense_block(pkg, i, whitened=False):
         sides = (lambda a, b: roots[a][0] @ nsys.h(a, b) @ roots[b][1],
                  lambda a, b: roots[a ^ 1][1] @ pkg.hhat(a, b)
                  @ roots[b ^ 1][0])
-    left, right = (sides[side] for side in _QUADRANTS[i])
+    rows, cols = _QUADRANTS[i]
+    left, right = sides[rows], sides[cols]
     letters = nsys.alphabet.letters
-    sizes = [nsys.dims[c ^ _QUADRANTS[i][0]] * nsys.dims[c ^ _QUADRANTS[i][1]]
-             for c in letters]
+    sizes = [nsys.dims[c ^ rows] * nsys.dims[c ^ cols] for c in letters]
     offs = np.cumsum([0] + sizes)
     out = np.zeros((offs[-1],) * 2, dtype=complex)
     for a in letters:
@@ -245,12 +245,12 @@ def _mixed_bound(d):
     twins are equivalent and the closed-form pair fails :data:`FORM_TOL`.
     """
     pkg = d.package
-    a = np.eye(d.dense[2].shape[0]) - _dense_block(pkg, 2, whitened=True)
     count = int(pkg.K is not None)
+    if count and d.forms[2][2] >= FORM_TOL:
+        return None
+    a = np.eye(d.dense[2].shape[0]) - _dense_block(pkg, 2, whitened=True)
     if count:
-        r, l, residual = d.forms[2]
-        if residual >= FORM_TOL:
-            return None
+        r, l, _ = d.forms[2]
         w, w_inv = d.frame
         a += np.outer(_sandwich(d, 2, r, w), _sandwich(d, 2, l, w_inv.T))
     inverse = np.linalg.inv(a)

@@ -473,8 +473,8 @@ def test_readme_commands_parse():
 def test_import_loads_no_scipy():
     # every CLI call pays for `import freerep`, and importing scipy.linalg
     # costs more than all of freerep: the package uses numpy.linalg only
-    code = ("import sys, freerep.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    code = ("import sys, freerep.cli; print(sorted("
+            "{m.split('.')[0] for m in sys.modules} & {'scipy'}))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -940,7 +940,7 @@ class TestMixedBound:
         gap = min(dist[~inside].min(), 1.0 if d.mixed.count else np.inf)
         assert GAP_FACTOR * DELTA <= d.mixed.bound <= sigma_min * (1 + 1e-12)
         assert sigma_min <= gap * (1 + 1e-12)
-        assert d.block_eigenvalues[1] is None and d.block_eigenvalues[2] is None
+        assert d.block_eigenvalues[1:3] == (None, None)
 
     @pytest.mark.parametrize("name", sorted(_MIXED_SYSTEMS))
     def test_rho_D_is_the_transfer_radius(self, name):
