@@ -29,14 +29,16 @@ most once.  The eigenvalue-1 analysis reads that structure:
   σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F`` for ``A_w`` the matrix ``A`` in the frame
   where ``B = I`` (Trefethen & Embree, *Spectra and Pseudospectra*,
   2005).  One inverse gives that bound; when it is below ``10·δ`` the
-  block is eigensolved instead.
+  block is eigensolved instead.  Without ``r l`` the same bound decides
+  the twins inequivalent in :func:`~freerep.twin.twin_package`, which
+  hands its inverse on.
 - ``dim_one = mult_one − rank N``.  ``N`` is the strictly upper
   triangular coupling ``N_ij = l_i C_ij r_j`` between the fixed vectors
   ``r_i`` and functionals ``l_i`` (``l_i r_i = 1``) of the blocks that
   have one, through ``C_ij = D_ij + Σ_{i<m<j} D_im G_m C_mj`` with
   ``G_m`` the group inverse of ``I − D_mm`` (the certificate's inverse
-  on row 2, LU solves elsewhere).  It is at most 4×4, so its rank is
-  read from its singular values.
+  on row 2 and, through the adjoint, on row 3).  It is at most 4×4, so
+  its rank is read from its singular values.
 - ``r_i`` and ``l_i`` are the closed forms in ``B``, ``B̂`` and ``K``
   (an eigensolve of the one block where a form does not hold), balanced
   to equal norms in the frame where ``B = I``.  The singular values of
@@ -55,7 +57,7 @@ import numpy as np
 
 from .series import moment_step
 from .systems import UndecidedError, frob_tuple
-from .twin import NULLSPACE_RTOL, _unvec_tuple, twin_package
+from .twin import _unvec_tuple, twin_package
 
 # Eigenvalue-1 cluster radius and the required relative spectral gap.
 DELTA = 1e-6
@@ -81,9 +83,8 @@ class DMatrix:
 
     ``masks[i]`` marks block row ``i`` on the moment matrix, whose masked
     entries in row-major order are a row-``i`` vector; ``side``, the
-    dimension of ``D``, is their total count.  ``dense`` holds ``D_22``
-    and ``D_33`` on those vectors.  ``D`` is block upper triangular, so
-    its spectrum is that of the four diagonal blocks,
+    dimension of ``D``, is their total count.  ``D`` is block upper
+    triangular, so its spectrum is that of the four diagonal blocks,
     ``block_eigenvalues``; rows 2 and 3 are ``None`` there when
     ``mixed`` certifies their cluster instead.  ``forms[i]`` is the
     closed-form fixed pair of row ``i`` from :func:`_closed_pair`.
@@ -94,7 +95,6 @@ class DMatrix:
 
     block_eigenvalues: tuple
     package: object = None
-    dense: dict = field(default_factory=dict)
     masks: dict = field(default_factory=dict)
     forms: dict = field(default_factory=dict)
     mixed: Optional["MixedBound"] = None
@@ -102,6 +102,14 @@ class DMatrix:
     @property
     def side(self):
         return int(sum(mask.sum() for mask in self.masks.values()))
+
+    @cached_property
+    def mixed_block(self):
+        """``D_22`` on row-2 vectors, assembled on first use: for the
+        closed-form residuals of equivalent twins, and for the solves and
+        the eigensolve where :attr:`mixed` is ``None``.  ``D_33`` acts
+        through it by :func:`_adjoint`."""
+        return _dense_block(self.package, 2)
 
     @cached_property
     def frame(self):
@@ -133,7 +141,8 @@ class MixedBound:
     eigenvalue of the fixed pair) and 0 when not.  Every other eigenvalue
     ``μ`` of ``D_22`` has ``|1 − μ| ≥ bound``.  ``inverse`` is
     ``(I − D_22 + r l)⁻¹`` (without ``r l`` when ``count`` is 0) in the
-    frame of :attr:`DMatrix.frame`.
+    frame of :attr:`DMatrix.frame`.  The bound with ``count`` 0 is
+    :func:`mixed_certificate`, taken by the twin package.
     """
 
     count: int
@@ -205,55 +214,79 @@ def build_D(pkg):
     [[S⁴, S²], [S³, S¹]]``, and ``D`` is the sphere-sum step
     :func:`~freerep.series.moment_step` on them.  The zero corner of the
     pair block ``X_ab`` makes every block below the diagonal and the
-    block ``(2, 3)`` exactly zero.  Only ``D_22`` and ``D_33`` are
-    assembled, for the closed-form residuals and the group solves of
-    :func:`_coupling`; ``D_11`` and ``D_44`` are formed only where a fixed
-    vector must be eigensolved.  The cluster of ``D_22`` is certified by
-    :func:`_mixed_bound`, and ``D_22`` is eigensolved only where that
-    bound is inconclusive.
+    block ``(2, 3)`` exactly zero.  The cluster of ``D_22`` is certified
+    by :func:`_mixed_bound`, whose inverse serves the group solves of
+    :func:`_coupling` on rows 2 and 3, so no block of ``D`` is assembled
+    for inequivalent twins.  ``D_22`` (:attr:`DMatrix.mixed_block`) is
+    assembled for the closed-form residuals of equivalent twins, and is
+    eigensolved only where the bound is inconclusive; ``D_33``, ``D_11``
+    and ``D_44`` are formed only where a fixed vector must be eigensolved.
     """
     nsys = pkg.original
-    dense = {i: _dense_block(pkg, i) for i in (2, 3)}
-    d = DMatrix(block_eigenvalues=(), package=pkg, dense=dense,
-                masks=_row_masks(nsys),
-                forms={i: _closed_pair(pkg, dense, i) for i in _ROWS})
+    d = DMatrix(block_eigenvalues=(), package=pkg, masks=_row_masks(nsys))
+    d.forms = {i: _closed_pair(d, i) for i in _ROWS}
     d.mixed = _mixed_bound(d)
     mixed = (None, None)
     if d.mixed is None:
-        vals = np.linalg.eigvals(dense[2])
+        vals = np.linalg.eigvals(d.mixed_block)
         mixed = (vals, vals.conj())
     d.block_eigenvalues = (pkg.twin.transfer_spectrum.conj(), *mixed,
                            nsys.transfer_spectrum.conj())
     return d
 
 
+def mixed_certificate(pkg):
+    """The :class:`MixedBound` of ``D_22`` with count 0, or ``None`` when
+    it cannot rule out an eigenvalue at 1.
+
+    ``A = I − D_22``.  For any matrix ``σ_min ≤ |λ|`` for each eigenvalue
+    ``λ``, and ``σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F``, so every eigenvalue ``μ`` of
+    ``D_22`` has ``|1 − μ| ≥ 1/‖A_w⁻¹‖_F``.  ``σ_min`` is not similarity
+    invariant: ``A_w = W A W⁻¹`` is taken in the frame where ``B = I``,
+    where it is a property of the system, while in a badly conditioned
+    basis ``σ_min(A)`` itself can fall far below the gap.  A bound of at
+    least ``GAP_FACTOR·δ`` certifies that ``D_22`` has no eigenvalue 1,
+    that is, that the twins are inequivalent.  It needs only the system
+    and its twin, so :func:`~freerep.twin.twin_package` takes it before
+    any factorization.
+    """
+    a = _dense_block(pkg, 2, whitened=True)
+    return _certify(np.eye(len(a)) - a, 0)
+
+
 def _mixed_bound(d):
     """The :class:`MixedBound` of ``D_22``, or ``None`` when it cannot
     decide.
 
-    ``A = I − D_22``; with equivalent twins it is ``I − D_22 + r l`` for
-    the closed-form fixed pair (``l·r = 1``), which by Brauer's theorem
-    moves the eigenvalue 1 of ``D_22`` to 0 of ``D_22 − r l`` and keeps
-    the others.  For any matrix ``σ_min ≤ |λ|`` for each eigenvalue
-    ``λ``, and ``σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F``, so every other eigenvalue
-    ``μ`` of ``D_22`` has ``|1 − μ| ≥ 1/‖A_w⁻¹‖_F``.  ``σ_min`` is not
-    similarity invariant: ``A_w = W A W⁻¹`` is taken in the frame where
-    ``B = I``, where it is a property of the system, while in a badly
-    conditioned basis ``σ_min(A)`` itself can fall far below the gap.
+    Inequivalent twins carry it from :func:`mixed_certificate`.  With
+    equivalent twins ``A`` is ``I − D_22 + r l`` for the closed-form fixed
+    pair (``l·r = 1``), which by Brauer's theorem moves the eigenvalue 1
+    of ``D_22`` to 0 of ``D_22 − r l`` and keeps the others, so every
+    other eigenvalue ``μ`` has ``|1 − μ| ≥ 1/‖A_w⁻¹‖_F``.
 
     Inconclusive when the bound is below ``GAP_FACTOR·δ``, or when the
     twins are equivalent and the closed-form pair fails :data:`FORM_TOL`.
     """
     pkg = d.package
-    count = int(pkg.K is not None)
-    if count and d.forms[2][2] >= FORM_TOL:
+    if pkg.K is None:
+        return pkg.mixed
+    r, l, residual = d.forms[2]
+    if residual >= FORM_TOL:
         return None
-    a = np.eye(d.dense[2].shape[0]) - _dense_block(pkg, 2, whitened=True)
-    if count:
-        r, l, _ = d.forms[2]
-        w, w_inv = d.frame
-        a += np.outer(_sandwich(d, 2, r, w), _sandwich(d, 2, l, w_inv.T))
-    inverse = np.linalg.inv(a)
+    w, w_inv = d.frame
+    a = _dense_block(pkg, 2, whitened=True)
+    a = (np.eye(len(a)) - a
+         + np.outer(_sandwich(d, 2, r, w), _sandwich(d, 2, l, w_inv.T)))
+    return _certify(a, 1)
+
+
+def _certify(a, count):
+    """:class:`MixedBound` from the whitened ``A``, ``None`` below
+    ``GAP_FACTOR·δ`` or where ``A`` is exactly singular."""
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
     bound = 1.0 / float(np.linalg.norm(inverse))
     if bound < GAP_FACTOR * DELTA:
         return None
@@ -357,7 +390,7 @@ def _fixed_pair(d, i):
     return r * scale, l / scale
 
 
-def _closed_pair(pkg, dense, i):
+def _closed_pair(d, i):
     """The closed forms of :func:`_fixed_forms` as a right vector ``r``
     and a left functional ``l`` of row ``i``, ``l·r = 1``, with the
     larger of their relative residuals; ``None`` where there is no form.
@@ -365,8 +398,10 @@ def _closed_pair(pkg, dense, i):
     ``D_11`` and ``D_44`` are the dual transfer operators of the twin and
     of the system, so their residuals are the ``fix_residual`` of ``B``
     and of ``B̂``, which the system and its twin store; rows 2 and 3 are
-    measured on the assembled block in ``dense``.
+    measured on the assembled ``D_22``, row 3 through :func:`_adjoint`,
+    which keeps norms.
     """
+    pkg = d.package
     forms = _fixed_forms(pkg, i)
     if forms is None:
         return None
@@ -374,9 +409,10 @@ def _closed_pair(pkg, dense, i):
     if i in (1, 4):
         residual = max(pkg.original.fix_residual, pkg.twin.fix_residual)
     else:
-        block = dense[i]
-        residual = max(np.linalg.norm(block @ r - r) / np.linalg.norm(r),
-                       np.linalg.norm(l @ block - l) / np.linalg.norm(l))
+        x, y = (r, l) if i == 2 else (_adjoint(d, 3, r), _adjoint(d, 3, l))
+        block = d.mixed_block
+        residual = max(np.linalg.norm(block @ x - x) / np.linalg.norm(x),
+                       np.linalg.norm(y @ block - y) / np.linalg.norm(y))
     return r, l / (l @ r), residual
 
 
@@ -387,6 +423,18 @@ def _eig_pair(block):
     lvals, lvecs = np.linalg.eig(block.T)
     return (vecs[:, np.argmin(np.abs(vals - 1.0))],
             lvecs[:, np.argmin(np.abs(lvals - 1.0))])
+
+
+def _adjoint(d, i, vec):
+    """Row-``5 − i`` vector of ``S†``, for ``S`` the moment matrix that
+    holds the row-``i`` vector ``vec``: the map between rows 2 and 3.
+
+    The step ``S ↦ X S X†`` commutes with ``S ↦ S†``, which swaps the
+    quadrants ``S²`` and ``S³``, so ``D_33 y = adj D_22 adj y``.  The map
+    is conjugate linear and keeps Frobenius norms; a left functional of
+    row 3 maps to one of row 2 with the same residual.
+    """
+    return _moment(d, i, vec).conj().T[d.masks[5 - i]]
 
 
 def _sandwich(d, i, vec, m):
@@ -427,24 +475,30 @@ def _coupling(d, pairs):
             if m in pairs:
                 n[index[m], index[j]] = pairs[m][1] @ c
             if m > rows[0] and np.any(c):
-                S[d.masks[m]] = _group_solve(d, m, pairs.get(m), c)
+                S[d.masks[m]] = _group_solve(d, m, pairs, c)
     return n
 
 
-def _group_solve(d, i, pair, y):
-    """``G y`` for ``G`` the group inverse of ``A = I − D_ii``.
+def _group_solve(d, i, pairs, y):
+    """``G y`` for ``G`` the group inverse of ``A = I − D_ii``, ``i`` in
+    2, 3, with ``pairs`` the fixed pairs of :func:`eigen_one`.
 
     Without a fixed pair ``A`` is invertible and ``G = A⁻¹``.  With the
     fixed pair ``(r, l)``, ``l·r = 1``, the kernel of ``A`` is simple and
     ``G = (A + r l)⁻¹ − r l``.  Row 2 reads that inverse off its
-    :class:`MixedBound` where one was certified, as ``W⁻¹ A_w⁻¹ W``; any
-    other row takes one LU solve.
+    :class:`MixedBound` where one was certified, as ``W⁻¹ A_w⁻¹ W``, and
+    takes one LU solve where not.  Row 3 is row 2 through
+    :func:`_adjoint`: the group inverse is unique, so ``G_33 = adj G_22
+    adj``.
     """
-    if i == 2 and d.mixed is not None:
+    if i == 3:
+        return _adjoint(d, 2, _group_solve(d, 2, pairs, _adjoint(d, 3, y)))
+    pair = pairs.get(2)
+    if d.mixed is not None:
         w, w_inv = d.frame
-        x = _sandwich(d, i, d.mixed.inverse @ _sandwich(d, i, y, w), w_inv)
+        x = _sandwich(d, 2, d.mixed.inverse @ _sandwich(d, 2, y, w), w_inv)
     else:
-        a = np.eye(y.size) - d.dense[i]
+        a = np.eye(y.size) - d.mixed_block
         if pair is not None:
             a += np.outer(*pair)
         x = np.linalg.solve(a, y)
@@ -532,33 +586,38 @@ class QTuple:
     antisymmetry_residual: float
 
 
-def q_least_squares(pkg):
-    """Minimal-norm least-squares Q and its relative residual.
+def q_least_squares(pkg, d=None):
+    """The Q tuple read off the resolvent of ``D_22``, and its relative
+    residual by substitution (:func:`q_residual`).
 
-    The Q equations read ``M Q = −E`` for the intertwining operator ``M``
-    of the equivalence test, with ``E`` stacked in ``pairs()`` order, so
-    they are solved from the SVD that test already took:
-    ``Q = −V_k Σ_k⁻¹ U_kᴴ E`` over the singular values the nullspace
-    decision kept (at least ``NULLSPACE_RTOL·s_0``).  The residual is
-    ``‖U_k U_kᴴ E − E‖ / ‖E‖``, formed by vector subtraction.
+    The shear ``[[I, 0], [Q, I]]`` takes every pair block ``X_ab`` to
+    block-diagonal form exactly when ``Q`` solves the Q equations, and
+    then the generalized 1-eigenvector of ``D`` above ``r_4 = (B̂_{a⁻¹})_a``
+    has row 2 ``Y = G_2 D_24 r_4``, ``Y_a = B̂_{a⁻¹} Q_a†``, for ``G_2``
+    the group inverse of ``I − D_22`` (:func:`_group_solve`, the inverse
+    the certificate already holds).  So ``Q_a = (B̂_{a⁻¹}⁻¹ Y_a)†``, with
+    ``B̂⁻¹`` from the twin's cached ``B_roots``.  Where no ``Q`` exists the
+    residual is of order one.  ``d`` is the package's :func:`build_D`,
+    built here when not given.
 
-    A vanishing right-hand side (the E maps cancel identically, which
-    happens on a genuine sub-family) makes the relative residual
-    meaningless; the zero tuple is then the canonical exact solution.
+    A vanishing ``E`` (the maps cancel identically, which happens on a
+    genuine sub-family) gives the zero tuple, the canonical exact
+    solution.
     """
     nsys = pkg.original
-    u, s, vh = pkg.equivalence.factors
-    rhs = np.concatenate([pkg.E[pair].ravel() for pair in nsys.system.pairs()])
-    if np.linalg.norm(rhs) < 1e-12 * frob_tuple(nsys.B):
-        sol, residual = np.zeros(vh.shape[1], dtype=complex), 0.0
-    else:
-        k = int(np.sum(s >= NULLSPACE_RTOL * s[0]))
-        u, s, vh = u[:, :k], s[:k], vh[:k]
-        coeffs = u.conj().T @ rhs
-        residual = float(np.linalg.norm(u @ coeffs - rhs)
-                         / np.linalg.norm(rhs))
-        sol = -(vh.conj().T @ (coeffs / s))
-    return _unvec_tuple(sol, nsys.dims, pkg.twin.dims), residual
+    if frob_tuple(pkg.E.values()) < 1e-12 * frob_tuple(nsys.B):
+        Q = tuple(np.zeros((n, m), dtype=complex)
+                  for n, m in zip(pkg.twin.dims, nsys.dims))
+        return Q, q_residual(pkg, Q)
+    if d is None:
+        d = build_D(pkg)
+    pairs = {2: _fixed_pair(d, 2)} if pkg.K is not None else {}
+    c = moment_step(nsys, _moment(d, 4, d.forms[4][0]))[d.masks[2]]
+    Y = _unvec_tuple(_group_solve(d, 2, pairs, c), pkg.twin.dims, nsys.dims)
+    roots = pkg.twin.B_roots
+    Q = tuple((roots[a ^ 1][1] @ (roots[a ^ 1][1] @ y)).conj().T
+              for a, y in enumerate(Y))
+    return Q, q_residual(pkg, Q)
 
 
 def q_residual(pkg, Q):
@@ -584,8 +643,8 @@ def q_residual(pkg, Q):
 def solve_Q(pkg):
     """Solve for the Q tuple; ``None`` when the system is inconsistent.
 
-    The stacked system is solved by least squares and accepted only if the
-    relative residual is below :data:`Q_ACCEPT_TOL`; the solution is then
+    The candidate of :func:`q_least_squares` is accepted only if its
+    relative residual is below :data:`Q_ACCEPT_TOL`; it is then
     antisymmetrized (``Q_a ← (Q_a − Q_{a⁻¹}†)/2``, again a solution) and
     re-verified by substitution.
     """
@@ -593,8 +652,8 @@ def solve_Q(pkg):
 
 
 def _accept_Q(pkg, Q, residual):
-    """The acceptance steps of :func:`solve_Q` on a least-squares
-    solution ``Q`` with relative residual ``residual``."""
+    """The acceptance steps of :func:`solve_Q` on a candidate ``Q`` with
+    relative residual ``residual``."""
     if residual >= Q_ACCEPT_TOL:
         return None
     Q = tuple((Q[c] - Q[c ^ 1].conj().T) / 2 for c in range(len(Q)))
@@ -641,11 +700,13 @@ _CLASS_TABLE = {
 def classify(nsys):
     """Classify a normalized irreducible system into AI/AII/BI/BII.
 
-    Assembles the twin package and block matrix, analyzes the eigenvalue-1
-    cluster, attempts the Q solve, evaluates the trace obstruction when
-    twins are equivalent, and cross-checks every relation the class label
-    implies.  Inconsistencies downgrade the verdict to ``undecided`` with
-    diagnostics instead of forcing a label.
+    Assembles the twin package, whose ``D_22`` certificate decides
+    inequivalent twins and whose SVD gives ``K`` otherwise, and the block
+    matrix; analyzes the eigenvalue-1 cluster; reads the Q candidate off
+    the row-2 resolvent and accepts it by substitution; evaluates the
+    trace obstruction when twins are equivalent; and cross-checks every
+    relation the class label implies.  Inconsistencies downgrade the
+    verdict to ``undecided`` with diagnostics instead of forcing a label.
     """
     diagnostics = []
     pkg = twin_package(nsys)
@@ -664,7 +725,7 @@ def classify(nsys):
             diagnostics=[str(err)], package=pkg,
         )
     equivalent = pkg.equivalent
-    ls_Q, ls_residual = q_least_squares(pkg)
+    ls_Q, ls_residual = q_least_squares(pkg, d)
     q = _accept_Q(pkg, ls_Q, ls_residual)
     trace_val, trace_scale = (0j, 0.0)
     if equivalent:

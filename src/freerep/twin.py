@@ -10,18 +10,22 @@ twin's forms ``B̂``, from the left Perron vector of its bordered solve, and
 the twin's spectrum, the conjugate of the system's; :func:`twin` reads
 them off.
 
-One SVD of the intertwining operator ``M : (J_a) ↦ (Ĥ_ab J_b − J_a H_ab)``
-serves two linear problems: its kernel is the equivalence tuple ``K``, and
-:func:`~freerep.spectral.q_least_squares` solves ``M Q = −E`` from the
-same factors.
+A system and its twin are equivalent exactly when the mixed block
+``D_22`` of :mod:`~freerep.spectral` has eigenvalue 1, and
+:func:`twin_package` reads that off the block's resolvent certificate
+before any factorization.  Only where the certificate cannot rule the
+eigenvalue out does :func:`solve_equivalence` take the kernel of the
+intertwining operator ``M : (J_a) ↦ (Ĥ_ab J_b − J_a H_ab)`` from its SVD:
+the equivalence tuple ``K``.  That SVD also decides equivalence for any
+other pair of systems.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .systems import MatrixSystem, NormalizedSystem, frob_tuple
+from .systems import MatrixSystem, NormalizedSystem, frob_tuple, kron
 
 # Relative singular-value threshold for nullspace rank decisions, and the
 # invertibility floor for equivalence tuples.
@@ -109,10 +113,7 @@ class EquivalenceResult:
     ``status`` is one of ``equivalent``, ``inequivalent``, ``undecided``;
     ``K`` is the equivalence tuple when equivalent; ``solution_space_dim``
     is 0 or 1 for honest irreducible inputs (2 or more flags an upstream
-    irreducibility bug and yields ``undecided``).  ``factors`` is the
-    economical SVD ``(u, s, vh)`` of the intertwining operator ``M`` of
-    :func:`_intertwiner_svd`, which the Q least squares of
-    :func:`~freerep.spectral.q_least_squares` reads as well.
+    irreducibility bug and yields ``undecided``).
     """
 
     status: str
@@ -120,11 +121,11 @@ class EquivalenceResult:
     solution_space_dim: int
     residual: float
     diagnostic: str = ""
-    factors: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _intertwiner_svd(ns1, ns2):
-    """Economical SVD of ``M : (J_a) ↦ (H2_ba J_a − J_b H1_ba)``.
+    """Singular values and right singular vectors of ``M : (J_a) ↦ (H2_ba
+    J_a − J_b H1_ba)``.
 
     ``M`` has one row block per pair in ``pairs()`` order, the order of
     the stacked ``E`` maps, and one column block per letter ``c`` holding
@@ -137,11 +138,11 @@ def _intertwiner_svd(ns1, ns2):
     rows = []
     for b, a in ns1.system.pairs():
         row = np.zeros((dims2[b] * dims1[a], offs[-1]), dtype=complex)
-        row[:, offs[a]:offs[a + 1]] += np.kron(ns2.h(b, a), np.eye(dims1[a]))
-        row[:, offs[b]:offs[b + 1]] -= np.kron(np.eye(dims2[b]),
-                                               ns1.h(b, a).T)
+        row[:, offs[a]:offs[a + 1]] += kron(ns2.h(b, a), np.eye(dims1[a]))
+        row[:, offs[b]:offs[b + 1]] -= kron(np.eye(dims2[b]), ns1.h(b, a).T)
         rows.append(row)
-    return np.linalg.svd(np.vstack(rows), full_matrices=False)
+    _, sv, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    return sv, vh
 
 
 def _offsets(dims1, dims2):
@@ -178,21 +179,19 @@ def solve_equivalence(ns1, ns2):
     """Decide whether two normalized irreducible systems are equivalent.
 
     Computes the full nullspace of the intertwining constraints from one
-    SVD of ``M`` (kept on the result as ``factors``; for a system and its
-    twin the Q least squares reads the same factors).  Dimension 0 means
-    inequivalent; dimension 1 with an invertible representative means
-    equivalent, and the representative (phase-pinned, unit norm) is
+    SVD of ``M``, for any two systems over the same alphabet.  Dimension
+    0 means inequivalent; dimension 1 with an invertible representative
+    means equivalent, and the representative (phase-pinned, unit norm) is
     returned as ``K``.  Any other outcome is ``undecided`` with a
-    diagnostic.
+    diagnostic.  For a system and its twin, :func:`twin_package` calls it
+    only where the ``D_22`` certificate cannot decide.
     """
     if ns1.alphabet.size != ns2.alphabet.size:
         raise ValueError("dimension mismatch of alphabets")
-    factors = _intertwiner_svd(ns1, ns2)
-    _, sv, vh = factors
+    sv, vh = _intertwiner_svd(ns1, ns2)
     null_dim = int(np.sum(sv < NULLSPACE_RTOL * sv[0]))
     if null_dim == 0:
-        return EquivalenceResult("inequivalent", None, 0, 0.0,
-                                 factors=factors)
+        return EquivalenceResult("inequivalent", None, 0, 0.0)
     if null_dim >= 2:
         return EquivalenceResult(
             "undecided",
@@ -201,7 +200,6 @@ def solve_equivalence(ns1, ns2):
             0.0,
             diagnostic="solution space dimension %d contradicts "
             "irreducibility" % null_dim,
-            factors=factors,
         )
     K = _pin_phase(_unvec_tuple(vh[-1].conj(), ns1.dims, ns2.dims))
     svs = [np.linalg.svd(m, compute_uv=False) for m in K]
@@ -214,10 +212,9 @@ def solve_equivalence(ns1, ns2):
             0.0,
             diagnostic="one-dimensional solution space but the "
             "representative is singular",
-            factors=factors,
         )
     return EquivalenceResult(
-        "equivalent", K, 1, intertwining_residual(ns1, ns2, K), factors=factors
+        "equivalent", K, 1, intertwining_residual(ns1, ns2, K)
     )
 
 
@@ -270,13 +267,19 @@ def symmetrize_and_unitarize_K(result, ns1, ns2):
 @dataclass
 class TwinPackage:
     """A system together with its twin, pairing maps, and (when the two
-    are equivalent) the symmetrized unitary equivalence tuple."""
+    are equivalent) the symmetrized unitary equivalence tuple.
+
+    ``mixed`` is the undeflated ``D_22`` certificate of
+    :func:`~freerep.spectral.mixed_certificate` where it decided the
+    twins inequivalent, and ``None`` where the SVD decided instead.
+    """
 
     original: NormalizedSystem
     twin: NormalizedSystem
-    equivalence: EquivalenceResult
+    equivalence: Optional[EquivalenceResult] = None
     K: Optional[tuple] = None
     k_unitary_residual: float = 0.0
+    mixed: object = None
 
     @property
     def E(self):
@@ -295,10 +298,23 @@ class TwinPackage:
 
 
 def twin_package(nsys):
-    """Assemble twin, pairing maps, and the equivalence decision."""
+    """Assemble twin, pairing maps, and the equivalence decision.
+
+    The twins are equivalent exactly when ``D_22`` has eigenvalue 1, so a
+    certified bound ``|1 − μ| ≥ 10·δ`` on every eigenvalue ``μ`` of
+    ``D_22`` (:func:`~freerep.spectral.mixed_certificate`) decides them
+    inequivalent with no SVD; ``build_D`` then reuses its inverse.
+    Otherwise :func:`solve_equivalence` decides, and gives ``K``.
+    """
+    # spectral builds on this module, so it is imported at call time
+    from .spectral import mixed_certificate
     tw = twin(nsys)
-    eq = solve_equivalence(nsys, tw)
-    pkg = TwinPackage(original=nsys, twin=tw, equivalence=eq)
+    pkg = TwinPackage(original=nsys, twin=tw)
+    pkg.mixed = mixed_certificate(pkg)
+    if pkg.mixed is not None:
+        pkg.equivalence = EquivalenceResult("inequivalent", None, 0, 0.0)
+        return pkg
+    pkg.equivalence = eq = solve_equivalence(nsys, tw)
     if eq.status == "equivalent":
         sym = symmetrize_and_unitarize_K(eq, nsys, tw)
         pkg.K = sym.K

@@ -20,7 +20,7 @@ from freerep.systems import (
     spectral_radius_T,
     transfer_matrix,
 )
-from freerep.twin import twin, twin_package, twin_system
+from freerep.twin import solve_equivalence, twin, twin_package, twin_system
 from freerep.spectral import (
     _ROWS,
     DELTA,
@@ -324,6 +324,29 @@ _Q_ORACLE_SYSTEMS = {
 }
 
 
+_MIXED_SYSTEMS = {
+    **{"pool-%d" % i: functools.partial(lambda i: _metamorphic_pool()[i], i)
+       for i in range(21)},
+    **{"wide-%d" % seed: functools.partial(generate.random_system, seed,
+                                           k=2, max_dim=8)
+       for seed in range(12)},
+    **{"%s-%d" % (name, seed): functools.partial(make, seed)
+       for name, make, seeds in (("ai", generate.ai_instance, range(1, 6)),
+                                 ("bi", generate.bi_instance, range(1, 6)),
+                                 ("aii", generate.aii_instance, range(1, 4)))
+       for seed in seeds},
+    "s0": generate.s0_system,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _built_D(name):
+    """``build_D`` of a named system of ``_MIXED_SYSTEMS`` or of
+    ``_Q_ORACLE_SYSTEMS``, shared by the tests that read it."""
+    make = {**_Q_ORACLE_SYSTEMS, **_MIXED_SYSTEMS}[name]
+    return build_D(twin_package(normalize(make())))
+
+
 @pytest.fixture(scope="module")
 def s0_pkg(s0_norm):
     return twin_package(s0_norm)
@@ -424,11 +447,14 @@ class TestBuildD:
 
     @pytest.mark.parametrize("index", [0, 10, 17, 19])
     def test_dense_blocks_match_oracle(self, index):
+        # build_D assembles D_22 alone; D_33 is formed only for an
+        # eigensolve of its fixed vectors
         pkg = twin_package(normalize(_metamorphic_pool()[index]))
         d, oracle = build_D(pkg), dense_D(pkg)
         assert d.side == oracle.side
+        blocks = {2: d.mixed_block, 3: spectral._dense_block(pkg, 3)}
         for i in (2, 3):
-            assert np.array_equal(d.dense[i], oracle.block(i, i))
+            assert np.array_equal(blocks[i], oracle.block(i, i))
 
     def test_no_dense_D(self):
         # a dense D of this system (side 784) takes 9.8 MB; holding only
@@ -636,38 +662,49 @@ class TestSolveQ:
                                                             max_dim=2)))
         assert solve_Q(pkg) is None
 
-    @pytest.mark.parametrize("name", sorted(_Q_ORACLE_SYSTEMS))
-    def test_matches_lstsq_oracle(self, name, monkeypatch):
-        nsys = normalize(_Q_ORACLE_SYSTEMS[name]())
-        seen = _recorded(monkeypatch, "svd")
-        pkg = twin_package(nsys)
-        lhs, want_Q, want_residual = _q_least_squares_oracle(pkg)
-        # the oracle's left-hand side is −M, the matrix the equivalence
-        # test factorized, row for row
-        (m,) = [x for x, _ in seen if x.shape == lhs.shape]
-        assert np.array_equal(lhs, -m)
-        Q, residual = q_least_squares(pkg)
-        assert abs(residual - want_residual) < 1e-12
+    @pytest.mark.parametrize("name", sorted({**_Q_ORACLE_SYSTEMS,
+                                             **_MIXED_SYSTEMS}))
+    def test_matches_lstsq_oracle(self, name):
+        # the resolvent Q against least squares on the stacked equations:
+        # the same acceptance and the same Q, which equivalent twins fix
+        # only up to a multiple of K; and the certificate's equivalence
+        # status is the SVD's
+        d = _built_D(name)
+        pkg = d.package
+        assert pkg.equivalence.status == solve_equivalence(
+            pkg.original, pkg.twin).status
+        _, want_Q, want_residual = _q_least_squares_oracle(pkg)
+        Q, residual = q_least_squares(pkg, d)
         got = _accept_Q(pkg, Q, residual)
         want = _accept_Q(pkg, want_Q, want_residual)
         assert (got is None) == (want is None)
         if got is not None:
-            gap = frob_tuple(tuple(x - y for x, y in zip(Q, want_Q)))
-            assert gap <= 1e-10 * frob_tuple(want_Q)
+            gap = tuple(x - y for x, y in zip(Q, want_Q))
+            if pkg.K is not None:
+                along = (sum(np.vdot(k, g) for k, g in zip(pkg.K, gap))
+                         / frob_tuple(pkg.K) ** 2)
+                gap = tuple(g - along * k for k, g in zip(pkg.K, gap))
+            assert frob_tuple(gap) <= 1e-10 * frob_tuple(want_Q)
 
     def test_classify_factorizes_M_once(self, monkeypatch):
-        nsys = normalize(generate.ai_instance(1))
-        dims = nsys.dims
-        shape = (sum(dims[b ^ 1] * dims[a] for b, a in nsys.system.pairs()),
-                 sum(dims[c ^ 1] * dims[c] for c in nsys.alphabet.letters))
+        # the D_22 certificate decides inequivalent twins with no SVD of
+        # M and Q needs none; equivalent twins take one SVD, for K
         seen = _recorded(monkeypatch, "svd")
         solves = []
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kwargs: solves.append(args))
-        rep = classify(nsys)
-        assert rep.class_label == "AI" and rep.Q is not None
+        for name, label, svds in (("ai-1", "AI", 0), ("s0", "BII", 1)):
+            nsys = normalize(_Q_ORACLE_SYSTEMS[name]())
+            dims = nsys.dims
+            shape = (sum(dims[b ^ 1] * dims[a]
+                         for b, a in nsys.system.pairs()),
+                     sum(dims[c ^ 1] * dims[c] for c in nsys.alphabet.letters))
+            seen.clear()
+            rep = classify(nsys)
+            assert rep.class_label == label
+            assert (rep.Q is not None) == (label == "AI")
+            assert [x.shape for x, _ in seen].count(shape) == svds
         assert solves == []
-        assert [x.shape for x, _ in seen].count(shape) == 1
 
 
 class TestClassify:
@@ -709,8 +746,9 @@ class TestClassify:
 
     def test_no_dense_solve_of_D(self, monkeypatch):
         # no eigensolve at all: D_11 and D_44 read the transfer spectrum
-        # normalize certified, and one inverse of the whitened I − D_22
-        # certifies the cluster of D_22 and of its conjugate D_33
+        # normalize certified, and one inverse of the whitened I − D_22,
+        # taken by the twin package, certifies the cluster of D_22 and of
+        # its conjugate D_33
         nsys = normalize(generate.random_system(51, k=2, max_dim=2))
         calls = {name: _recorded(monkeypatch, name)
                  for name in ("eigvals", "eig", "inv", "svd")}
@@ -727,9 +765,9 @@ class TestClassify:
         assert not calls["eigvals"] and not calls["eig"]
         assert [m.shape for m, _ in calls["inv"]] == [d.block(2, 2).shape]
         assert report.rho_D == float(np.max(np.abs(nsys.transfer_spectrum)))
-        # D_11 and D_44 are formed only for an eigensolve of their fixed
-        # vectors, which the closed forms spare here
-        assert built == [(2, False), (3, False), (2, True)]
+        # with inequivalent twins the certificate's inverse serves every
+        # solve, so no block of D is assembled in raw coordinates
+        assert built == [(2, True)]
 
     def test_ambiguous_rank_reports_margin(self, monkeypatch):
         # δ = 0.02 sits within a factor 10 of the second singular value
@@ -869,21 +907,6 @@ class TestGaugeConditioning:
                         == decision), report.diagnostics
 
 
-_MIXED_SYSTEMS = {
-    **{"pool-%d" % i: functools.partial(lambda i: _metamorphic_pool()[i], i)
-       for i in range(21)},
-    **{"wide-%d" % seed: functools.partial(generate.random_system, seed,
-                                           k=2, max_dim=8)
-       for seed in range(12)},
-    **{"%s-%d" % (name, seed): functools.partial(make, seed)
-       for name, make, seeds in (("ai", generate.ai_instance, range(1, 6)),
-                                 ("bi", generate.bi_instance, range(1, 6)),
-                                 ("aii", generate.aii_instance, range(1, 4)))
-       for seed in seeds},
-    "s0": generate.s0_system,
-}
-
-
 def _frame_oracle(nsys):
     """``W`` on row-2 vectors as one matrix, for the frame where ``B = I``:
     block diagonal with ``kron(B_c^{1/2}, (B_{c⁻¹}^{-1/2})ᵀ)``."""
@@ -907,7 +930,8 @@ def _mixed_case(name):
     eigenvalues, and ``σ_min(A_w)`` for the certificate's matrix built
     from the dense oracle: ``A = I − D_22`` plus ``r l`` for the
     closed-form pair of equivalent twins, in the frame where ``B = I``."""
-    pkg = twin_package(normalize(_MIXED_SYSTEMS[name]()))
+    d = _built_D(name)
+    pkg = d.package
     # a copy, so the cache does not keep the whole dense D alive
     block = dense_D(pkg).block(2, 2).copy()
     a = np.eye(len(block)) - block
@@ -918,7 +942,7 @@ def _mixed_case(name):
         a += np.outer(r, l / (l @ r))
     w = _frame_oracle(pkg.original)
     a_w = w @ a @ np.linalg.inv(w)
-    return (build_D(pkg), block, np.linalg.eigvals(block),
+    return (d, block, np.linalg.eigvals(block),
             np.linalg.svd(a_w, compute_uv=False)[-1])
 
 
@@ -960,7 +984,7 @@ class TestMixedBound:
             assert abs(bound - base.bound) <= 1e-9 * base.bound
 
     @pytest.mark.parametrize("name", sorted(TestGaugeConditioning.BASES))
-    def test_bound_on_conditioned_copies(self, name):
+    def test_bound_on_conditioned_copies(self, name, monkeypatch):
         # at gauge condition 1e3 the forms B and K, computed in the
         # conditioned basis, carry about 1e-6 relative error into the
         # frame (worst 2.5e-6 measured), and so does the bound; a copy
@@ -968,12 +992,19 @@ class TestMixedBound:
         base, copies, _ = TestGaugeConditioning.BASES[name]
         sys_ = base()
         want = build_D(twin_package(normalize(sys_))).mixed.bound
+        svds = _recorded(monkeypatch, "svd")
         decided = 0
         for seed in range(3):
             rng = np.random.default_rng(seed)
             for _ in range(copies):
-                d = build_D(twin_package(normalize(_gauged(
-                    sys_, _conditioned_gauge(rng, sys_.dims, 1e3)))))
+                svds.clear()
+                pkg = twin_package(normalize(_gauged(
+                    sys_, _conditioned_gauge(rng, sys_.dims, 1e3))))
+                # the certificate alone decides inequivalent twins; an
+                # SVD of M runs only for the K of equivalent ones
+                assert (pkg.mixed is None) == pkg.equivalent
+                assert bool(svds) == pkg.equivalent
+                d = build_D(pkg)
                 forms = d.forms[2]
                 if forms is not None and forms[2] >= spectral.FORM_TOL:
                     assert d.mixed is None
@@ -981,6 +1012,26 @@ class TestMixedBound:
                 decided += 1
                 assert abs(d.mixed.bound - want) <= 1e-5 * want
         assert decided >= copies
+
+    @pytest.mark.parametrize("name", sorted(_MIXED_SYSTEMS))
+    def test_row3_group_solve_is_row2_adjoint(self, name):
+        # the row-3 group solve reads the row-2 inverse through the
+        # adjoint; against an LU solve of the dense D_33
+        d = _built_D(name)
+        pkg = d.package
+        pairs = {}
+        if pkg.K is not None:
+            pairs = {i: spectral._fixed_pair(d, i) for i in (2, 3)}
+        a = np.eye(d.masks[3].sum()) - dense_D(pkg).block(3, 3)
+        rng = np.random.default_rng(0)
+        y = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        if 3 in pairs:
+            r, l = pairs[3]
+            want = np.linalg.solve(a + np.outer(r, l), y) - r * (l @ y)
+        else:
+            want = np.linalg.solve(a, y)
+        got = spectral._group_solve(d, 3, pairs, y)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("name", ["pool-0", "pool-11", "pool-17",
                                       "pool-19", "aii-1", "wide-3", "s0"])
