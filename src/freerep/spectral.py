@@ -29,9 +29,9 @@ most once.  The eigenvalue-1 analysis reads that structure:
   σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F`` for ``A_w`` the matrix ``A`` in the frame
   where ``B = I`` (Trefethen & Embree, *Spectra and Pseudospectra*,
   2005).  One inverse gives that bound; when it is below ``10·δ`` the
-  block is eigensolved instead.  Without ``r l`` the same bound decides
-  the twins inequivalent in :func:`~freerep.twin.twin_package`, which
-  hands its inverse on.
+  system is undecided.  Without ``r l`` the same bound decides the twins
+  inequivalent in :func:`~freerep.twin.twin_package`, which hands its
+  inverse on.
 - ``dim_one = mult_one − rank N``.  ``N`` is the strictly upper
   triangular coupling ``N_ij = l_i C_ij r_j`` between the fixed vectors
   ``r_i`` and functionals ``l_i`` (``l_i r_i = 1``) of the blocks that
@@ -39,11 +39,11 @@ most once.  The eigenvalue-1 analysis reads that structure:
   ``G_m`` the group inverse of ``I − D_mm`` (the certificate's inverse
   on row 2 and, through the adjoint, on row 3).  It is at most 4×4, so
   its rank is read from its singular values.
-- ``r_i`` and ``l_i`` are the closed forms in ``B``, ``B̂`` and ``K``
-  (an eigensolve of the one block where a form does not hold), balanced
-  to equal norms in the frame where ``B = I``.  The singular values of
-  ``N`` are then invariant under a change of basis of the system, and
-  are ranked against ``δ``.
+- ``r_i`` and ``l_i`` are the closed forms in ``B``, ``B̂`` and ``K``,
+  row 3 the adjoint of row 2, balanced to equal norms in the frame where
+  ``B = I``.  A form whose relative residual reaches ``δ`` leaves the
+  system undecided.  The singular values of ``N`` are then invariant
+  under a change of basis of the system, and are ranked against ``δ``.
 - A singular value within a factor 10 of ``δ`` makes the decision
   ambiguous; the diagnostic then prints the singular values of ``N`` and
   the threshold.
@@ -66,10 +66,6 @@ GAP_FACTOR = 10.0
 # Least-squares acceptance threshold for the Q system, relative to ‖E‖.
 Q_ACCEPT_TOL = 1e-9
 
-# Relative residual below which a closed-form fixed vector of a diagonal
-# block is used; above it the block is eigensolved instead.
-FORM_TOL = 1e-8
-
 _ROWS = (1, 2, 3, 4)
 
 # The sides of quadrant i of S_c = [[S⁴, S²], [S³, S¹]], rows then
@@ -85,9 +81,10 @@ class DMatrix:
     entries in row-major order are a row-``i`` vector; ``side``, the
     dimension of ``D``, is their total count.  ``D`` is block upper
     triangular, so its spectrum is that of the four diagonal blocks,
-    ``block_eigenvalues``; rows 2 and 3 are ``None`` there when
-    ``mixed`` certifies their cluster instead.  ``forms[i]`` is the
-    closed-form fixed pair of row ``i`` from :func:`_closed_pair`.
+    ``block_eigenvalues``; rows 2 and 3 are ``None`` there, and
+    ``mixed`` certifies their cluster instead (``None`` where it cannot).
+    ``forms[i]`` is the closed-form fixed pair of row ``i`` from
+    :func:`_closed_pairs`.
     ``package`` is the twin package it was built from, the source of the
     fixed vectors and of the step; a hand-built ``D`` has none, and no
     fixed pair.
@@ -102,14 +99,6 @@ class DMatrix:
     @property
     def side(self):
         return int(sum(mask.sum() for mask in self.masks.values()))
-
-    @cached_property
-    def mixed_block(self):
-        """``D_22`` on row-2 vectors, assembled on first use: for the
-        closed-form residuals of equivalent twins, and for the solves and
-        the eigensolve where :attr:`mixed` is ``None``.  ``D_33`` acts
-        through it by :func:`_adjoint`."""
-        return _dense_block(self.package, 2)
 
     @cached_property
     def frame(self):
@@ -174,33 +163,25 @@ def _flat(mats):
     return np.concatenate([m.ravel() for m in mats])
 
 
-def _dense_block(pkg, i, whitened=False):
-    """``D_ii`` on row-``i`` vectors: block ``(a, b)`` is ``S ↦ P S Q†``
-    for the diagonal quadrants ``P``, ``Q`` of ``X_ab`` (``H[a|b]`` or
-    ``Ĥ_ab``) on the two sides of quadrant ``i``, ``kron(P, conj Q)``,
-    and exactly zero for ``b = a⁻¹``.
-
-    ``whitened`` takes the pair blocks in the frame where ``B = I``,
-    ``W_a X_ab W_b⁻¹`` (see :attr:`DMatrix.frame`), which gives ``W D_ii
-    W⁻¹``.
+def _dense_block(pkg):
+    """``W D_22 W⁻¹`` on row-2 vectors, for ``W`` the frame where ``B =
+    I`` (:attr:`DMatrix.frame`): block ``(a, b)`` is ``S ↦ P S Q†`` for
+    the diagonal quadrants ``P = B_a^{1/2} H[a|b] B_b^{-1/2}`` and ``Q =
+    B_{a⁻¹}^{-1/2} Ĥ_ab B_{b⁻¹}^{1/2}`` of the whitened pair block,
+    ``kron(P, conj Q)``, and exactly zero for ``b = a⁻¹``.
     """
     nsys = pkg.original
-    sides = (nsys.h, pkg.hhat)
-    if whitened:
-        roots = nsys.B_roots
-        sides = (lambda a, b: roots[a][0] @ nsys.h(a, b) @ roots[b][1],
-                 lambda a, b: roots[a ^ 1][1] @ pkg.hhat(a, b)
-                 @ roots[b ^ 1][0])
-    rows, cols = _QUADRANTS[i]
-    left, right = sides[rows], sides[cols]
+    roots = nsys.B_roots
     letters = nsys.alphabet.letters
-    sizes = [nsys.dims[c ^ rows] * nsys.dims[c ^ cols] for c in letters]
+    sizes = [nsys.dims[c] * nsys.dims[c ^ 1] for c in letters]
     offs = np.cumsum([0] + sizes)
     out = np.zeros((offs[-1],) * 2, dtype=complex)
     for a in letters:
         for b in letters:
             if a != b ^ 1:
-                p, q = left(a, b), right(a, b).conj()
+                p = roots[a][0] @ nsys.h(a, b) @ roots[b][1]
+                q = (roots[a ^ 1][1] @ pkg.hhat(a, b)
+                     @ roots[b ^ 1][0]).conj()
                 out[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = (
                     p[:, None, :, None] * q[None, :, None, :]).reshape(
                         sizes[a], sizes[b])
@@ -214,24 +195,19 @@ def build_D(pkg):
     [[S⁴, S²], [S³, S¹]]``, and ``D`` is the sphere-sum step
     :func:`~freerep.series.moment_step` on them.  The zero corner of the
     pair block ``X_ab`` makes every block below the diagonal and the
-    block ``(2, 3)`` exactly zero.  The cluster of ``D_22`` is certified
-    by :func:`_mixed_bound`, whose inverse serves the group solves of
-    :func:`_coupling` on rows 2 and 3, so no block of ``D`` is assembled
-    for inequivalent twins.  ``D_22`` (:attr:`DMatrix.mixed_block`) is
-    assembled for the closed-form residuals of equivalent twins, and is
-    eigensolved only where the bound is inconclusive; ``D_33``, ``D_11``
-    and ``D_44`` are formed only where a fixed vector must be eigensolved.
+    block ``(2, 3)`` exactly zero.  ``D_11`` and ``D_44`` take the
+    transfer spectra :func:`~freerep.systems.normalize` certified.  The
+    cluster of ``D_22`` and ``D_33`` is certified by :func:`_mixed_bound`,
+    whose inverse serves the group solves of :func:`_coupling` on rows 2
+    and 3; the whitened ``D_22`` it inverts is the only block of ``D``
+    ever assembled.
     """
     nsys = pkg.original
-    d = DMatrix(block_eigenvalues=(), package=pkg, masks=_row_masks(nsys))
-    d.forms = {i: _closed_pair(d, i) for i in _ROWS}
+    d = DMatrix(block_eigenvalues=(pkg.twin.transfer_spectrum.conj(), None,
+                                   None, nsys.transfer_spectrum.conj()),
+                package=pkg, masks=_row_masks(nsys))
+    d.forms = _closed_pairs(d)
     d.mixed = _mixed_bound(d)
-    mixed = (None, None)
-    if d.mixed is None:
-        vals = np.linalg.eigvals(d.mixed_block)
-        mixed = (vals, vals.conj())
-    d.block_eigenvalues = (pkg.twin.transfer_spectrum.conj(), *mixed,
-                           nsys.transfer_spectrum.conj())
     return d
 
 
@@ -250,7 +226,7 @@ def mixed_certificate(pkg):
     and its twin, so :func:`~freerep.twin.twin_package` takes it before
     any factorization.
     """
-    a = _dense_block(pkg, 2, whitened=True)
+    a = _dense_block(pkg)
     return _certify(np.eye(len(a)) - a, 0)
 
 
@@ -264,17 +240,15 @@ def _mixed_bound(d):
     of ``D_22`` to 0 of ``D_22 − r l`` and keeps the others, so every
     other eigenvalue ``μ`` has ``|1 − μ| ≥ 1/‖A_w⁻¹‖_F``.
 
-    Inconclusive when the bound is below ``GAP_FACTOR·δ``, or when the
-    twins are equivalent and the closed-form pair fails :data:`FORM_TOL`.
+    Inconclusive when the bound is below ``GAP_FACTOR·δ``.  The pair's
+    residual is checked by :func:`eigen_one` before the bound is read.
     """
     pkg = d.package
     if pkg.K is None:
         return pkg.mixed
-    r, l, residual = d.forms[2]
-    if residual >= FORM_TOL:
-        return None
+    r, l, _ = d.forms[2]
     w, w_inv = d.frame
-    a = _dense_block(pkg, 2, whitened=True)
+    a = _dense_block(pkg)
     a = (np.eye(len(a)) - a
          + np.outer(_sandwich(d, 2, r, w), _sandwich(d, 2, l, w_inv.T)))
     return _certify(a, 1)
@@ -300,7 +274,7 @@ class EigenOne:
 
     ``gap`` is a lower bound on the distance to 1 of every eigenvalue
     outside the cluster: exact on rows 1 and 4, and on rows 2 and 3 the
-    :class:`MixedBound` where it decided.
+    bound of the :class:`MixedBound`.
 
     ``sv_profile`` holds the singular values of the coupling matrix ``N``
     (descending) and ``threshold`` the value they are ranked against.
@@ -317,8 +291,11 @@ class EigenOne:
 def eigen_one(d):
     """Count the eigenvalue-1 cluster and its geometric dimension.
 
-    The cluster is read off the diagonal blocks, or off the certificate
-    :attr:`DMatrix.mixed` for rows 2 and 3.  Each block that has an
+    The cluster is read off the spectra of ``D_11`` and ``D_44`` and off
+    the certificate :attr:`DMatrix.mixed` for rows 2 and 3, once every
+    closed-form fixed pair has a relative residual below ``δ``: a vector
+    with residual ``ε`` is an exact fixed vector of ``D_ii`` perturbed by
+    ``ε``, so it lies in the cluster.  Each block that has an
     eigenvalue within ``δ`` of 1 has exactly one; its right and left
     fixed vectors couple through the blocks above the diagonal into the
     strictly upper triangular ``N``, and ``dim_one = mult − rank N``.
@@ -331,14 +308,23 @@ def eigen_one(d):
     UndecidedError
         "ill-conditioned cluster" when an eigenvalue outside the cluster
         lies within ``10·δ`` of 1, with or without a cluster, making the
-        multiplicity count unreliable; and when a diagonal block has more
-        than one eigenvalue in the cluster.
+        multiplicity count unreliable, and when the certificate of rows 2
+        and 3 cannot decide; when a diagonal block has more than one
+        eigenvalue in the cluster; and when a closed-form fixed pair
+        misses its block by ``δ`` or more.
     """
+    for i in _ROWS:
+        form = d.forms.get(i)
+        if form is not None and form[2] >= DELTA:
+            raise UndecidedError("fixed pair of D_%d%d has relative "
+                                 "residual %.1e" % (i, i, form[2]))
     counts = []
     outside = []
     for vals in d.block_eigenvalues:
         if vals is None:
             # rows 2 and 3, certified without their spectrum
+            if d.mixed is None:
+                raise UndecidedError("ill-conditioned cluster")
             counts.append(d.mixed.count)
             outside.append([d.mixed.bound])
             continue
@@ -373,56 +359,50 @@ def _fixed_pair(d, i):
     """Right fixed vector ``r`` and left fixed functional ``l`` of
     ``D_ii`` on block row ``i``, with ``l·r = 1``.
 
-    The closed forms of :func:`_closed_pair` are used when they pass
-    :data:`FORM_TOL`, otherwise the block is eigensolved.  The pair is
-    balanced so that ``r`` and ``l`` have equal norms in the whitened
-    frame of :func:`_whitened_norms`, which makes ``N`` a gauge invariant
-    up to the phases of its rows and columns.
+    The closed-form pair of :func:`_closed_pairs`, balanced so that ``r``
+    and ``l`` have equal norms in the whitened frame of
+    :func:`_whitened_norms`, which makes ``N`` a gauge invariant up to the
+    phases of its rows and columns.
     """
-    forms = d.forms[i]
-    if forms is not None and forms[2] < FORM_TOL:
-        r, l, _ = forms
-    else:
-        r, l = _eig_pair(_dense_block(d.package, i))
-        l = l / (l @ r)
+    r, l, _ = d.forms[i]
     r_norm, l_norm = _whitened_norms(d, i, r, l)
     scale = np.sqrt(l_norm / r_norm)
     return r * scale, l / scale
 
 
-def _closed_pair(d, i):
-    """The closed forms of :func:`_fixed_forms` as a right vector ``r``
-    and a left functional ``l`` of row ``i``, ``l·r = 1``, with the
-    larger of their relative residuals; ``None`` where there is no form.
+def _closed_pairs(d):
+    """The closed forms of :func:`_fixed_forms` per row ``i``: a right
+    vector ``r`` and a left functional ``l``, ``l·r = 1``, with a relative
+    residual; ``None`` where there is no form.
 
     ``D_11`` and ``D_44`` are the dual transfer operators of the twin and
-    of the system, so their residuals are the ``fix_residual`` of ``B``
-    and of ``B̂``, which the system and its twin store; rows 2 and 3 are
-    measured on the assembled ``D_22``, row 3 through :func:`_adjoint`,
-    which keeps norms.
+    of the system, so their residual is the larger ``fix_residual`` of
+    ``B`` and of ``B̂``, which the system and its twin store.  Row 2's is
+    the right residual ``‖D_22 r − r‖/‖r‖``, one step of
+    :func:`~freerep.series.moment_step`; ``l = (B̂_a K_a)`` needs no check
+    of its own, since ``K`` enters through ``r`` and ``B̂`` through
+    ``fix_residual``.  Row 3's pair is row 2's through :func:`_adjoint`,
+    with the same residual: ``D_33 = adj D_22 adj``, and the map keeps
+    norms and ``l·r = 1``.
     """
     pkg = d.package
-    forms = _fixed_forms(pkg, i)
-    if forms is None:
-        return None
-    r, l = _flat(forms[0]), _flat(m.T for m in forms[1])
-    if i in (1, 4):
-        residual = max(pkg.original.fix_residual, pkg.twin.fix_residual)
-    else:
-        x, y = (r, l) if i == 2 else (_adjoint(d, 3, r), _adjoint(d, 3, l))
-        block = d.mixed_block
-        residual = max(np.linalg.norm(block @ x - x) / np.linalg.norm(x),
-                       np.linalg.norm(y @ block - y) / np.linalg.norm(y))
-    return r, l / (l @ r), residual
-
-
-def _eig_pair(block):
-    """Right and left eigenvectors of ``block`` for its eigenvalue
-    nearest 1."""
-    vals, vecs = np.linalg.eig(block)
-    lvals, lvecs = np.linalg.eig(block.T)
-    return (vecs[:, np.argmin(np.abs(vals - 1.0))],
-            lvecs[:, np.argmin(np.abs(lvals - 1.0))])
+    nsys = pkg.original
+    out = dict.fromkeys(_ROWS)
+    for i in (1, 2, 4):
+        forms = _fixed_forms(pkg, i)
+        if forms is None:
+            continue
+        r, l = _flat(forms[0]), _flat(m.T for m in forms[1])
+        if i == 2:
+            image = moment_step(nsys, _moment(d, 2, r))[d.masks[2]]
+            residual = np.linalg.norm(image - r) / np.linalg.norm(r)
+        else:
+            residual = max(nsys.fix_residual, pkg.twin.fix_residual)
+        out[i] = (r, l / (l @ r), residual)
+    if out[2] is not None:
+        r, l, residual = out[2]
+        out[3] = (_adjoint(d, 2, r), _adjoint(d, 2, l), residual)
+    return out
 
 
 def _adjoint(d, i, vec):
@@ -486,22 +466,15 @@ def _group_solve(d, i, pairs, y):
     Without a fixed pair ``A`` is invertible and ``G = A⁻¹``.  With the
     fixed pair ``(r, l)``, ``l·r = 1``, the kernel of ``A`` is simple and
     ``G = (A + r l)⁻¹ − r l``.  Row 2 reads that inverse off its
-    :class:`MixedBound` where one was certified, as ``W⁻¹ A_w⁻¹ W``, and
-    takes one LU solve where not.  Row 3 is row 2 through
+    :class:`MixedBound`, as ``W⁻¹ A_w⁻¹ W``.  Row 3 is row 2 through
     :func:`_adjoint`: the group inverse is unique, so ``G_33 = adj G_22
     adj``.
     """
     if i == 3:
         return _adjoint(d, 2, _group_solve(d, 2, pairs, _adjoint(d, 3, y)))
+    w, w_inv = d.frame
+    x = _sandwich(d, 2, d.mixed.inverse @ _sandwich(d, 2, y, w), w_inv)
     pair = pairs.get(2)
-    if d.mixed is not None:
-        w, w_inv = d.frame
-        x = _sandwich(d, 2, d.mixed.inverse @ _sandwich(d, 2, y, w), w_inv)
-    else:
-        a = np.eye(y.size) - d.mixed_block
-        if pair is not None:
-            a += np.outer(*pair)
-        x = np.linalg.solve(a, y)
     if pair is None:
         return x
     r, l = pair
@@ -509,12 +482,14 @@ def _group_solve(d, i, pairs, y):
 
 
 def _fixed_forms(pkg, i):
-    """Closed-form right and left fixed tuples of ``D_ii``.
+    """Closed-form right and left fixed tuples of ``D_ii``, ``i`` in 1,
+    2, 4.
 
     The left tuple ``t`` is the functional ``S ↦ Σ_a tr(t_a S_a)``.  Rows
     1 and 4 are the transfer operators of the twin and of the system,
-    fixed by ``B`` and ``B̂``; rows 2 and 3 need the equivalence tuple
-    ``K`` (``K_a H_ab = Ĥ_ab K_b``), and are ``None`` without it.
+    fixed by ``B`` and ``B̂``; row 2 needs the equivalence tuple ``K``
+    (``K_a H_ab = Ĥ_ab K_b``), and is ``None`` without it.  Row 3 is row
+    2 through :func:`_adjoint` (:func:`_closed_pairs`).
     """
     nsys, tw, K = pkg.original, pkg.twin, pkg.K
     size = nsys.alphabet.size
@@ -527,12 +502,8 @@ def _fixed_forms(pkg, i):
                 tuple(B[a] for a in range(size)))
     if K is None:
         return None
-    if i == 2:
-        return (tuple(np.linalg.solve(K[a], B[a ^ 1]) for a in range(size)),
-                tuple(Bh[a] @ K[a] for a in range(size)))
-    return (tuple(np.linalg.solve(K[a ^ 1].T, B[a ^ 1].T).T
-                  for a in range(size)),
-            tuple(K[a].conj().T @ Bh[a] for a in range(size)))
+    return (tuple(np.linalg.solve(K[a], B[a ^ 1]) for a in range(size)),
+            tuple(Bh[a] @ K[a] for a in range(size)))
 
 
 def trace_condition(pkg):
@@ -603,6 +574,13 @@ def q_least_squares(pkg, d=None):
     A vanishing ``E`` (the maps cancel identically, which happens on a
     genuine sub-family) gives the zero tuple, the canonical exact
     solution.
+
+    Raises
+    ------
+    UndecidedError
+        "ill-conditioned cluster" when ``E`` does not vanish and the
+        ``D_22`` certificate, whose inverse gives ``Q``, cannot decide
+        (:attr:`DMatrix.mixed` is ``None``).
     """
     nsys = pkg.original
     if frob_tuple(pkg.E.values()) < 1e-12 * frob_tuple(nsys.B):
@@ -611,6 +589,8 @@ def q_least_squares(pkg, d=None):
         return Q, q_residual(pkg, Q)
     if d is None:
         d = build_D(pkg)
+    if d.mixed is None:
+        raise UndecidedError("ill-conditioned cluster")
     pairs = {2: _fixed_pair(d, 2)} if pkg.K is not None else {}
     c = moment_step(nsys, _moment(d, 4, d.forms[4][0]))[d.masks[2]]
     Y = _unvec_tuple(_group_solve(d, 2, pairs, c), pkg.twin.dims, nsys.dims)
@@ -646,7 +626,8 @@ def solve_Q(pkg):
     The candidate of :func:`q_least_squares` is accepted only if its
     relative residual is below :data:`Q_ACCEPT_TOL`; it is then
     antisymmetrized (``Q_a ← (Q_a − Q_{a⁻¹}†)/2``, again a solution) and
-    re-verified by substitution.
+    re-verified by substitution.  Raises :class:`UndecidedError` ("ill-
+    conditioned cluster") where :func:`q_least_squares` does.
     """
     return _accept_Q(pkg, *q_least_squares(pkg))
 
@@ -702,11 +683,16 @@ def classify(nsys):
 
     Assembles the twin package, whose ``D_22`` certificate decides
     inequivalent twins and whose SVD gives ``K`` otherwise, and the block
-    matrix; analyzes the eigenvalue-1 cluster; reads the Q candidate off
-    the row-2 resolvent and accepts it by substitution; evaluates the
-    trace obstruction when twins are equivalent; and cross-checks every
-    relation the class label implies.  Inconsistencies downgrade the
-    verdict to ``undecided`` with diagnostics instead of forcing a label.
+    matrix; analyzes the eigenvalue-1 cluster, which reads ``undecided``
+    where the certificate cannot decide or a closed-form fixed pair does
+    not hold; reads the Q candidate off the row-2 resolvent and accepts it
+    by substitution; evaluates the trace obstruction when twins are
+    equivalent; and cross-checks the relations the class label implies.
+    Inconsistencies downgrade the verdict to ``undecided`` with
+    diagnostics instead of forcing a label.  The multiplicity is 4 for
+    equivalent twins and 2 otherwise by construction (rows 1 and 4 count
+    the Perron roots, rows 2 and 3 count ``K``), and ``N_23 = 0`` keeps
+    ``dim_one ≥ 2`` for equivalent twins.
     """
     diagnostics = []
     pkg = twin_package(nsys)
@@ -730,16 +716,6 @@ def classify(nsys):
     trace_val, trace_scale = (0j, 0.0)
     if equivalent:
         trace_val, trace_scale = trace_condition(pkg)
-    # structural consistency checks; failures mean the numerics disagree
-    # with the dichotomy and the result cannot be trusted
-    expected_mult = 4 if equivalent else 2
-    if eig.mult_one != expected_mult:
-        diagnostics.append(
-            "multiplicity %d inconsistent with %s twins"
-            % (eig.mult_one, "equivalent" if equivalent else "inequivalent")
-        )
-    if equivalent and eig.dim_one == 1:
-        diagnostics.append("dimension 1 with equivalent twins is impossible")
     if eig.ambiguous:
         diagnostics.append(
             "rank decision ambiguous near threshold; singular values of "

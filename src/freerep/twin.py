@@ -123,15 +123,13 @@ class EquivalenceResult:
     diagnostic: str = ""
 
 
-def _intertwiner_svd(ns1, ns2):
-    """Singular values and right singular vectors of ``M : (J_a) ↦ (H2_ba
-    J_a − J_b H1_ba)``.
+def _intertwiner_matrix(ns1, ns2):
+    """The intertwining operator ``M : (J_a) ↦ (H2_ba J_a − J_b H1_ba)``.
 
     ``M`` has one row block per pair in ``pairs()`` order, the order of
     the stacked ``E`` maps, and one column block per letter ``c`` holding
     ``J_c : V1_c → V2_c`` row-major.  The pair ``(c, c)`` spans the whole
-    column block ``c``, so ``M`` has at least as many rows as columns and
-    ``vh`` is square.
+    column block ``c``, so ``M`` has at least as many rows as columns.
     """
     dims1, dims2 = ns1.dims, ns2.dims
     offs = _offsets(dims1, dims2)
@@ -141,7 +139,17 @@ def _intertwiner_svd(ns1, ns2):
         row[:, offs[a]:offs[a + 1]] += kron(ns2.h(b, a), np.eye(dims1[a]))
         row[:, offs[b]:offs[b + 1]] -= kron(np.eye(dims2[b]), ns1.h(b, a).T)
         rows.append(row)
-    _, sv, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    return np.vstack(rows)
+
+
+def _intertwiner_svd(ns1, ns2):
+    """Singular values and the square ``vh`` of right singular vectors of
+    :func:`_intertwiner_matrix`, from the SVD of the square ``R`` of its
+    QR factorization, ``M = Q R``: they are those of ``M``, and the tall
+    left factor of ``M`` is never formed.
+    """
+    _, sv, vh = np.linalg.svd(
+        np.linalg.qr(_intertwiner_matrix(ns1, ns2), mode="r"))
     return sv, vh
 
 

@@ -1,8 +1,11 @@
 """Block matrix assembly, eigenvalue-1 analysis, Q solve, trace
 obstruction, and the class decision."""
 
+import ast
+import dataclasses
 import functools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dense_d import dense_D
 from freerep import generate, spectral
 from freerep import systems
+from freerep import twin as twin_module
 from freerep.series import moment_step
 from freerep.systems import (
     MatrixSystem,
@@ -95,12 +99,23 @@ def diag_block_apply(pkg, i, tuple_of_mats):
     return tuple(out)
 
 
+def _row3_forms(pkg):
+    """Oracle for the row-3 pair, which ``build_D`` takes as the adjoint of
+    row 2's: the right tuple ``(B_{a⁻¹} K_{a⁻¹}⁻¹)_a`` and the left tuple
+    ``(K_a† B̂_a)_a``."""
+    B, Bh, K = pkg.original.B, pkg.twin.B, pkg.K
+    letters = range(len(K))
+    return (tuple(np.linalg.solve(K[a ^ 1].T, B[a ^ 1].T).T for a in letters),
+            tuple(K[a].conj().T @ Bh[a] for a in letters))
+
+
 def diag_eigvec_tuples(pkg):
     """The four diagonal-block fixed tuples built from ``B``, ``B̂``, ``K``."""
     if pkg.K is None:
         raise ValueError("K missing: diagonal eigenvector check requires "
                          "equivalent twins")
-    return tuple(_fixed_forms(pkg, i)[0] for i in (1, 2, 3, 4))
+    return (_fixed_forms(pkg, 1)[0], _fixed_forms(pkg, 2)[0],
+            _row3_forms(pkg)[0], _fixed_forms(pkg, 4)[0])
 
 
 def diag_eigvec_check(pkg):
@@ -178,6 +193,59 @@ def _eigen_one_dense(d, delta=DELTA):
         ambiguous=near.size > 0,
         threshold=thresh,
     )
+
+
+def _eig_pair(block):
+    """Right and left eigenvectors of ``block`` for its eigenvalue
+    nearest 1."""
+    vals, vecs = np.linalg.eig(block)
+    lvals, lvecs = np.linalg.eig(block.T)
+    return (vecs[:, np.argmin(np.abs(vals - 1.0))],
+            lvecs[:, np.argmin(np.abs(lvals - 1.0))])
+
+
+def _eig_coupling(d):
+    """Oracle for the coupling ``N`` of :func:`eigen_one` on equivalent
+    twins: the fixed pairs of the dense diagonal blocks from eigensolves,
+    balanced as the closed forms are, coupled through dense group
+    inverses ``(I − D_mm + r l)⁻¹ − r l``."""
+    dense = dense_D(d.package)
+    pairs, groups = {}, {}
+    for i in _ROWS:
+        block = dense.block(i, i)
+        r, l = _eig_pair(block)
+        l = l / (l @ r)
+        r_norm, l_norm = spectral._whitened_norms(d, i, r, l)
+        scale = np.sqrt(l_norm / r_norm)
+        pairs[i] = (r * scale, l / scale)
+        rl = np.outer(*pairs[i])
+        groups[i] = np.linalg.inv(np.eye(len(block)) - block + rl) - rl
+    n = np.zeros((4, 4), dtype=complex)
+    for j in _ROWS:
+        c = {}
+        for i in range(j - 1, 0, -1):
+            c[i] = dense.block(i, j) + sum(
+                dense.block(i, m) @ groups[m] @ c[m] for m in range(i + 1, j))
+            n[i - 1, j - 1] = pairs[i][1] @ c[i] @ pairs[j][0]
+    return n
+
+
+def _linalg_calls(source, names):
+    """Line numbers of every ``np.linalg.<name>`` call, and of every
+    import of one from ``numpy.linalg``, in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        called = (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in names
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "linalg")
+        imported = (isinstance(node, ast.ImportFrom)
+                    and node.module == "numpy.linalg"
+                    and {a.name for a in node.names} & set(names))
+        if called or imported:
+            found.append(node.lineno)
+    return found
 
 
 def _spectrum_gap(x, y):
@@ -447,14 +515,14 @@ class TestBuildD:
 
     @pytest.mark.parametrize("index", [0, 10, 17, 19])
     def test_dense_blocks_match_oracle(self, index):
-        # build_D assembles D_22 alone; D_33 is formed only for an
-        # eigensolve of its fixed vectors
+        # build_D assembles one block, D_22 in the frame where B = I
         pkg = twin_package(normalize(_metamorphic_pool()[index]))
         d, oracle = build_D(pkg), dense_D(pkg)
         assert d.side == oracle.side
-        blocks = {2: d.mixed_block, 3: spectral._dense_block(pkg, 3)}
-        for i in (2, 3):
-            assert np.array_equal(blocks[i], oracle.block(i, i))
+        w = _frame_oracle(pkg.original)
+        want = w @ oracle.block(2, 2) @ np.linalg.inv(w)
+        got = spectral._dense_block(pkg)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_no_dense_D(self):
         # a dense D of this system (side 784) takes 9.8 MB; holding only
@@ -530,27 +598,56 @@ class TestEigenOne:
         if not want.ambiguous:
             assert eig.dim_one == want.dim_one
 
-    def test_eig_fallback_agrees_with_closed_forms(self, monkeypatch):
-        # a tolerance no closed form meets sends every block to eig
+    def test_eig_fallback_agrees_with_closed_forms(self):
+        # the eigensolve that once stood in for a closed form is the
+        # oracle: eigenvectors of the dense diagonal blocks give the N of
+        # the closed forms, row 3 the adjoint of row 2
         d = build_D(twin_package(normalize(_gate_systems()[1])))
         closed = eigen_one(d)
-        solved = []
-        eig = np.linalg.eig
+        sv = np.linalg.svd(_eig_coupling(d), compute_uv=False)
+        assert closed.mult_one == 4
+        assert 4 - int(np.sum(sv >= DELTA)) == closed.dim_one == 2
+        np.testing.assert_allclose(sv[:2], closed.sv_profile[:2], rtol=1e-8)
 
-        def recording(m):
-            solved.append(np.shape(m))
-            return eig(m)
+    def test_inexact_K_reads_undecided(self):
+        # K_0 off by 1e-4: the row-2 pair misses D_22 by more than δ,
+        # which is checked before the certificate is read
+        pkg = twin_package(normalize(_gate_systems()[0]))
+        K = (pkg.K[0] * (1 + 1e-4),) + pkg.K[1:]
+        d = build_D(dataclasses.replace(pkg, K=K))
+        assert d.forms[2][2] >= DELTA
+        with pytest.raises(UndecidedError, match="pair of D_22 has relative"):
+            eigen_one(d)
 
-        monkeypatch.setattr(spectral, "FORM_TOL", 0.0)
-        monkeypatch.setattr(np.linalg, "eig", recording)
-        fallback = eigen_one(d)
-        assert len(solved) == 8
-        assert fallback.dim_one == closed.dim_one == 2
-        np.testing.assert_allclose(fallback.sv_profile[:2],
-                                   closed.sv_profile[:2], rtol=1e-8)
+    def test_n23_vanishes_on_equivalent_twins(self):
+        # D_23 = 0, so rows 2 and 3 of N are parallel, rank N ≤ 2 and
+        # dim_one ≥ 2: equivalent twins never have dimension 1
+        equivalent = 0
+        for name in sorted(_MIXED_SYSTEMS):
+            d = _built_D(name)
+            if d.package.K is None:
+                continue
+            equivalent += 1
+            pairs = {i: spectral._fixed_pair(d, i) for i in _ROWS}
+            assert spectral._coupling(d, pairs)[1, 2] == 0
+            assert eigen_one(d).dim_one >= 2
+        assert equivalent == 25
 
 
 class TestDiagEigvec:
+    @pytest.mark.parametrize("name", ["s0", "bi-1", "pool-0", "pool-11"])
+    def test_row3_pair_is_row2_adjoint(self, name):
+        # build_D's row-3 pair against the K formula for row 3
+        d = _built_D(name)
+        right, left = _row3_forms(d.package)
+        r, l = (np.concatenate([m.ravel() for m in t])
+                for t in (right, tuple(m.T for m in left)))
+        l = l / (l @ r)
+        got_r, got_l, residual = d.forms[3]
+        assert residual == d.forms[2][2]
+        assert np.linalg.norm(got_r - r) <= 1e-12 * np.linalg.norm(r)
+        assert np.linalg.norm(got_l - l) <= 1e-12 * np.linalg.norm(l)
+
     def test_s0_residuals(self, s0_pkg):
         res = diag_eigvec_check(s0_pkg)
         assert len(res) == 4
@@ -687,13 +784,14 @@ class TestSolveQ:
             assert frob_tuple(gap) <= 1e-10 * frob_tuple(want_Q)
 
     def test_classify_factorizes_M_once(self, monkeypatch):
-        # the D_22 certificate decides inequivalent twins with no SVD of
-        # M and Q needs none; equivalent twins take one SVD, for K
-        seen = _recorded(monkeypatch, "svd")
+        # the D_22 certificate decides inequivalent twins with no
+        # factorization of M and Q needs none; equivalent twins take one
+        # QR of M, for K
+        seen = _recorded(monkeypatch, "qr")
         solves = []
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kwargs: solves.append(args))
-        for name, label, svds in (("ai-1", "AI", 0), ("s0", "BII", 1)):
+        for name, label, qrs in (("ai-1", "AI", 0), ("s0", "BII", 1)):
             nsys = normalize(_Q_ORACLE_SYSTEMS[name]())
             dims = nsys.dims
             shape = (sum(dims[b ^ 1] * dims[a]
@@ -703,8 +801,38 @@ class TestSolveQ:
             rep = classify(nsys)
             assert rep.class_label == label
             assert (rep.Q is not None) == (label == "AI")
-            assert [x.shape for x, _ in seen].count(shape) == svds
+            assert [x.shape for x, _ in seen].count(shape) == qrs
         assert solves == []
+
+    def test_K_matches_svd_of_M(self):
+        # the null vector of M from the SVD of its R factor against the
+        # SVD of M itself
+        equivalent = []
+        for name in sorted(_Q_ORACLE_SYSTEMS):
+            pkg = _built_D(name).package
+            got = solve_equivalence(pkg.original, pkg.twin)
+            if got.K is None:
+                continue
+            equivalent.append(name)
+            vh = np.linalg.svd(twin_module._intertwiner_matrix(
+                pkg.original, pkg.twin), full_matrices=False)[2]
+            want = twin_module._pin_phase(twin_module._unvec_tuple(
+                vh[-1].conj(), pkg.original.dims, pkg.twin.dims))
+            assert frob_tuple(tuple(
+                g - w for g, w in zip(got.K, want))) <= 1e-12
+        assert equivalent == ["bi-1", "bi-2", "bi-3", "bi-e0-0", "s0",
+                              "self-twin-0"]
+
+    @pytest.mark.parametrize("name", ["ai-1", "s0"])
+    def test_undecided_without_certificate(self, name, monkeypatch):
+        # Q is read off the certificate's inverse; without it there is
+        # no Q to read
+        monkeypatch.setattr(spectral, "_mixed_bound", lambda d: None)
+        pkg = twin_package(normalize(_Q_ORACLE_SYSTEMS[name]()))
+        for solve in (q_least_squares, solve_Q):
+            with pytest.raises(UndecidedError,
+                               match="ill-conditioned cluster"):
+                solve(pkg)
 
 
 class TestClassify:
@@ -754,10 +882,8 @@ class TestClassify:
                  for name in ("eigvals", "eig", "inv", "svd")}
         built = []
         monkeypatch.setattr(spectral, "_dense_block",
-                            lambda pkg, i, whitened=False,
-                            _build=spectral._dense_block:
-                            built.append((i, whitened))
-                            or _build(pkg, i, whitened))
+                            lambda pkg, _build=spectral._dense_block:
+                            built.append(pkg) or _build(pkg))
         report = classify(nsys)
         d = dense_D(report.package)
         assert not [m for seen in calls.values() for m, _ in seen
@@ -766,20 +892,30 @@ class TestClassify:
         assert [m.shape for m, _ in calls["inv"]] == [d.block(2, 2).shape]
         assert report.rho_D == float(np.max(np.abs(nsys.transfer_spectrum)))
         # with inequivalent twins the certificate's inverse serves every
-        # solve, so no block of D is assembled in raw coordinates
-        assert built == [(2, True)]
+        # solve, so the whitened D_22 is assembled once
+        assert built == [report.package]
+
+    def test_spectral_calls_no_eig_or_eigvals(self):
+        # the scan flags both calls and imports; spectral.py has none
+        probe = ("import numpy as np\nfrom numpy.linalg import eigvals\n"
+                 "np.linalg.eig(a)\nnumpy.linalg.eigvals(a)\n"
+                 "np.linalg.eigh(a)\n")
+        assert _linalg_calls(probe, {"eig", "eigvals"}) == [2, 3, 4]
+        source = Path(spectral.__file__).read_text(encoding="utf-8")
+        assert _linalg_calls(source, {"eig", "eigvals"}) == []
 
     def test_ambiguous_rank_reports_margin(self, monkeypatch):
-        # δ = 0.02 sits within a factor 10 of the second singular value
-        # of N (0.0212) on this system
+        # δ = 0.01 sits within a factor 10 of the second singular value
+        # of N (0.0212) on this system, and 10δ below the bound 0.1201
+        # of the D_22 certificate
         nsys = normalize(_gate_systems()[0])
-        monkeypatch.setattr(spectral, "DELTA", 0.02)
+        monkeypatch.setattr(spectral, "DELTA", 0.01)
         report = classify(nsys)
         assert report.class_label == "undecided"
         [diag] = [m for m in report.diagnostics if "ambiguous" in m]
         assert "singular values of N: %s" % (report.sv_profile,) in diag
-        assert "threshold 2.0e-02" in diag
-        assert 0.002 < report.sv_profile[1] < 0.2
+        assert "threshold 1.0e-02" in diag
+        assert 0.001 < report.sv_profile[1] < 0.1
 
 
 class TestBlockSpectra:
@@ -987,13 +1123,12 @@ class TestMixedBound:
     def test_bound_on_conditioned_copies(self, name, monkeypatch):
         # at gauge condition 1e3 the forms B and K, computed in the
         # conditioned basis, carry about 1e-6 relative error into the
-        # frame (worst 2.5e-6 measured), and so does the bound; a copy
-        # whose closed-form pair fails FORM_TOL is left to the eigensolve
+        # frame (worst 2.5e-6 measured), and so does the bound; every
+        # copy is certified
         base, copies, _ = TestGaugeConditioning.BASES[name]
         sys_ = base()
         want = build_D(twin_package(normalize(sys_))).mixed.bound
         svds = _recorded(monkeypatch, "svd")
-        decided = 0
         for seed in range(3):
             rng = np.random.default_rng(seed)
             for _ in range(copies):
@@ -1005,13 +1140,8 @@ class TestMixedBound:
                 assert (pkg.mixed is None) == pkg.equivalent
                 assert bool(svds) == pkg.equivalent
                 d = build_D(pkg)
-                forms = d.forms[2]
-                if forms is not None and forms[2] >= spectral.FORM_TOL:
-                    assert d.mixed is None
-                    continue
-                decided += 1
+                assert eigen_one(d).mult_one == 2 + 2 * pkg.equivalent
                 assert abs(d.mixed.bound - want) <= 1e-5 * want
-        assert decided >= copies
 
     @pytest.mark.parametrize("name", sorted(_MIXED_SYSTEMS))
     def test_row3_group_solve_is_row2_adjoint(self, name):
@@ -1036,19 +1166,17 @@ class TestMixedBound:
     @pytest.mark.parametrize("name", ["pool-0", "pool-11", "pool-17",
                                       "pool-19", "aii-1", "wide-3", "s0"])
     def test_forced_fallback_keeps_decision(self, name, monkeypatch):
-        d, block, _, _ = _mixed_case(name)
-        nsys = d.package.original
-        certified = classify(nsys)
+        # without the certificate there is no eigensolve to fall back on:
+        # the system reads undecided (test_bound_is_sound holds the
+        # certificate against eigvals of the dense D_22)
+        nsys = _built_D(name).package.original
+        assert classify(nsys).class_label != "undecided"
         monkeypatch.setattr(spectral, "_mixed_bound", lambda d: None)
-        calls = _recorded(monkeypatch, "eigvals")
-        fallback = classify(nsys)
-        [(m, _)] = calls
-        assert np.array_equal(m, block)
-        assert _decision(fallback) == _decision(certified)
-        assert certified.class_label != "undecided"
-        # the eigensolve adds only rounding: on the non-normal D_22 of
-        # gauge copy 11 it reads ρ(D_22) = 1 + 2.4e-14
-        assert 0 <= fallback.rho_D - certified.rho_D <= 1e-13
+        calls = [_recorded(monkeypatch, n) for n in ("eig", "eigvals")]
+        report = classify(nsys)
+        assert report.class_label == "undecided"
+        assert report.diagnostics == ["ill-conditioned cluster"]
+        assert calls == [[], []]
 
 
 _METAMORPHIC =settings(derandomize=True, database=None, max_examples=5,
