@@ -626,8 +626,8 @@ def solve_Q(pkg):
     The candidate of :func:`q_least_squares` is accepted only if its
     relative residual is below :data:`Q_ACCEPT_TOL`; it is then
     antisymmetrized (``Q_a ← (Q_a − Q_{a⁻¹}†)/2``, again a solution) and
-    re-verified by substitution.  Raises :class:`UndecidedError` ("ill-
-    conditioned cluster") where :func:`q_least_squares` does.
+    re-verified by substitution.  Raises :class:`UndecidedError`
+    ("ill-conditioned cluster") where :func:`q_least_squares` does.
     """
     return _accept_Q(pkg, *q_least_squares(pkg))
 
