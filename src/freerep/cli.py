@@ -65,8 +65,8 @@ def _load_or_fail(path):
     except json.JSONDecodeError as exc:
         return None, ("malformed JSON in %s: line %d column %d (%s)"
                       % (path, exc.lineno, exc.colno, exc.msg))
-    except FileNotFoundError:
-        return None, "no such file: %s" % path
+    except OSError as exc:
+        return None, "cannot read %s: %s" % (path, exc.strerror or exc)
     except ValueError as exc:
         return None, "%s: %s" % (path, exc)
     violations = validate(doc.system)
@@ -236,11 +236,17 @@ def classification_report(sysdoc, tol, nmax, seed=None):
 
 
 def _write_or_print(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-        print("wrote: %s" % out)
+    """Print ``text`` or write it to ``out``; ``False`` after an error line
+    when ``out`` cannot be written."""
+    if out is not None:
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            _err("cannot write %s: %s" % (out, exc.strerror or exc))
+            return False
+        text = "wrote: %s\n" % out
+    sys.stdout.write(text)
+    return True
 
 
 def cmd_validate(args):
@@ -271,8 +277,8 @@ def cmd_normalize(args):
         _err("normalization undecided: %s" % exc)
         return EXIT_UNDECIDED
     out_doc = system_to_doc(nsys.system, B=nsys.B, label=doc.label)
-    _write_or_print(dump_json(out_doc), args.out)
-    return EXIT_OK
+    written = _write_or_print(dump_json(out_doc), args.out)
+    return EXIT_OK if written else EXIT_INVALID
 
 
 def _flag_errors(args):
@@ -323,6 +329,12 @@ def cmd_classify(args):
             _err("--out-dir would write %s more than once; give the inputs "
                  "distinct file names" % ", ".join(clashes))
             return EXIT_INVALID
+        try:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _err("cannot create --out-dir %s: %s"
+                 % (args.out_dir, exc.strerror or exc))
+            return EXIT_INVALID
     invalid = False
     undecided = False
     for path, target in zip(args.paths, targets):
@@ -331,11 +343,10 @@ def cmd_classify(args):
             _err(msg)
             invalid = True
             continue
-        if code == EXIT_UNDECIDED:
+        if not _write_or_print(dump_json(report), target):
+            invalid = True
+        elif code == EXIT_UNDECIDED:
             undecided = True
-        if args.out_dir is not None:
-            target.parent.mkdir(parents=True, exist_ok=True)
-        _write_or_print(dump_json(report), target)
     if invalid:
         return EXIT_INVALID
     return EXIT_UNDECIDED if undecided else EXIT_OK
@@ -395,7 +406,8 @@ def cmd_series(args):
                      "another --out" % (mirror_path, what))
                 return EXIT_INVALID
     series = sphere_sums(f, f, args.nmax)
-    _write_or_print(series_csv(series), args.out)
+    if not _write_or_print(series_csv(series), args.out):
+        return EXIT_INVALID
     if args.out is not None:
         mirror = {
             "label": doc.label,
@@ -405,7 +417,8 @@ def cmd_series(args):
             "v_norm": float(series.v_norm),
             "s": [float(sn) for sn in series.s],
         }
-        _write_or_print(dump_json(mirror), str(mirror_path))
+        if not _write_or_print(dump_json(mirror), str(mirror_path)):
+            return EXIT_INVALID
     return EXIT_OK
 
 
@@ -428,8 +441,8 @@ def cmd_demo(args):
     except (UndecidedError, RuntimeError) as exc:
         _err("normalization undecided: %s" % exc)
         return EXIT_UNDECIDED
-    _write_or_print(dump_json(report), args.out)
-    return code
+    written = _write_or_print(dump_json(report), args.out)
+    return code if written else EXIT_INVALID
 
 
 def build_parser():

@@ -16,20 +16,23 @@ matrix whose only nonzero quadrants are the ``S^j``, read at quadrant
 its blocks are exactly zero.  Its diagonal blocks are the dual transfer
 operators of the twin (``D_11``) and of the system (``D_44``) and a
 mutually conjugate pair (``D_22``, ``D_33``), each with eigenvalue 1 at
-most once.  The eigenvalue-1 analysis reads that structure:
+most once.  The eigenvalue-1 analysis reads that structure, one
+:class:`Cluster` per diagonal block and no eigensolve:
 
-- ``mult_one`` counts the eigenvalues of the four diagonal blocks within
-  ``δ`` of 1, and ``gap`` bounds the distance to 1 of the others from
-  below.  ``D_11`` and ``D_44`` have the conjugated transfer spectra of
-  the twin and of the system, which :func:`~freerep.systems.normalize`
-  already certified.  ``D_33`` has the conjugate spectrum of ``D_22``,
-  whose cluster is certified without an eigensolve: with ``A = I − D_22``,
-  plus ``r l`` for its fixed pair when the twins are equivalent, every
-  eigenvalue ``μ`` of ``D_22`` but that fixed one has ``|1 − μ| ≥
-  σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F`` for ``A_w`` the matrix ``A`` in the frame
-  where ``B = I`` (Trefethen & Embree, *Spectra and Pseudospectra*,
-  2005).  One inverse gives that bound; when it is below ``10·δ`` the
-  system is undecided.  Without ``r l`` the same bound decides the twins
+- A cluster counts the eigenvalues of its block within ``δ`` of 1 and
+  bounds the distance to 1 of the others; ``mult_one`` sums the counts
+  and ``gap`` is the least bound.  ``D_11`` and ``D_44`` have the
+  conjugated transfer spectra of the twin and of the system: each counts
+  its Perron root, with the Perron gap
+  (:attr:`~freerep.systems.NormalizedSystem.perron_gap`) as bound.
+  ``D_33`` has the conjugate spectrum of ``D_22``, whose cluster is
+  certified from a resolvent: with ``A = I − D_22``, plus ``r l`` for
+  its fixed pair when the twins are equivalent, every eigenvalue ``μ`` of
+  ``D_22`` but that fixed one has ``|1 − μ| ≥ σ_min(A_w) ≥
+  1/‖A_w⁻¹‖_F`` for ``A_w`` the matrix ``A`` in the frame where ``B =
+  I`` (Trefethen & Embree, *Spectra and Pseudospectra*, 2005).  One
+  inverse gives that bound; when it is below ``10·δ`` the system is
+  undecided.  Without ``r l`` the same bound decides the twins
   inequivalent in :func:`~freerep.twin.twin_package`, which hands its
   inverse on.
 - ``dim_one = mult_one − rank N``.  ``N`` is the strictly upper
@@ -40,10 +43,11 @@ most once.  The eigenvalue-1 analysis reads that structure:
   on row 2 and, through the adjoint, on row 3).  It is at most 4×4, so
   its rank is read from its singular values.
 - ``r_i`` and ``l_i`` are the closed forms in ``B``, ``B̂`` and ``K``,
-  row 3 the adjoint of row 2, balanced to equal norms in the frame where
-  ``B = I``.  A form whose relative residual reaches ``δ`` leaves the
-  system undecided.  The singular values of ``N`` are then invariant
-  under a change of basis of the system, and are ranked against ``δ``.
+  row 3 the adjoint of row 2, balanced once by :func:`build_D` to equal
+  norms in the frame where ``B = I``.  A form whose relative residual
+  reaches ``δ`` leaves the system undecided.  The singular values of
+  ``N`` are then invariant under a change of basis of the system, and
+  are ranked against ``δ``.
 - A singular value within a factor 10 of ``δ`` makes the decision
   ambiguous; the diagnostic then prints the singular values of ``N`` and
   the threshold.
@@ -80,21 +84,18 @@ class DMatrix:
     ``masks[i]`` marks block row ``i`` on the moment matrix, whose masked
     entries in row-major order are a row-``i`` vector; ``side``, the
     dimension of ``D``, is their total count.  ``D`` is block upper
-    triangular, so its spectrum is that of the four diagonal blocks,
-    ``block_eigenvalues``; rows 2 and 3 are ``None`` there, and
-    ``mixed`` certifies their cluster instead (``None`` where it cannot).
-    ``forms[i]`` is the closed-form fixed pair of row ``i`` from
-    :func:`_closed_pairs`.
-    ``package`` is the twin package it was built from, the source of the
-    fixed vectors and of the step; a hand-built ``D`` has none, and no
-    fixed pair.
+    triangular, so its eigenvalue-1 cluster is that of its four diagonal
+    blocks: ``clusters[i − 1]`` is the :class:`Cluster` of ``D_ii``, and
+    rows 2 and 3 share one, ``None`` where the certificate cannot decide.
+    ``forms[i]`` is the balanced closed-form fixed pair of row ``i`` from
+    :func:`_closed_pairs`.  ``package`` is the twin package it was built
+    from, the source of the fixed vectors and of the step.
     """
 
-    block_eigenvalues: tuple
-    package: object = None
-    masks: dict = field(default_factory=dict)
+    package: object
+    masks: dict
     forms: dict = field(default_factory=dict)
-    mixed: Optional["MixedBound"] = None
+    clusters: tuple = ()
 
     @property
     def side(self):
@@ -122,21 +123,24 @@ class DMatrix:
 
 
 @dataclass
-class MixedBound:
-    """The eigenvalue-1 cluster of ``D_22``, certified without its
-    spectrum; ``D_33``, of conjugate spectrum, has the same.
+class Cluster:
+    """The eigenvalue-1 cluster of a diagonal block ``D_ii``, certified
+    without its spectrum.
 
-    ``count`` is 1 when the twins are equivalent (the cluster is the
-    eigenvalue of the fixed pair) and 0 when not.  Every other eigenvalue
-    ``μ`` of ``D_22`` has ``|1 − μ| ≥ bound``.  ``inverse`` is
-    ``(I − D_22 + r l)⁻¹`` (without ``r l`` when ``count`` is 0) in the
-    frame of :attr:`DMatrix.frame`.  The bound with ``count`` 0 is
+    ``count`` eigenvalues lie within ``δ`` of 1, and every other
+    eigenvalue ``μ`` has ``|1 − μ| ≥ bound``: the margin of the row.
+    ``D_11`` and ``D_44`` count their Perron root, and their bound is the
+    Perron gap.  ``D_22`` and ``D_33``, of conjugate spectra, share one
+    certificate: ``count`` is 1 when the twins are equivalent (the
+    eigenvalue of the fixed pair) and 0 when not, and ``inverse`` is ``(I
+    − D_22 + r l)⁻¹`` (without ``r l`` when ``count`` is 0) in the frame
+    of :attr:`DMatrix.frame`.  The certificate with ``count`` 0 is
     :func:`mixed_certificate`, taken by the twin package.
     """
 
     count: int
     bound: float
-    inverse: np.ndarray
+    inverse: Optional[np.ndarray] = None
 
 
 def _row_masks(nsys):
@@ -195,25 +199,26 @@ def build_D(pkg):
     [[S⁴, S²], [S³, S¹]]``, and ``D`` is the sphere-sum step
     :func:`~freerep.series.moment_step` on them.  The zero corner of the
     pair block ``X_ab`` makes every block below the diagonal and the
-    block ``(2, 3)`` exactly zero.  ``D_11`` and ``D_44`` take the
-    transfer spectra :func:`~freerep.systems.normalize` certified.  The
-    cluster of ``D_22`` and ``D_33`` is certified by :func:`_mixed_bound`,
-    whose inverse serves the group solves of :func:`_coupling` on rows 2
-    and 3; the whitened ``D_22`` it inverts is the only block of ``D``
-    ever assembled.
+    block ``(2, 3)`` exactly zero.  ``D_11`` and ``D_44`` take the Perron
+    gaps of the transfer spectra :func:`~freerep.systems.normalize`
+    certified.  The cluster of ``D_22`` and ``D_33`` is certified by
+    :func:`_mixed_bound`, whose inverse serves the group solves of
+    :func:`_coupling` on rows 2 and 3; the whitened ``D_22`` it inverts,
+    :attr:`~freerep.twin.TwinPackage.d22`, is the only block of ``D``
+    ever assembled, once per package.
     """
     nsys = pkg.original
-    d = DMatrix(block_eigenvalues=(pkg.twin.transfer_spectrum.conj(), None,
-                                   None, nsys.transfer_spectrum.conj()),
-                package=pkg, masks=_row_masks(nsys))
+    d = DMatrix(package=pkg, masks=_row_masks(nsys))
     d.forms = _closed_pairs(d)
-    d.mixed = _mixed_bound(d)
+    mixed = _mixed_bound(d)
+    d.clusters = (Cluster(1, pkg.twin.perron_gap), mixed, mixed,
+                  Cluster(1, nsys.perron_gap))
     return d
 
 
 def mixed_certificate(pkg):
-    """The :class:`MixedBound` of ``D_22`` with count 0, or ``None`` when
-    it cannot rule out an eigenvalue at 1.
+    """The :class:`Cluster` of ``D_22`` with count 0, or ``None`` when it
+    cannot rule out an eigenvalue at 1.
 
     ``A = I − D_22``.  For any matrix ``σ_min ≤ |λ|`` for each eigenvalue
     ``λ``, and ``σ_min(A_w) ≥ 1/‖A_w⁻¹‖_F``, so every eigenvalue ``μ`` of
@@ -226,12 +231,11 @@ def mixed_certificate(pkg):
     and its twin, so :func:`~freerep.twin.twin_package` takes it before
     any factorization.
     """
-    a = _dense_block(pkg)
-    return _certify(np.eye(len(a)) - a, 0)
+    return _certify(np.eye(len(pkg.d22)) - pkg.d22, 0)
 
 
 def _mixed_bound(d):
-    """The :class:`MixedBound` of ``D_22``, or ``None`` when it cannot
+    """The :class:`Cluster` of ``D_22``, or ``None`` when it cannot
     decide.
 
     Inequivalent twins carry it from :func:`mixed_certificate`.  With
@@ -248,14 +252,13 @@ def _mixed_bound(d):
         return pkg.mixed
     r, l, _ = d.forms[2]
     w, w_inv = d.frame
-    a = _dense_block(pkg)
-    a = (np.eye(len(a)) - a
+    a = (np.eye(len(pkg.d22)) - pkg.d22
          + np.outer(_sandwich(d, 2, r, w), _sandwich(d, 2, l, w_inv.T)))
     return _certify(a, 1)
 
 
 def _certify(a, count):
-    """:class:`MixedBound` from the whitened ``A``, ``None`` below
+    """:class:`Cluster` from the whitened ``A``, ``None`` below
     ``GAP_FACTOR·δ`` or where ``A`` is exactly singular."""
     try:
         inverse = np.linalg.inv(a)
@@ -264,7 +267,7 @@ def _certify(a, count):
     bound = 1.0 / float(np.linalg.norm(inverse))
     if bound < GAP_FACTOR * DELTA:
         return None
-    return MixedBound(count=count, bound=bound, inverse=inverse)
+    return Cluster(count=count, bound=bound, inverse=inverse)
 
 
 @dataclass
@@ -273,8 +276,9 @@ class EigenOne:
     dimension ``mult − rank N``, and the margin of the rank decision.
 
     ``gap`` is a lower bound on the distance to 1 of every eigenvalue
-    outside the cluster: exact on rows 1 and 4, and on rows 2 and 3 the
-    bound of the :class:`MixedBound`.
+    outside the cluster, the least :attr:`Cluster.bound` of the four rows:
+    the Perron gap on rows 1 and 4, the ``D_22`` certificate on rows 2
+    and 3.
 
     ``sv_profile`` holds the singular values of the coupling matrix ``N``
     (descending) and ``threshold`` the value they are ranked against.
@@ -291,59 +295,36 @@ class EigenOne:
 def eigen_one(d):
     """Count the eigenvalue-1 cluster and its geometric dimension.
 
-    The cluster is read off the spectra of ``D_11`` and ``D_44`` and off
-    the certificate :attr:`DMatrix.mixed` for rows 2 and 3, once every
+    The cluster is read off the :attr:`DMatrix.clusters`, once every
     closed-form fixed pair has a relative residual below ``δ``: a vector
     with residual ``ε`` is an exact fixed vector of ``D_ii`` perturbed by
-    ``ε``, so it lies in the cluster.  Each block that has an
-    eigenvalue within ``δ`` of 1 has exactly one; its right and left
-    fixed vectors couple through the blocks above the diagonal into the
-    strictly upper triangular ``N``, and ``dim_one = mult − rank N``.
-    The fixed vectors are balanced in the frame where ``B = I``, so the
-    singular values of ``N`` are gauge invariant and of order one when
-    they do not vanish; they are ranked against ``δ``.
+    ``ε``, so it lies in the cluster.  Each block counts at most one
+    eigenvalue there; the right and left fixed vectors of those that do
+    couple through the blocks above the diagonal into the strictly upper
+    triangular ``N``, and ``dim_one = mult − rank N``.  The fixed vectors
+    are balanced in the frame where ``B = I``, so the singular values of
+    ``N`` are gauge invariant and of order one when they do not vanish;
+    they are ranked against ``δ``.
 
     Raises
     ------
     UndecidedError
-        "ill-conditioned cluster" when an eigenvalue outside the cluster
-        lies within ``10·δ`` of 1, with or without a cluster, making the
-        multiplicity count unreliable, and when the certificate of rows 2
-        and 3 cannot decide; when a diagonal block has more than one
-        eigenvalue in the cluster; and when a closed-form fixed pair
-        misses its block by ``δ`` or more.
+        "ill-conditioned cluster" when a cluster's bound is below
+        ``10·δ``, making the multiplicity count unreliable, or the
+        certificate of rows 2 and 3 cannot decide; and when a closed-form
+        fixed pair misses its block by ``δ`` or more.
     """
-    for i in _ROWS:
-        form = d.forms.get(i)
+    for i, form in d.forms.items():
         if form is not None and form[2] >= DELTA:
             raise UndecidedError("fixed pair of D_%d%d has relative "
                                  "residual %.1e" % (i, i, form[2]))
-    counts = []
-    outside = []
-    for vals in d.block_eigenvalues:
-        if vals is None:
-            # rows 2 and 3, certified without their spectrum
-            if d.mixed is None:
-                raise UndecidedError("ill-conditioned cluster")
-            counts.append(d.mixed.count)
-            outside.append([d.mixed.bound])
-            continue
-        dist = np.abs(vals - 1.0)
-        inside = dist < DELTA
-        counts.append(int(np.sum(inside)))
-        outside.append(dist[~inside])
-    mult = sum(counts)
-    outside = np.concatenate(outside)
-    gap = float(outside.min()) if outside.size else np.inf
+    if any(c is None for c in d.clusters):
+        raise UndecidedError("ill-conditioned cluster")
+    gap = min(c.bound for c in d.clusters)
     if gap < GAP_FACTOR * DELTA:
         raise UndecidedError("ill-conditioned cluster")
-    for i, count in zip(_ROWS, counts):
-        if count > 1:
-            raise UndecidedError("eigenvalue 1 of D_%d%d is not simple"
-                                 % (i, i))
-    pairs = {i: _fixed_pair(d, i) for i, count in zip(_ROWS, counts)
-             if count}
-    sv = np.linalg.svd(_coupling(d, pairs), compute_uv=False)
+    mult = sum(c.count for c in d.clusters)
+    sv = np.linalg.svd(_coupling(d), compute_uv=False)
     near = sv[(sv > DELTA / 10) & (sv < DELTA * 10)]
     return EigenOne(
         mult_one=mult,
@@ -353,21 +334,6 @@ def eigen_one(d):
         ambiguous=near.size > 0,
         threshold=DELTA,
     )
-
-
-def _fixed_pair(d, i):
-    """Right fixed vector ``r`` and left fixed functional ``l`` of
-    ``D_ii`` on block row ``i``, with ``l·r = 1``.
-
-    The closed-form pair of :func:`_closed_pairs`, balanced so that ``r``
-    and ``l`` have equal norms in the whitened frame of
-    :func:`_whitened_norms`, which makes ``N`` a gauge invariant up to the
-    phases of its rows and columns.
-    """
-    r, l, _ = d.forms[i]
-    r_norm, l_norm = _whitened_norms(d, i, r, l)
-    scale = np.sqrt(l_norm / r_norm)
-    return r * scale, l / scale
 
 
 def _closed_pairs(d):
@@ -384,9 +350,15 @@ def _closed_pairs(d):
     ``fix_residual``.  Row 3's pair is row 2's through :func:`_adjoint`,
     with the same residual: ``D_33 = adj D_22 adj``, and the map keeps
     norms and ``l·r = 1``.
+
+    ``r`` and ``l`` are balanced to equal norms in the frame where ``B =
+    I`` (:attr:`DMatrix.frame`: ``r`` moves by ``W``, ``l`` by ``W⁻ᵀ``),
+    which any gauge reaches up to a unitary, so ``N`` is gauge invariant
+    up to the phases of its rows and columns.
     """
     pkg = d.package
     nsys = pkg.original
+    w, w_inv = d.frame
     out = dict.fromkeys(_ROWS)
     for i in (1, 2, 4):
         forms = _fixed_forms(pkg, i)
@@ -398,7 +370,10 @@ def _closed_pairs(d):
             residual = np.linalg.norm(image - r) / np.linalg.norm(r)
         else:
             residual = max(nsys.fix_residual, pkg.twin.fix_residual)
-        out[i] = (r, l / (l @ r), residual)
+        l = l / (l @ r)
+        scale = np.sqrt(np.linalg.norm(_sandwich(d, i, l, w_inv.T))
+                        / np.linalg.norm(_sandwich(d, i, r, w)))
+        out[i] = (r * scale, l / scale, residual)
     if out[2] is not None:
         r, l, residual = out[2]
         out[3] = (_adjoint(d, 2, r), _adjoint(d, 2, l), residual)
@@ -423,21 +398,10 @@ def _sandwich(d, i, vec, m):
     return (m @ _moment(d, i, vec) @ m)[d.masks[i]]
 
 
-def _whitened_norms(d, i, r, l):
-    """Frobenius norms of ``r`` and of ``l`` in the frame where ``B = I``
-    (:attr:`DMatrix.frame`), where ``r`` moves by ``W`` and ``l`` by
-    ``W⁻ᵀ``.  Any gauge of the system lands in that frame up to a unitary
-    one, which preserves Frobenius norms.
-    """
-    w, w_inv = d.frame
-    return (np.linalg.norm(_sandwich(d, i, r, w)),
-            np.linalg.norm(_sandwich(d, i, l, w_inv.T)))
-
-
-def _coupling(d, pairs):
+def _coupling(d):
     """The coupling ``N_ij = l_i C_ij r_j`` between the rows ``i < j``
-    that carry a fixed vector, where ``C_ij = D_ij + Σ_{i<m<j} D_im G_m
-    C_mj`` and ``G_m`` is the group inverse of ``I − D_mm``.
+    whose cluster counts a fixed vector, where ``C_ij = D_ij + Σ_{i<m<j}
+    D_im G_m C_mj`` and ``G_m`` is the group inverse of ``I − D_mm``.
 
     Only the vectors ``C_mj r_j`` are formed, one block row at a time
     upwards from ``j``: a moment matrix holds ``r_j`` and the solved
@@ -445,39 +409,39 @@ def _coupling(d, pairs):
     :func:`~freerep.series.moment_step` gives ``C_mj`` at quadrant ``m``.
     A vector that is exactly zero (``D_23 = 0``) is not solved.
     """
-    rows = sorted(pairs)
+    rows = [i for i, c in zip(_ROWS, d.clusters) if c.count]
     index = {i: k for k, i in enumerate(rows)}
     n = np.zeros((len(rows), len(rows)), dtype=complex)
     for j in rows:
-        S = _moment(d, j, pairs[j][0])
+        S = _moment(d, j, d.forms[j][0])
         for m in range(j - 1, rows[0] - 1, -1):
             c = moment_step(d.package.original, S)[d.masks[m]]
-            if m in pairs:
-                n[index[m], index[j]] = pairs[m][1] @ c
+            if m in index:
+                n[index[m], index[j]] = d.forms[m][1] @ c
             if m > rows[0] and np.any(c):
-                S[d.masks[m]] = _group_solve(d, m, pairs, c)
+                S[d.masks[m]] = _group_solve(d, m, c)
     return n
 
 
-def _group_solve(d, i, pairs, y):
+def _group_solve(d, i, y):
     """``G y`` for ``G`` the group inverse of ``A = I − D_ii``, ``i`` in
-    2, 3, with ``pairs`` the fixed pairs of :func:`eigen_one`.
+    2, 3.
 
-    Without a fixed pair ``A`` is invertible and ``G = A⁻¹``.  With the
-    fixed pair ``(r, l)``, ``l·r = 1``, the kernel of ``A`` is simple and
-    ``G = (A + r l)⁻¹ − r l``.  Row 2 reads that inverse off its
-    :class:`MixedBound`, as ``W⁻¹ A_w⁻¹ W``.  Row 3 is row 2 through
-    :func:`_adjoint`: the group inverse is unique, so ``G_33 = adj G_22
-    adj``.
+    Without a fixed pair (the cluster counts 0) ``A`` is invertible and
+    ``G = A⁻¹``.  With the fixed pair ``(r, l)`` of :attr:`DMatrix.forms`,
+    ``l·r = 1``, the kernel of ``A`` is simple and ``G = (A + r l)⁻¹ − r
+    l``.  Row 2 reads that inverse off its :class:`Cluster`, as ``W⁻¹
+    A_w⁻¹ W``.  Row 3 is row 2 through :func:`_adjoint`: the group
+    inverse is unique, so ``G_33 = adj G_22 adj``.
     """
     if i == 3:
-        return _adjoint(d, 2, _group_solve(d, 2, pairs, _adjoint(d, 3, y)))
+        return _adjoint(d, 2, _group_solve(d, 2, _adjoint(d, 3, y)))
     w, w_inv = d.frame
-    x = _sandwich(d, 2, d.mixed.inverse @ _sandwich(d, 2, y, w), w_inv)
-    pair = pairs.get(2)
-    if pair is None:
+    mixed = d.clusters[1]
+    x = _sandwich(d, 2, mixed.inverse @ _sandwich(d, 2, y, w), w_inv)
+    if not mixed.count:
         return x
-    r, l = pair
+    r, l, _ = d.forms[2]
     return x - r * (l @ y)
 
 
@@ -567,9 +531,10 @@ def q_least_squares(pkg, d=None):
     has row 2 ``Y = G_2 D_24 r_4``, ``Y_a = B̂_{a⁻¹} Q_a†``, for ``G_2``
     the group inverse of ``I − D_22`` (:func:`_group_solve`, the inverse
     the certificate already holds).  So ``Q_a = (B̂_{a⁻¹}⁻¹ Y_a)†``, with
-    ``B̂⁻¹`` from the twin's cached ``B_roots``.  Where no ``Q`` exists the
-    residual is of order one.  ``d`` is the package's :func:`build_D`,
-    built here when not given.
+    ``B̂⁻¹`` from the twin's cached ``B_roots``; ``r_4`` is taken at that
+    scale from :func:`_fixed_forms`, not balanced.  Where no ``Q`` exists
+    the residual is of order one.  ``d`` is the package's
+    :func:`build_D`, built here when not given.
 
     A vanishing ``E`` (the maps cancel identically, which happens on a
     genuine sub-family) gives the zero tuple, the canonical exact
@@ -580,7 +545,7 @@ def q_least_squares(pkg, d=None):
     UndecidedError
         "ill-conditioned cluster" when ``E`` does not vanish and the
         ``D_22`` certificate, whose inverse gives ``Q``, cannot decide
-        (:attr:`DMatrix.mixed` is ``None``).
+        (its entry of :attr:`DMatrix.clusters` is ``None``).
     """
     nsys = pkg.original
     if frob_tuple(pkg.E.values()) < 1e-12 * frob_tuple(nsys.B):
@@ -589,11 +554,11 @@ def q_least_squares(pkg, d=None):
         return Q, q_residual(pkg, Q)
     if d is None:
         d = build_D(pkg)
-    if d.mixed is None:
+    if d.clusters[1] is None:
         raise UndecidedError("ill-conditioned cluster")
-    pairs = {2: _fixed_pair(d, 2)} if pkg.K is not None else {}
-    c = moment_step(nsys, _moment(d, 4, d.forms[4][0]))[d.masks[2]]
-    Y = _unvec_tuple(_group_solve(d, 2, pairs, c), pkg.twin.dims, nsys.dims)
+    r4 = _flat(_fixed_forms(pkg, 4)[0])
+    c = moment_step(nsys, _moment(d, 4, r4))[d.masks[2]]
+    Y = _unvec_tuple(_group_solve(d, 2, c), pkg.twin.dims, nsys.dims)
     roots = pkg.twin.B_roots
     Q = tuple((roots[a ^ 1][1] @ (roots[a ^ 1][1] @ y)).conj().T
               for a, y in enumerate(Y))
@@ -692,13 +657,14 @@ def classify(nsys):
     diagnostics instead of forcing a label.  The multiplicity is 4 for
     equivalent twins and 2 otherwise by construction (rows 1 and 4 count
     the Perron roots, rows 2 and 3 count ``K``), and ``N_23 = 0`` keeps
-    ``dim_one ≥ 2`` for equivalent twins.
+    ``dim_one ≥ 2`` for equivalent twins.  ``rho_D`` is the transfer
+    radius, :attr:`~freerep.systems.NormalizedSystem.rho_certificate`:
+    ``ρ(D_22) ≤ √(ρ(D_11) ρ(D_44)) = 1``.
     """
     diagnostics = []
     pkg = twin_package(nsys)
     d = build_D(pkg)
-    rho_d = max(float(np.max(np.abs(v))) for v in d.block_eigenvalues
-                if v is not None)
+    rho_d = nsys.rho_certificate
     try:
         eig = eigen_one(d)
     except UndecidedError as err:

@@ -319,6 +319,13 @@ def _spectrum_ends(t):
     return float(min(e[0] for e in ends)), float(max(e[1] for e in ends))
 
 
+def _perron_gap(spectrum):
+    """Distance to ``ρ = max|λ|`` of the nearest other eigenvalue, over ρ."""
+    rho = np.max(np.abs(spectrum))
+    return float(np.partition(np.abs(spectrum - rho), 1)[1]
+                 / max(rho, np.finfo(float).tiny))
+
+
 def _fix_residual(sys, t):
     image = transfer_apply(sys, t)
     return frob_tuple(tuple(i - m for i, m in zip(image, t))) / frob_tuple(t)
@@ -367,6 +374,11 @@ class NormalizedSystem:
     def rho_certificate(self):
         """Transfer radius of the stored system: 1 by construction."""
         return float(np.max(np.abs(self.transfer_spectrum)))
+
+    @property
+    def perron_gap(self):
+        """Distance to 1 of the nearest transfer eigenvalue but the root."""
+        return _perron_gap(self.transfer_spectrum)
 
     @property
     def alphabet(self):
@@ -461,8 +473,8 @@ def normalize(sys):
     The fixed-point residual ``ε`` of ``B`` is checked against ``TOL_FIX``.
     The map ``T/ρ`` is positive and ``B`` is definite, so this certifies
     its radius: ``|ρ(T/ρ) − 1| ≤ ε‖B‖_F / λ_min(B)``.  Its spectrum
-    ``Λ/ρ``, kept as ``transfer_spectrum``, serves the blocks ``D_44`` and
-    (on the twin) ``D_11`` of :func:`~freerep.spectral.build_D`.
+    ``Λ/ρ``, kept as ``transfer_spectrum``, gives the Perron gap, the
+    bound of ``D_44`` and (on the twin) ``D_11`` in ``spectral``.
 
     Raises
     ------
@@ -480,8 +492,7 @@ def normalize(sys):
     t_h = _hermitian_matrix(transfer_matrix(sys), basis)
     vals = np.linalg.eigvals(t_h).astype(complex)
     rho = float(np.max(np.abs(vals)))
-    gap = (np.partition(np.abs(vals - rho), 1)[1]
-           / max(rho, np.finfo(float).tiny))
+    gap = _perron_gap(vals)
     if not gap > TOL_SIMPLE:
         raise _not_irreducible(gap)
     n = len(vals)

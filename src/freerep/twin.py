@@ -21,6 +21,7 @@ other pair of systems.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -297,6 +298,12 @@ class TwinPackage:
     @property
     def equivalent(self):
         return self.equivalence.status == "equivalent"
+
+    @cached_property
+    def d22(self):
+        """``D_22`` whitened (:func:`~freerep.spectral._dense_block`), once."""
+        from .spectral import _dense_block
+        return _dense_block(self)
 
     def e(self, a, b):
         return e_lookup(self.E, self.original.dims, a, b)

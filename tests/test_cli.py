@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from freerep import generate, intertwiner, series, spectral, twin
+from freerep import cli, generate, intertwiner, series, spectral, twin
 from freerep.cli import (
     NMAX_LIMIT,
     build_parser,
@@ -455,6 +455,58 @@ class TestReportFunction:
             build_parser().parse_args(["--version"])
         assert err.value.code == 0
         assert "freerep" in capsys.readouterr().out
+
+
+class TestUnusablePaths:
+    """An input that cannot be read or an output that cannot be written
+    ends in one ``error:`` line and exit 1, not in a traceback."""
+
+    @staticmethod
+    def _one_error(capsys):
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        return captured
+
+    def test_validate_directory_input(self, s0_file, tmp_path, capsys):
+        assert main(["validate", str(tmp_path), str(s0_file)]) == 1
+        captured = self._one_error(capsys)
+        assert "cannot read %s" % tmp_path in captured.err
+        assert "ok: %s" % s0_file in captured.out
+
+    def test_classify_directory_input(self, tmp_path, capsys):
+        assert main(["classify", str(tmp_path), "--nmax", "6"]) == 1
+        assert "cannot read" in self._one_error(capsys).err
+
+    def test_directory_input_does_not_block_others(self, s0_file, tmp_path,
+                                                   capsys):
+        out_dir = tmp_path / "out"
+        code = main(["classify", str(tmp_path), str(s0_file),
+                     "--out-dir", str(out_dir), "--nmax", "6"])
+        assert code == 1
+        self._one_error(capsys)
+        validate_report(json.loads(
+            (out_dir / "s0.report.json").read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "{system}", "--out", "{out}"),
+        ("classify", "{system}", "--out", "{out}", "--nmax", "6"),
+        ("series", "{system}", "--vector", "e|a", "--out", "{out}"),
+        ("demo", "endpoint-f2", "--out", "{out}", "--nmax", "6"),
+    ], ids=lambda argv: argv[0])
+    def test_out_is_a_directory(self, argv, s0_file, tmp_path, capsys):
+        code = main([a.format(system=s0_file, out=tmp_path) for a in argv])
+        assert code == 1
+        assert "cannot write %s" % tmp_path in self._one_error(capsys).err
+
+    def test_out_dir_is_a_file(self, s0_file, tmp_path, capsys, monkeypatch):
+        # refused before any input is classified
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "classification_report", None)
+        code = main(["classify", str(s0_file), "--out-dir", str(taken)])
+        assert code == 1
+        assert "cannot create --out-dir" in self._one_error(capsys).err
 
 
 def test_readme_commands_parse():

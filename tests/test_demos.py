@@ -1,7 +1,9 @@
-"""Each script under ``demos/`` runs to completion against ``src/``."""
+"""Each script under ``demos/``, and README's library examples, run to
+completion against ``src/``."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -19,3 +21,15 @@ def test_demo_exits_zero(script):
                           env=env, cwd=ROOT, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # the second block reads the first's nsys, so both share a namespace
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["rep"].class_label == "BI"
+    assert 1 <= namespace["fit"].p_hat <= 3

@@ -29,7 +29,6 @@ from freerep.spectral import (
     _ROWS,
     DELTA,
     GAP_FACTOR,
-    DMatrix,
     EigenOne,
     _accept_Q,
     _fixed_forms,
@@ -207,17 +206,16 @@ def _eig_pair(block):
 def _eig_coupling(d):
     """Oracle for the coupling ``N`` of :func:`eigen_one` on equivalent
     twins: the fixed pairs of the dense diagonal blocks from eigensolves,
-    balanced as the closed forms are, coupled through dense group
-    inverses ``(I − D_mm + r l)⁻¹ − r l``."""
+    scaled to the norms of the balanced closed forms of ``d.forms``,
+    coupled through dense group inverses ``(I − D_mm + r l)⁻¹ − r l``."""
     dense = dense_D(d.package)
     pairs, groups = {}, {}
     for i in _ROWS:
         block = dense.block(i, i)
         r, l = _eig_pair(block)
-        l = l / (l @ r)
-        r_norm, l_norm = spectral._whitened_norms(d, i, r, l)
-        scale = np.sqrt(l_norm / r_norm)
-        pairs[i] = (r * scale, l / scale)
+        # r is the closed form's up to a phase, so N is up to phases
+        scale = np.linalg.norm(d.forms[i][0]) / np.linalg.norm(r)
+        pairs[i] = (r * scale, l / (l @ r) / scale)
         rl = np.outer(*pairs[i])
         groups[i] = np.linalg.inv(np.eye(len(block)) - block + rl) - rl
     n = np.zeros((4, 4), dtype=complex)
@@ -362,18 +360,19 @@ def _q_least_squares_oracle(pkg):
     return lhs, Q, residual
 
 
-def _recorded(monkeypatch, name):
-    """List that collects ``(matrix, result)`` for every call of
-    ``np.linalg.<name>``."""
+def _recorded(monkeypatch, name, module=np.linalg):
+    """List that collects ``(first argument, result)`` for every call of
+    ``module.<name>``, ``np.linalg.<name>`` by default; an array argument
+    is copied."""
     seen = []
-    solve = getattr(np.linalg, name)
+    solve = getattr(module, name)
 
     def recording(a, *args, **kwargs):
         out = solve(a, *args, **kwargs)
-        seen.append((np.array(a), out))
+        seen.append((a.copy() if isinstance(a, np.ndarray) else a, out))
         return out
 
-    monkeypatch.setattr(np.linalg, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return seen
 
 
@@ -547,14 +546,6 @@ class TestEigenOne:
         assert eig.gap > 1e-2
         assert not eig.ambiguous
 
-    def test_halved_matrix_has_empty_cluster(self, s0_dense):
-        half = DMatrix(block_eigenvalues=tuple(
-            np.linalg.eigvals(s0_dense.block(i, i) / 2)
-            for i in (1, 2, 3, 4)))
-        eig = eigen_one(half)
-        assert eig.mult_one == 0
-        assert eig.dim_one == 0
-
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_random_inequivalent_mult_two(self, seed):
         pkg = twin_package(normalize(generate.random_system(seed, k=2,
@@ -563,20 +554,31 @@ class TestEigenOne:
         eig = eigen_one(build_D(pkg))
         assert eig.mult_one == 2
 
-    def test_narrow_gap_raises(self):
-        # one 1x1 slot per block row: D_11 = 1 and D_22 = 1 − 5e-6
-        mat = np.diag([1.0, 1.0 - 5e-6, 0.3, 0.3]).astype(complex)
-        d = DMatrix(block_eigenvalues=tuple(mat.diagonal()[:, None]))
+    @staticmethod
+    def _assert_narrow_row_raises(name, row, monkeypatch):
+        # 10δ between the bound of ``row``, the least, and the others: an
+        # eigenvalue outside the cluster of D_row,row lies within 10δ of 1
+        d = _built_D(name)
+        bound = d.clusters[row - 1].bound
+        other = min(c.bound for c in d.clusters if c.bound != bound)
+        assert bound == eigen_one(d).gap < other
+        monkeypatch.setattr(spectral, "DELTA", (bound + other) / 20)
         with pytest.raises(UndecidedError, match="ill-conditioned cluster"):
             eigen_one(d)
 
-    def test_narrow_gap_without_cluster_raises(self):
-        # no eigenvalue within δ of 1, one at 1 + 2δ: a cluster pushed
-        # just outside δ is ill-conditioned, not multiplicity 0
-        d = DMatrix(block_eigenvalues=tuple(
-            np.array([x]) for x in (0.3, 1.0 + 2 * DELTA, 0.3, 0.3)))
-        with pytest.raises(UndecidedError, match="ill-conditioned cluster"):
-            eigen_one(d)
+    def test_narrow_gap_raises(self, monkeypatch):
+        # rows 1 and 4: the Perron gap of the transfer spectrum
+        self._assert_narrow_row_raises("aii-2", 4, monkeypatch)
+
+    def test_narrow_gap_without_cluster_raises(self, monkeypatch):
+        # rows 2 and 3 of inequivalent twins: no eigenvalue within δ of 1,
+        # and one within 10δ is ill-conditioned, not multiplicity 0
+        self._assert_narrow_row_raises("ai-1", 2, monkeypatch)
+
+    def test_narrow_deflated_gap_raises(self, monkeypatch):
+        # rows 2 and 3 of equivalent twins: the bound of the deflated
+        # certificate, every eigenvalue of D_22 but the fixed one
+        self._assert_narrow_row_raises("s0", 3, monkeypatch)
 
     @pytest.mark.parametrize("make", [
         generate.s0_system,
@@ -628,8 +630,7 @@ class TestEigenOne:
             if d.package.K is None:
                 continue
             equivalent += 1
-            pairs = {i: spectral._fixed_pair(d, i) for i in _ROWS}
-            assert spectral._coupling(d, pairs)[1, 2] == 0
+            assert spectral._coupling(d)[1, 2] == 0
             assert eigen_one(d).dim_one >= 2
         assert equivalent == 25
 
@@ -637,16 +638,22 @@ class TestEigenOne:
 class TestDiagEigvec:
     @pytest.mark.parametrize("name", ["s0", "bi-1", "pool-0", "pool-11"])
     def test_row3_pair_is_row2_adjoint(self, name):
-        # build_D's row-3 pair against the K formula for row 3
+        # build_D's row-3 pair against the K formula for row 3, up to
+        # the balancing scale; row 2 balanced in the frame where B = I
         d = _built_D(name)
         right, left = _row3_forms(d.package)
         r, l = (np.concatenate([m.ravel() for m in t])
                 for t in (right, tuple(m.T for m in left)))
-        l = l / (l @ r)
         got_r, got_l, residual = d.forms[3]
         assert residual == d.forms[2][2]
+        scale = np.linalg.norm(got_r) / np.linalg.norm(r)
+        r, l = r * scale, l / (l @ r) / scale
         assert np.linalg.norm(got_r - r) <= 1e-12 * np.linalg.norm(r)
         assert np.linalg.norm(got_l - l) <= 1e-12 * np.linalg.norm(l)
+        w = _frame_oracle(d.package.original)
+        r_w, l_w = (np.linalg.norm(m @ v) for m, v in zip(
+            (w, np.linalg.inv(w).T), d.forms[2][:2]))
+        assert abs(r_w - l_w) <= 1e-12 * r_w
 
     def test_s0_residuals(self, s0_pkg):
         res = diag_eigvec_check(s0_pkg)
@@ -880,10 +887,7 @@ class TestClassify:
         nsys = normalize(generate.random_system(51, k=2, max_dim=2))
         calls = {name: _recorded(monkeypatch, name)
                  for name in ("eigvals", "eig", "inv", "svd")}
-        built = []
-        monkeypatch.setattr(spectral, "_dense_block",
-                            lambda pkg, _build=spectral._dense_block:
-                            built.append(pkg) or _build(pkg))
+        built = _recorded(monkeypatch, "_dense_block", spectral)
         report = classify(nsys)
         d = dense_D(report.package)
         assert not [m for seen in calls.values() for m, _ in seen
@@ -892,8 +896,21 @@ class TestClassify:
         assert [m.shape for m, _ in calls["inv"]] == [d.block(2, 2).shape]
         assert report.rho_D == float(np.max(np.abs(nsys.transfer_spectrum)))
         # with inequivalent twins the certificate's inverse serves every
-        # solve, so the whitened D_22 is assembled once
-        assert built == [report.package]
+        # solve, so the whitened D_22 is assembled and inverted once
+        assert [pkg for pkg, _ in built] == [report.package]
+
+    @pytest.mark.parametrize("name", ["s0", "self-twin-0"])
+    def test_d22_assembled_once_for_two_inverses(self, name, monkeypatch):
+        # equivalent twins invert the whitened D_22 twice, undeflated for
+        # the certificate and deflated for the cluster, from one assembly
+        nsys = normalize(_Q_ORACLE_SYSTEMS[name]())
+        built = _recorded(monkeypatch, "_dense_block", spectral)
+        inverses = _recorded(monkeypatch, "inv")
+        report = classify(nsys)
+        assert report.twins_equivalent
+        [(pkg, block)] = built
+        assert pkg is report.package
+        assert [m.shape for m, _ in inverses].count(block.shape) == 2
 
     def test_spectral_calls_no_eig_or_eigvals(self):
         # the scan flags both calls and imports; spectral.py has none
@@ -947,12 +964,17 @@ class TestBlockSpectra:
 
     @staticmethod
     def _assert_block_eigenvalues(d):
-        # the transfer spectra build_D reuses for D_11 and D_44 match a
-        # dense eigensolve of each block; D_22 and D_33 are certified
+        # the transfer spectrum normalize kept is that of D_11, and its
+        # conjugate that of D_44, against a dense eigensolve of each
+        # block; their clusters count 1 with the Perron gap as bound
         oracle = dense_D(d.package)
-        for i in (1, 4):
-            assert _spectrum_gap(d.block_eigenvalues[i - 1],
-                                 np.linalg.eigvals(oracle.block(i, i))) < 1e-9
+        spectrum = d.package.original.transfer_spectrum
+        for i, vals in ((1, spectrum), (4, spectrum.conj())):
+            dense = np.linalg.eigvals(oracle.block(i, i))
+            assert _spectrum_gap(vals, dense) < 1e-9
+            cluster = d.clusters[i - 1]
+            assert cluster.count == 1 == np.sum(np.abs(dense - 1) < DELTA)
+            assert abs(np.sort(np.abs(dense - 1))[1] - cluster.bound) < 1e-9
 
 
 class TestSelfTwinGate:
@@ -1092,15 +1114,15 @@ class TestMixedBound:
         # bound ≤ σ_min(A_w) ≤ the distance to 1 of every eigenvalue of
         # D_22 outside the cluster, and of the deflated one, moved to 0
         d, _, vals, sigma_min = _mixed_case(name)
-        assert d.mixed is not None
+        mixed = d.clusters[1]
+        assert mixed is not None and d.clusters[2] is mixed
         dist = np.abs(vals - 1.0)
         inside = dist < DELTA
-        assert d.mixed.count == int(np.sum(inside)) == int(
+        assert mixed.count == int(np.sum(inside)) == int(
             d.package.equivalent)
-        gap = min(dist[~inside].min(), 1.0 if d.mixed.count else np.inf)
-        assert GAP_FACTOR * DELTA <= d.mixed.bound <= sigma_min * (1 + 1e-12)
+        gap = min(dist[~inside].min(), 1.0 if mixed.count else np.inf)
+        assert GAP_FACTOR * DELTA <= mixed.bound <= sigma_min * (1 + 1e-12)
         assert sigma_min <= gap * (1 + 1e-12)
-        assert d.block_eigenvalues[1:3] == (None, None)
 
     @pytest.mark.parametrize("name", sorted(_MIXED_SYSTEMS))
     def test_rho_D_is_the_transfer_radius(self, name):
@@ -1108,13 +1130,15 @@ class TestMixedBound:
         # reading the transfer spectra alone
         d, _, vals, _ = _mixed_case(name)
         assert np.max(np.abs(vals)) <= 1 + 1e-12
-        assert abs(np.max(np.abs(d.block_eigenvalues[3])) - 1) <= 1e-12
+        assert abs(np.max(np.abs(d.package.original.transfer_spectrum))
+                   - 1) <= 1e-12
 
     def test_bound_is_gauge_invariant_on_gate_copies(self):
         # the 7 non-unitary gauge copies of gate system 0
-        bounds = [build_D(twin_package(normalize(s))).mixed.bound
+        bounds = [build_D(twin_package(normalize(s))).clusters[1].bound
                   for s in _gate_systems()[10:]]
-        base = build_D(twin_package(normalize(_gate_systems()[0]))).mixed
+        base = build_D(twin_package(normalize(_gate_systems()[0]))
+                       ).clusters[1]
         assert len(bounds) == 7
         for bound in bounds:
             assert abs(bound - base.bound) <= 1e-9 * base.bound
@@ -1127,7 +1151,7 @@ class TestMixedBound:
         # copy is certified
         base, copies, _ = TestGaugeConditioning.BASES[name]
         sys_ = base()
-        want = build_D(twin_package(normalize(sys_))).mixed.bound
+        want = build_D(twin_package(normalize(sys_))).clusters[1].bound
         svds = _recorded(monkeypatch, "svd")
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -1141,26 +1165,22 @@ class TestMixedBound:
                 assert bool(svds) == pkg.equivalent
                 d = build_D(pkg)
                 assert eigen_one(d).mult_one == 2 + 2 * pkg.equivalent
-                assert abs(d.mixed.bound - want) <= 1e-5 * want
+                assert abs(d.clusters[1].bound - want) <= 1e-5 * want
 
     @pytest.mark.parametrize("name", sorted(_MIXED_SYSTEMS))
     def test_row3_group_solve_is_row2_adjoint(self, name):
         # the row-3 group solve reads the row-2 inverse through the
         # adjoint; against an LU solve of the dense D_33
         d = _built_D(name)
-        pkg = d.package
-        pairs = {}
-        if pkg.K is not None:
-            pairs = {i: spectral._fixed_pair(d, i) for i in (2, 3)}
-        a = np.eye(d.masks[3].sum()) - dense_D(pkg).block(3, 3)
+        a = np.eye(d.masks[3].sum()) - dense_D(d.package).block(3, 3)
         rng = np.random.default_rng(0)
         y = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
-        if 3 in pairs:
-            r, l = pairs[3]
+        if d.clusters[2].count:
+            r, l, _ = d.forms[3]
             want = np.linalg.solve(a + np.outer(r, l), y) - r * (l @ y)
         else:
             want = np.linalg.solve(a, y)
-        got = spectral._group_solve(d, 3, pairs, y)
+        got = spectral._group_solve(d, 3, y)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("name", ["pool-0", "pool-11", "pool-17",
@@ -1215,10 +1235,41 @@ class TestMetamorphic:
             index, classify(normalize(_relabelled(sys_, (0, 1), inverted))))
 
     @_METAMORPHIC
+    @given(index=_POOL_INDEX, seed=st.integers(0, 2**32 - 1),
+           inverted=st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+    def test_perron_gap(self, index, seed, inverted):
+        # the margin of rows 1 and 4 on the gauge and relabelled copies
+        sys_ = _metamorphic_pool()[index]
+        want = normalize(sys_).perron_gap
+        draw = _gauge_draw(np.random.default_rng(seed), sys_.dims)
+        for copy in (_gauged(sys_, draw), _relabelled(sys_, (1, 0), (0, 0)),
+                     _relabelled(sys_, (0, 1), inverted)):
+            assert abs(normalize(copy).perron_gap - want) <= 1e-12 * want
+
+    @_METAMORPHIC
     @given(index=_POOL_INDEX)
     def test_twin_of_twin(self, index):
         nsys = normalize(_metamorphic_pool()[index])
         _assert_same_decision(index, classify(twin(twin(nsys))))
+
+
+class TestClusters:
+    """Rows 1 and 4 of ``D`` read the Perron gap of the transfer spectrum,
+    a property of the system that its twin shares; ``eigen_one`` reads
+    the least bound of the four rows."""
+
+    @pytest.mark.parametrize("index", range(21))
+    def test_gap_is_the_least_bound(self, index):
+        d = _built_D("pool-%d" % index)
+        pkg = d.package
+        assert pkg.original.perron_gap == pkg.twin.perron_gap
+        counts = [c.count for c in d.clusters]
+        assert counts == [1] + [pkg.equivalent] * 2 + [1]
+        assert d.clusters[0].bound == d.clusters[3].bound == (
+            pkg.original.perron_gap)
+        eig = eigen_one(d)
+        assert eig.gap == min(c.bound for c in d.clusters)
+        assert eig.mult_one == 2 + 2 * pkg.equivalent
 
 
 class TestInstanceFamilies:
