@@ -7,6 +7,7 @@ Several ``classify`` inputs run one after the other, in the order given.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -491,8 +492,16 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """:func:`build_parser`, built once per process: a batch calls
+    :func:`main` once per system, and building the parser costs more than
+    parsing its arguments."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -23,8 +23,10 @@ most once.  The eigenvalue-1 analysis reads that structure, one
   bounds the distance to 1 of the others; ``mult_one`` sums the counts
   and ``gap`` is the least bound.  ``D_11`` and ``D_44`` have the
   conjugated transfer spectra of the twin and of the system: each counts
-  its Perron root, with the Perron gap
-  (:attr:`~freerep.systems.NormalizedSystem.perron_gap`) as bound.
+  its Perron root, with the Perron gap that
+  :func:`~freerep.systems.normalize` certifies from a resolvent of the
+  same kind (:attr:`~freerep.systems.NormalizedSystem.perron_gap`) as
+  bound.
   ``D_33`` has the conjugate spectrum of ``D_22``, whose cluster is
   certified from a resolvent: with ``A = I − D_22``, plus ``r l`` for
   its fixed pair when the twins are equivalent, every eigenvalue ``μ`` of
@@ -130,7 +132,7 @@ class Cluster:
     ``count`` eigenvalues lie within ``δ`` of 1, and every other
     eigenvalue ``μ`` has ``|1 − μ| ≥ bound``: the margin of the row.
     ``D_11`` and ``D_44`` count their Perron root, and their bound is the
-    Perron gap.  ``D_22`` and ``D_33``, of conjugate spectra, share one
+    certified Perron gap.  ``D_22`` and ``D_33``, of conjugate spectra, share one
     certificate: ``count`` is 1 when the twins are equivalent (the
     eigenvalue of the fixed pair) and 0 when not, and ``inverse`` is ``(I
     − D_22 + r l)⁻¹`` (without ``r l`` when ``count`` is 0) in the frame
@@ -200,8 +202,8 @@ def build_D(pkg):
     :func:`~freerep.series.moment_step` on them.  The zero corner of the
     pair block ``X_ab`` makes every block below the diagonal and the
     block ``(2, 3)`` exactly zero.  ``D_11`` and ``D_44`` take the Perron
-    gaps of the transfer spectra :func:`~freerep.systems.normalize`
-    certified.  The cluster of ``D_22`` and ``D_33`` is certified by
+    gap :func:`~freerep.systems.normalize` certified, which the system and
+    its twin share.  The cluster of ``D_22`` and ``D_33`` is certified by
     :func:`_mixed_bound`, whose inverse serves the group solves of
     :func:`_coupling` on rows 2 and 3; the whitened ``D_22`` it inverts,
     :attr:`~freerep.twin.TwinPackage.d22`, is the only block of ``D``
@@ -658,8 +660,8 @@ def classify(nsys):
     equivalent twins and 2 otherwise by construction (rows 1 and 4 count
     the Perron roots, rows 2 and 3 count ``K``), and ``N_23 = 0`` keeps
     ``dim_one ≥ 2`` for equivalent twins.  ``rho_D`` is the transfer
-    radius, :attr:`~freerep.systems.NormalizedSystem.rho_certificate`:
-    ``ρ(D_22) ≤ √(ρ(D_11) ρ(D_44)) = 1``.
+    radius, :attr:`~freerep.systems.NormalizedSystem.rho_certificate`, 1
+    by construction: ``ρ(D_22) ≤ √(ρ(D_11) ρ(D_44)) = 1``.
     """
     diagnostics = []
     pkg = twin_package(nsys)

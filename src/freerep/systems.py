@@ -6,12 +6,11 @@ validates systems, tests irreducibility, applies the transfer operator, and
 produces the normalized form (unit transfer radius, positive definite fixed
 forms with the trace convention ``Σ_a tr(B_a) = Σ_a n_a``).  The transfer
 operator maps Hermitian tuples to Hermitian tuples, so :func:`normalize`
-works with its real matrix in an orthonormal Hermitian basis: the
-eigenvalues of that matrix give the radius and its spectrum, and one
-bordered linear system and its transpose give the forms of the system and
-of its twin, with no eigenvector computed.  The same data decide
-irreducibility.
-"""
+works with its real matrix in an orthonormal Hermitian basis, and makes no
+eigensolve: a lazy power iteration stopped on its Collatz–Wielandt bracket
+and Newton steps give the Perron root, bordered linear systems give the
+forms of the system and of its twin, and one inverse in the frame where
+``B = I`` certifies the Perron gap.  The same data decide irreducibility."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,10 +242,15 @@ def kron(p, q):
 
 
 def spectral_radius_T(sys):
-    """Spectral radius of the transfer operator (largest eigenvalue modulus)."""
+    """Spectral radius of the transfer operator: its Perron root, found by
+    :func:`_perron_root` as in :func:`normalize`.  ``T`` is a positive map,
+    so its largest eigenvalue modulus is itself an eigenvalue."""
     if not any(np.any(m) for m in sys.blocks.values()):
         raise ValueError("degenerate system: all blocks zero")
-    return float(np.max(np.abs(np.linalg.eigvals(transfer_matrix(sys)))))
+    basis = _hermitian_basis(sys.dims)
+    rho, _ = _perron_root(_hermitian_matrix(transfer_matrix(sys), basis),
+                          sys.dims, basis)
+    return float(rho)
 
 
 def frob_tuple(t):
@@ -286,9 +290,10 @@ def _hermitian_basis(dims):
 
 def _hermitian_matrix(t, basis):
     """``Re(Qᴴ t Q)`` for the basis ``Q`` of :func:`_hermitian_basis`:
-    the real matrix of a map of Hermitian tuples, by index arithmetic.
+    the real matrix of a map of Hermitian tuples, by index arithmetic,
+    contiguous for the matrix-vector products of :func:`_perron_root`.
     Overwrites ``t``, so that one more matrix of its size is all the
-    memory it takes."""
+    memory it takes besides the result."""
     swap, own, other, _ = basis
     moved = t[:, swap]
     moved *= other
@@ -298,15 +303,13 @@ def _hermitian_matrix(t, basis):
     moved *= other.conj()[:, None]
     t *= own.conj()[:, None]
     t += moved
-    return t.real
+    return np.ascontiguousarray(t.real)
 
 
-def _hermitian_form(x, dims, basis, target):
-    """The Hermitian tuple ``Q x`` of real coordinates ``x``, scaled to
-    trace ``target``; its entries across the diagonal are conjugate to
-    the last bit."""
-    swap, own, other, diagonal = basis
-    x = x * (target / x[diagonal].sum())
+def _hermitian_tuple(x, dims, basis):
+    """The Hermitian tuple ``Q x`` of real coordinates ``x``; its entries
+    across the diagonal are conjugate to the last bit."""
+    swap, own, other, _ = basis
     vec = own * x + (other * x)[swap]
     offs = np.cumsum((0,) + tuple(n * n for n in dims))
     return tuple(vec[offs[c]:offs[c + 1]].reshape(n, n)
@@ -319,11 +322,160 @@ def _spectrum_ends(t):
     return float(min(e[0] for e in ends)), float(max(e[1] for e in ends))
 
 
-def _perron_gap(spectrum):
-    """Distance to ``ρ = max|λ|`` of the nearest other eigenvalue, over ρ."""
-    rho = np.max(np.abs(spectrum))
-    return float(np.partition(np.abs(spectrum - rho), 1)[1]
-                 / max(rho, np.finfo(float).tiny))
+def _block_index(dims):
+    """Flat positions of the entries of each letter's ``n_a × n_a`` block,
+    row-major, in a block-diagonal matrix of side ``Σ_a n_a``."""
+    offs = np.cumsum((0,) + tuple(dims))
+    side = int(offs[-1])
+    return side, np.concatenate([((o + np.arange(n))[:, None] * side + o
+                                  + np.arange(n)).ravel()
+                                 for o, n in zip(offs, dims)])
+
+
+def _collatz_wielandt(x, image, basis, blocks):
+    """The bracket ``λ_min ≤ ρ ≤ λ_max`` of the spectral radius of ``T``
+    from a definite ``X`` (coordinates ``x``) and ``T(X)`` (``image``).
+
+    It holds the extreme eigenvalues of ``X^{-1/2} T(X) X^{-1/2}`` over
+    all letters; ``λ_min X ≤ T(X) ≤ λ_max X`` holds for the powers of
+    ``T`` too, which bounds ``ρ`` on both sides for any positive map.  The
+    letters are taken at once, as block-diagonal matrices (``blocks``
+    from :func:`_block_index`): one Cholesky factor ``X = L Lᴴ`` and one
+    ``eigvalsh`` of ``L⁻¹ T(X) L⁻ᴴ``.
+    """
+    swap, own, other, _ = basis
+    side, index = blocks
+    both = np.zeros((2, side * side), dtype=complex)
+    pair = np.stack([x, image])
+    both[:, index] = own * pair + (other * pair)[:, swap]
+    inverse = np.linalg.inv(np.linalg.cholesky(both[0].reshape(side, side)))
+    vals = np.linalg.eigvalsh(
+        inverse @ both[1].reshape(side, side) @ inverse.conj().T)
+    return float(vals[0]), float(vals[-1])
+
+
+def _perron_root(t_h, dims, basis):
+    """The Perron root ``ρ`` of ``T`` and its right vector ``x``, ``uᵀx =
+    1``, from its real matrix ``t_h`` in Hermitian coordinates, with no
+    eigensolve.
+
+    A lazy power iteration ``x ← (x + T_h x/ρ̂)/2``, ``ρ̂ = uᵀT_h x`` for
+    ``uᵀx = 1``, runs from the identity tuple ``u``: the map ``I + T/ρ̂``
+    has the Perron vector of ``T`` as its dominant one even where ``T``
+    has other eigenvalues of modulus ``ρ``.  Its Collatz–Wielandt bracket
+    (:func:`_collatz_wielandt`), checked after 0, 1, 3, 7, … steps, only
+    narrows; the iteration stops once the bracket is narrower than
+    ``√TOL_SIMPLE·λ_max``, stops narrowing, or cannot be taken because the
+    iterate is no longer definite.  Newton steps on ``(T_h −
+    ρI)x = 0``, ``uᵀx = 1`` then start from ``ρ = λ_max``, each one solve
+    with the bordered Jacobian ``[[T_h − ρI, −x], [uᵀ, 0]]``.  The first
+    is inverse iteration shifted at ``λ_max ≥ ρ``, where ``ρ`` is the
+    eigenvalue nearest the shift; near a simple root each step about
+    squares the error (T. Noda, *Numer. Math.* 17, 1971), so from the
+    bracket one step reaches ``TOL_SIMPLE`` and the next the rounding.
+    The steps stop after a correction to ``ρ`` below ``√ε·ρ``, whose
+    square is at the rounding of ``ρ``, or when a correction no longer
+    shrinks, which is then not taken.  A wrong root is not certified
+    here: :func:`normalize` tests its forms.
+    """
+    u = basis[3].astype(float)
+    x = u / u.sum()
+    blocks = _block_index(dims)
+    width, step, check = np.inf, 0, 0
+    while True:
+        image = t_h @ x
+        if step == check:
+            try:
+                lo, rho = _collatz_wielandt(x, image, basis, blocks)
+            except np.linalg.LinAlgError:
+                # the iterate is no longer definite: its limit, the
+                # Perron form, is singular, and Newton takes over
+                break
+            if rho - lo <= np.sqrt(TOL_SIMPLE) * rho or not rho - lo < width:
+                break
+            width, check = rho - lo, 2 * check + 1
+        x = (x + image / (u @ image)) / 2
+        step += 1
+    n = len(u)
+    jacobian = np.zeros((n + 1, n + 1))
+    jacobian[:n, :n] = t_h
+    jacobian[n, :n] = u
+    diagonal = np.diagonal(t_h).copy()
+    last = np.inf
+    while True:
+        jacobian[range(n), range(n)] = diagonal - rho
+        jacobian[:n, n] = -x
+        correction = np.linalg.solve(
+            jacobian, np.append(rho * x - t_h @ x, 1.0 - u @ x))
+        if not abs(correction[n]) < last:
+            return rho, x
+        x = x + correction[:n]
+        rho += correction[n]
+        last = abs(correction[n])
+        if last <= np.sqrt(np.finfo(float).eps) * rho:
+            return rho, x
+
+
+def _form_roots(t):
+    """``(t_a^{1/2}, t_a^{-1/2})`` for each letter, one ``eigh`` each.
+
+    Eigenvalues below ``TOL_PD·‖t‖_F`` are raised to it, which changes
+    only a form that fails the positivity test of :func:`normalize`: its
+    frame is then near that of the form, and the certificate stays sound
+    (:func:`_perron_certificate`)."""
+    floor = TOL_PD * frob_tuple(t)
+    roots = []
+    for m in t:
+        vals, vecs = np.linalg.eigh(m)
+        vals = np.sqrt(np.maximum(vals, floor))
+        roots.append(((vecs * vals) @ vecs.conj().T,
+                      (vecs / vals) @ vecs.conj().T))
+    return tuple(roots)
+
+
+def _unit_trace(t):
+    """A Hermitian tuple scaled to trace ``Σ_a n_a``."""
+    scale = sum(len(m) for m in t) / sum(np.trace(m).real for m in t)
+    return tuple(m * scale for m in t)
+
+
+def _bordered_solve(t, rho, u):
+    """``(x, μ)`` with ``A [x; μ] = e`` for the bordered matrix ``A =
+    [[T − ρI, u], [uᵀ, 0]]``; for ``Tᵀ`` this is the left vector."""
+    n = len(u)
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = t
+    border[range(n), range(n)] -= rho
+    border[:n, n] = border[n, :n] = u
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
+    solution = np.linalg.solve(border, unit)
+    return solution[:n], solution[n]
+
+
+def _perron_certificate(t_w, y, u):
+    """A lower bound on the Perron gap of ``T`` from its matrix ``t_w``,
+    of root 1, in the frame where ``B = I``, with no eigensolve.
+
+    There ``T_w`` fixes the identity tuple ``u`` and ``T_wᵀ`` fixes ``y``,
+    the left Perron form ``S`` in that frame.  Deflated by Brauer's
+    theorem, ``A = I − T_w + u yᵀ/(yᵀu)`` has the eigenvalues ``1 − μ``
+    for the others ``μ`` and 1 for the root, so ``1/‖A⁻¹‖_F ≤ σ_min(A) ≤
+    |1 − μ|``: the bound of :func:`~freerep.spectral.mixed_certificate`,
+    for ``T`` (Trefethen & Embree, *Spectra and Pseudospectra*, 2005).  Any
+    gauge of the system reaches that frame up to a unitary one, which
+    keeps ``‖A⁻¹‖_F``, so the bound is a property of the system.  It is
+    sound in any frame where ``y`` is the left Perron vector: Brauer's
+    theorem holds for any ``u`` with ``yᵀu ≠ 0``.  An exactly singular
+    ``A`` gives 0.
+    """
+    deflated = np.outer(u, y / (y @ u))
+    deflated -= t_w
+    deflated[range(len(u)), range(len(u))] += 1.0
+    try:
+        return 1.0 / float(np.linalg.norm(np.linalg.inv(deflated)))
+    except np.linalg.LinAlgError:
+        return 0.0
 
 
 def _fix_residual(sys, t):
@@ -345,40 +497,41 @@ class NormalizedSystem:
         ``Σ_a tr(B_a) = Σ_a n_a``.
     B_hat : tuple of ndarray
         The twin system's fixed forms, with the same convention.
-    transfer_spectrum : ndarray
-        Eigenvalues of the stored system's transfer matrix, complex, taken
-        from its real matrix in Hermitian coordinates, so non-real ones
-        come in exact conjugate pairs; conjugated, the spectrum of
-        ``D_44`` in ``spectral``.
+    perron_gap : float
+        A certified lower bound on the distance to 1 of every transfer
+        eigenvalue but the root (:func:`_perron_certificate`), taken in
+        the frame where ``B = I``; the twin shares it.  It bounds rows 1
+        and 4 of ``D`` in ``spectral``.
     fix_residual : float
         Relative fixed-point residual of ``B``, the radius certificate.
     b_min_eig : float
         Smallest eigenvalue over the ``B_a``.
+    B_roots : tuple
+        ``(B_a^{1/2}, B_a^{-1/2})`` for each letter: the gauge ``g_a =
+        B_a^{1/2}`` to the frame where ``B = I``.
     """
 
     system: MatrixSystem
     B: tuple
     B_hat: tuple
-    transfer_spectrum: np.ndarray
+    perron_gap: float
     fix_residual: float
     b_min_eig: float
+    B_roots: tuple
 
     @classmethod
-    def from_forms(cls, system, B, B_hat, transfer_spectrum):
-        """Normalized system with known forms and transfer spectrum;
-        measures the residual and the smallest eigenvalue of ``B``."""
-        return cls(system, B, B_hat, transfer_spectrum,
-                   _fix_residual(system, B), _spectrum_ends(B)[0])
+    def from_forms(cls, system, B, B_hat, perron_gap):
+        """Normalized system with known forms and Perron gap; measures the
+        residual, the smallest eigenvalue and the roots of ``B``."""
+        return cls(system, B, B_hat, perron_gap, _fix_residual(system, B),
+                   _spectrum_ends(B)[0], _form_roots(B))
 
     @property
     def rho_certificate(self):
-        """Transfer radius of the stored system: 1 by construction."""
-        return float(np.max(np.abs(self.transfer_spectrum)))
-
-    @property
-    def perron_gap(self):
-        """Distance to 1 of the nearest transfer eigenvalue but the root."""
-        return _perron_gap(self.transfer_spectrum)
+        """Transfer radius of the stored system: 1 by construction, since
+        :func:`normalize` divides by the Perron root and certifies it by
+        the fixed-point residual of ``B``."""
+        return 1.0
 
     @property
     def alphabet(self):
@@ -397,17 +550,6 @@ class NormalizedSystem:
         and shared by the twin package and the sphere-sum recursion."""
         from .twin import e_maps
         return e_maps(self)
-
-    @cached_property
-    def B_roots(self):
-        """``(B_a^{1/2}, B_a^{-1/2})`` for each letter, one ``eigh`` each:
-        the gauge ``g_a = B_a^{1/2}`` to the frame where ``B = I``."""
-        roots = []
-        for b in self.B:
-            vals, vecs = np.linalg.eigh(b)
-            roots.append(((vecs * np.sqrt(vals)) @ vecs.conj().T,
-                          (vecs / np.sqrt(vals)) @ vecs.conj().T))
-        return tuple(roots)
 
     @cached_property
     def moment_operator(self):
@@ -429,26 +571,35 @@ def _not_irreducible(gap, ends=None):
 
 
 def normalize(sys):
-    """Scale to unit transfer radius and compute the fixed forms.
+    """Scale to unit transfer radius and compute the fixed forms, with no
+    eigensolve.
 
     ``T`` maps Hermitian tuples to Hermitian tuples, so in the orthonormal
     Hermitian basis ``Q`` of :func:`_hermitian_basis` its matrix ``T_h =
     Qᴴ T Q`` is real, of the same side ``Σ_a n_a²``; it is read off the
     transfer matrix by index arithmetic, two nonzeros per column of ``Q``.
-    The eigenvalues of ``T_h`` give ``ρ = max|λ|`` and the relative Perron
-    gap.  No eigenvector is computed.  With ``u`` the identity tuple in
+    :func:`_perron_root` finds ``ρ`` and its right vector ``B₀`` by a lazy
+    power iteration and Newton steps.  With ``u`` the identity tuple in
     these coordinates (``uᵀx = Σ_a tr X_a``), the bordered matrix
 
-        ``A = [[T_h − ρI, u], [uᵀ, 0]]``
+        ``A = [[T − ρI, u], [uᵀ, 0]]``
 
     gives the right Perron vector from ``A [x; μ] = e`` and the left one
     from ``Aᵀ`` (H. B. Keller's bordering lemma, *Applications of
-    Bifurcation Theory*, 1977): as forms they are ``B`` and ``S``.  ``A``
-    is nonsingular exactly when ``ρ`` is simple and neither Perron vector
-    has trace zero.  For a positive map the Perron vectors of a simple
-    ``ρ`` are semidefinite forms, of positive trace, so ``A`` is
-    nonsingular exactly when ``ρ`` is simple: unlike ``T_h − ρI``, it is
-    not singular at the root it solves for.
+    Bifurcation Theory*, 1977).  ``A`` is nonsingular exactly when ``ρ`` is
+    simple and neither Perron vector has trace zero.  For a positive map
+    the Perron vectors of a simple ``ρ`` are semidefinite forms, of
+    positive trace, so ``A`` is nonsingular exactly when ``ρ`` is simple:
+    unlike ``T − ρI``, it is not singular at the root it solves for.
+
+    The gauge ``g_a = B₀^{1/2}`` takes the system, divided by ``√ρ``, to
+    the frame where ``B₀ = I``, and its matrix ``T_w`` there is assembled
+    once.  ``A`` of ``T_w`` at root 1 and its transpose give ``x`` and
+    ``y``, from which the two-sided Rayleigh quotient ``1 − μ/yᵀx``
+    refines ``ρ``, and ``B = g x g`` has a residual at the rounding of
+    that well-conditioned frame even where the input's basis is not.
+    ``S``, the left vector, is solved with ``T_hᵀ`` at the refined ``ρ``,
+    which keeps its residual small in the input's basis.
     The twin's transfer operator is the Hilbert–Schmidt adjoint ``T†``
     with letters relabelled ``c ↦ c⁻¹``, so the twin's forms are ``B̂_c =
     S_{c⁻¹}``, with no transpose.  Blocks are divided by ``√ρ``; both
@@ -467,21 +618,28 @@ def normalize(sys):
     ``B`` puts its eigenvalue at ``ρ``, and a simple ``ρ`` makes ``Y`` a
     multiple of ``S``, which is then singular.  As for nonnegative
     matrices, a block-triangular system has a singular ``B`` or ``B̂``, and
-    a direct sum has a non-simple ``ρ`` or a singular form.  Simplicity is
-    tested before the bordered solve.
+    a direct sum has a non-simple ``ρ`` or a singular form.
 
-    The fixed-point residual ``ε`` of ``B`` is checked against ``TOL_FIX``.
+    Simplicity is certified by :func:`_perron_certificate`, one inverse of
+    the deflated ``I − T_w + u yᵀ/(yᵀu)`` in that frame (the one where ``B
+    = I``, to the rounding of Newton's root), whose bound must exceed
+    ``TOL_SIMPLE``.  It is kept as ``perron_gap``, the bound of ``D_44``
+    and (on the twin) ``D_11`` in ``spectral``, and taken before the
+    positivity test, so that a system that fails that test still reports
+    its gap.  The
+    positivity test also makes a wrong root fail loudly: a definite
+    eigenvector of a positive map belongs to its spectral radius.  The
+    fixed-point residual ``ε`` of ``B`` is checked against ``TOL_FIX``.
     The map ``T/ρ`` is positive and ``B`` is definite, so this certifies
-    its radius: ``|ρ(T/ρ) − 1| ≤ ε‖B‖_F / λ_min(B)``.  Its spectrum
-    ``Λ/ρ``, kept as ``transfer_spectrum``, gives the Perron gap, the
-    bound of ``D_44`` and (on the twin) ``D_11`` in ``spectral``.
+    its radius: ``|ρ(T/ρ) − 1| ≤ ε‖B‖_F / λ_min(B)``.
 
     Raises
     ------
     ValueError
         Invalid input, or "system is not irreducible" followed by the
-        relative Perron gap and the ratios ``λ_min/λ_max`` of both forms
-        (undefined when ``ρ`` is not simple or ``A`` is singular).
+        certified Perron gap (``nan`` where a Newton or bordered matrix is
+        exactly singular) and the ratios ``λ_min/λ_max`` of both forms
+        (undefined when the gap fails).
     RuntimeError
         The fixed-point residual of ``B`` exceeds ``TOL_FIX``.
     """
@@ -489,34 +647,37 @@ def normalize(sys):
     if violations:
         raise ValueError("invalid system: " + "; ".join(violations))
     basis = _hermitian_basis(sys.dims)
+    u = basis[3].astype(float)
     t_h = _hermitian_matrix(transfer_matrix(sys), basis)
-    vals = np.linalg.eigvals(t_h).astype(complex)
-    rho = float(np.max(np.abs(vals)))
-    gap = _perron_gap(vals)
+    try:
+        rho, x = _perron_root(t_h, sys.dims, basis)
+        roots = _form_roots(_hermitian_tuple(x, sys.dims, basis))
+        t_w = _hermitian_matrix(transfer_matrix(MatrixSystem(
+            sys.alphabet, sys.dims,
+            {(b, a): roots[b][0] @ m @ roots[a][1] / np.sqrt(rho)
+             for (b, a), m in sys.blocks.items()})), basis)
+        right, mu = _bordered_solve(t_w, 1.0, u)
+        left, _ = _bordered_solve(t_w.T, 1.0, u)
+        # the two-sided Rayleigh quotient 1 + yᵀ(T_w − I)x/yᵀx
+        root = 1.0 - mu / (left @ right)
+        rho *= root
+        left_raw, _ = _bordered_solve(t_h.T, rho, u)
+    except np.linalg.LinAlgError:
+        raise _not_irreducible(np.nan) from None
+    gap = _perron_certificate(t_w / root, left, u)
+    B = tuple(g @ m @ g for (g, _), m in
+              zip(roots, _hermitian_tuple(right, sys.dims, basis)))
+    B = _unit_trace(tuple((m + m.conj().T) / 2 for m in B))
+    S = _unit_trace(_hermitian_tuple(left_raw, sys.dims, basis))
+    B_hat = tuple(S[c ^ 1] for c in sys.alphabet.letters)
     if not gap > TOL_SIMPLE:
         raise _not_irreducible(gap)
-    n = len(vals)
-    border = np.zeros((n + 1, n + 1))
-    border[:n, :n] = t_h
-    border[range(n), range(n)] -= rho
-    border[:n, n] = border[n, :n] = basis[3]  # u, the identity tuple
-    unit = np.zeros(n + 1)
-    unit[n] = 1.0
-    try:
-        right = np.linalg.solve(border, unit)[:n]
-        left = np.linalg.solve(border.T, unit)[:n]
-    except np.linalg.LinAlgError:
-        raise _not_irreducible(gap) from None
-    target = float(sum(sys.dims))
-    B = _hermitian_form(right, sys.dims, basis, target)
-    S = _hermitian_form(left, sys.dims, basis, target)
-    B_hat = tuple(S[c ^ 1] for c in sys.alphabet.letters)
     ends = [_spectrum_ends(t) for t in (B, B_hat)]
     if not all(lo > TOL_PD * frob_tuple(t)
                for (lo, _), t in zip(ends, (B, B_hat))):
         raise _not_irreducible(gap, ends)
-    scaled = sys.scaled(1.0 / np.sqrt(rho))
-    nsys = NormalizedSystem.from_forms(scaled, B, B_hat, vals / rho)
+    nsys = NormalizedSystem.from_forms(sys.scaled(1.0 / np.sqrt(rho)),
+                                       B, B_hat, gap)
     if nsys.fix_residual > TOL_FIX:
         raise RuntimeError("fixed-point residual %.2e of B exceeds %.0e"
                            % (nsys.fix_residual, TOL_FIX))

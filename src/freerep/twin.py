@@ -7,8 +7,8 @@ letter.  In conjugate-dual coordinates the twin's blocks are plain data:
 the nose.  The twin's transfer operator is the adjoint of the system's with
 letters relabelled, so :func:`~freerep.systems.normalize` already holds the
 twin's forms ``B̂``, from the left Perron vector of its bordered solve, and
-the twin's spectrum, the conjugate of the system's; :func:`twin` reads
-them off.
+the twin's Perron gap, which the conjugate spectrum shares; :func:`twin`
+reads them off.
 
 A system and its twin are equivalent exactly when the mixed block
 ``D_22`` of :mod:`~freerep.spectral` has eigenvalue 1, and
@@ -49,13 +49,14 @@ def twin(nsys):
 
     The twin's transfer matrix is ``T†`` with its letters relabelled, so
     its transfer spectrum is the conjugate of the system's: the twin
-    already has unit transfer radius and takes the conjugated certificate
-    spectrum.  Its forms are ``nsys.B_hat``, and its ``B_hat`` is
-    ``nsys.B``, so ``twin(twin(nsys))`` has the blocks, forms and spectrum
-    of ``nsys``.
+    already has unit transfer radius and shares the certified Perron gap
+    (the deflated matrix of the certificate, transposed, is the twin's in
+    the same frame).  Its forms are ``nsys.B_hat``, and its ``B_hat`` is
+    ``nsys.B``, so ``twin(twin(nsys))`` has the blocks, forms and Perron
+    gap of ``nsys``.
     """
     return NormalizedSystem.from_forms(twin_system(nsys.system), nsys.B_hat,
-                                       nsys.B, nsys.transfer_spectrum.conj())
+                                       nsys.B, nsys.perron_gap)
 
 
 def e_maps(nsys):

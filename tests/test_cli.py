@@ -456,6 +456,23 @@ class TestReportFunction:
         assert err.value.code == 0
         assert "freerep" in capsys.readouterr().out
 
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        # a batch calls main once per system; the parser is built once
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda _build=build_parser:
+                            built.append(1) or _build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(SystemExit) as err:
+                    main(["--version"])
+                assert err.value.code == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert capsys.readouterr().out.count("freerep") == 2
+
 
 class TestUnusablePaths:
     """An input that cannot be read or an output that cannot be written

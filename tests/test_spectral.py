@@ -29,6 +29,7 @@ from freerep.spectral import (
     _ROWS,
     DELTA,
     GAP_FACTOR,
+    Cluster,
     EigenOne,
     _accept_Q,
     _fixed_forms,
@@ -555,10 +556,9 @@ class TestEigenOne:
         assert eig.mult_one == 2
 
     @staticmethod
-    def _assert_narrow_row_raises(name, row, monkeypatch):
+    def _assert_narrow_row_raises(d, row, monkeypatch):
         # 10δ between the bound of ``row``, the least, and the others: an
         # eigenvalue outside the cluster of D_row,row lies within 10δ of 1
-        d = _built_D(name)
         bound = d.clusters[row - 1].bound
         other = min(c.bound for c in d.clusters if c.bound != bound)
         assert bound == eigen_one(d).gap < other
@@ -567,18 +567,26 @@ class TestEigenOne:
             eigen_one(d)
 
     def test_narrow_gap_raises(self, monkeypatch):
-        # rows 1 and 4: the Perron gap of the transfer spectrum
-        self._assert_narrow_row_raises("aii-2", 4, monkeypatch)
+        # rows 1 and 4: the certified Perron gap
+        self._assert_narrow_row_raises(_built_D("aii-2"), 4, monkeypatch)
 
     def test_narrow_gap_without_cluster_raises(self, monkeypatch):
         # rows 2 and 3 of inequivalent twins: no eigenvalue within δ of 1,
-        # and one within 10δ is ill-conditioned, not multiplicity 0
-        self._assert_narrow_row_raises("ai-1", 2, monkeypatch)
+        # and one within 10δ is ill-conditioned, not multiplicity 0; aii-3
+        # is a system whose D_22 bound is below its Perron gap
+        self._assert_narrow_row_raises(_built_D("aii-3"), 2, monkeypatch)
 
     def test_narrow_deflated_gap_raises(self, monkeypatch):
         # rows 2 and 3 of equivalent twins: the bound of the deflated
-        # certificate, every eigenvalue of D_22 but the fixed one
-        self._assert_narrow_row_raises("s0", 3, monkeypatch)
+        # certificate, every eigenvalue of D_22 but the fixed one.  Through
+        # K, D_22 is then similar to D_44, and the two certificates agree
+        # to rounding, so rows 1 and 4 are given a wide bound here for row
+        # 3 to be the narrow one
+        d = _built_D("s0")
+        wide = Cluster(1, 1.0)
+        d = dataclasses.replace(d, clusters=(wide,) + d.clusters[1:3]
+                                + (wide,))
+        self._assert_narrow_row_raises(d, 3, monkeypatch)
 
     @pytest.mark.parametrize("make", [
         generate.s0_system,
@@ -880,7 +888,7 @@ class TestClassify:
         assert report.Q is None
 
     def test_no_dense_solve_of_D(self, monkeypatch):
-        # no eigensolve at all: D_11 and D_44 read the transfer spectrum
+        # no eigensolve at all: D_11 and D_44 read the Perron gap
         # normalize certified, and one inverse of the whitened I − D_22,
         # taken by the twin package, certifies the cluster of D_22 and of
         # its conjugate D_33
@@ -894,7 +902,10 @@ class TestClassify:
                     if m.shape == (d.side, d.side)]
         assert not calls["eigvals"] and not calls["eig"]
         assert [m.shape for m, _ in calls["inv"]] == [d.block(2, 2).shape]
-        assert report.rho_D == float(np.max(np.abs(nsys.transfer_spectrum)))
+        monkeypatch.undo()
+        # rho_D is the transfer radius, against a dense eigensolve
+        assert abs(report.rho_D - np.max(np.abs(np.linalg.eigvals(
+            transfer_matrix(nsys.system))))) <= 1e-12
         # with inequivalent twins the certificate's inverse serves every
         # solve, so the whitened D_22 is assembled and inverted once
         assert [pkg for pkg, _ in built] == [report.package]
@@ -964,17 +975,21 @@ class TestBlockSpectra:
 
     @staticmethod
     def _assert_block_eigenvalues(d):
-        # the transfer spectrum normalize kept is that of D_11, and its
-        # conjugate that of D_44, against a dense eigensolve of each
-        # block; their clusters count 1 with the Perron gap as bound
+        # the transfer spectrum of the stored system is that of D_11, and
+        # its conjugate that of D_44, against a dense eigensolve of each
+        # block; their clusters count 1, and their bound, the certified
+        # Perron gap, is at most the distance to 1 of every other
+        # eigenvalue
         oracle = dense_D(d.package)
-        spectrum = d.package.original.transfer_spectrum
+        spectrum = np.linalg.eigvals(
+            transfer_matrix(d.package.original.system))
         for i, vals in ((1, spectrum), (4, spectrum.conj())):
             dense = np.linalg.eigvals(oracle.block(i, i))
             assert _spectrum_gap(vals, dense) < 1e-9
             cluster = d.clusters[i - 1]
             assert cluster.count == 1 == np.sum(np.abs(dense - 1) < DELTA)
-            assert abs(np.sort(np.abs(dense - 1))[1] - cluster.bound) < 1e-9
+            assert (GAP_FACTOR * DELTA <= cluster.bound
+                    <= np.sort(np.abs(dense - 1))[1] * (1 + 1e-12))
 
 
 class TestSelfTwinGate:
@@ -1130,8 +1145,8 @@ class TestMixedBound:
         # reading the transfer spectra alone
         d, _, vals, _ = _mixed_case(name)
         assert np.max(np.abs(vals)) <= 1 + 1e-12
-        assert abs(np.max(np.abs(d.package.original.transfer_spectrum))
-                   - 1) <= 1e-12
+        assert abs(np.max(np.abs(np.linalg.eigvals(
+            transfer_matrix(d.package.original.system)))) - 1) <= 1e-12
 
     def test_bound_is_gauge_invariant_on_gate_copies(self):
         # the 7 non-unitary gauge copies of gate system 0
@@ -1246,6 +1261,16 @@ class TestMetamorphic:
                      _relabelled(sys_, (0, 1), inverted)):
             assert abs(normalize(copy).perron_gap - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_perron_gap_on_wide_gauge_copies(self, seed):
+        # the certificate is taken in the frame where B = I, which every
+        # gauge reaches up to a unitary one
+        sys_ = generate.random_system(seed, k=2, max_dim=8)
+        want = normalize(sys_).perron_gap
+        copy = _gauged(sys_, _gauge_draw(np.random.default_rng(0),
+                                         sys_.dims))
+        assert abs(normalize(copy).perron_gap - want) <= 1e-10 * want
+
     @_METAMORPHIC
     @given(index=_POOL_INDEX)
     def test_twin_of_twin(self, index):
@@ -1254,15 +1279,20 @@ class TestMetamorphic:
 
 
 class TestClusters:
-    """Rows 1 and 4 of ``D`` read the Perron gap of the transfer spectrum,
-    a property of the system that its twin shares; ``eigen_one`` reads
-    the least bound of the four rows."""
+    """Rows 1 and 4 of ``D`` read the certified Perron gap, a property of
+    the system that its twin shares; ``eigen_one`` reads the least bound
+    of the four rows."""
 
     @pytest.mark.parametrize("index", range(21))
     def test_gap_is_the_least_bound(self, index):
         d = _built_D("pool-%d" % index)
         pkg = d.package
         assert pkg.original.perron_gap == pkg.twin.perron_gap
+        # at most the distance to 1 of every transfer eigenvalue but the
+        # root, against a dense eigensolve
+        dense = np.linalg.eigvals(transfer_matrix(pkg.original.system))
+        assert pkg.original.perron_gap <= (
+            np.sort(np.abs(dense - 1))[1] * (1 + 1e-12))
         counts = [c.count for c in d.clusters]
         assert counts == [1] + [pkg.equivalent] * 2 + [1]
         assert d.clusters[0].bound == d.clusters[3].bound == (

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from freerep import generate, systems
+from freerep import twin as twin_module
 from freerep.freegroup import Alphabet
+from freerep.spectral import DELTA, GAP_FACTOR
 from freerep.twin import twin
 from freerep.systems import (
     MatrixSystem,
@@ -20,7 +22,7 @@ from freerep.systems import (
     transfer_matrix,
     validate,
 )
-from test_spectral import _metamorphic_pool, _recorded
+from test_spectral import _linalg_calls, _metamorphic_pool, _recorded
 
 a, ai, b, bi = 0, 1, 2, 3
 
@@ -296,8 +298,11 @@ def test_normalize_rejects_reducible(name):
     sys = REDUCIBLE[name]()
     assert not is_irreducible(sys)
     with pytest.raises(ValueError, match="^system is not irreducible: "
-                       "Perron gap .* form ratios"):
+                       "Perron gap .* form ratios") as err:
         normalize(sys)
+    # the gap is undefined only where a factorization fails on the way,
+    # which none of these inputs reaches
+    assert "Perron gap nan" not in str(err.value)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -379,24 +384,36 @@ def test_transfer_matrix_matches_apply():
     assert np.allclose(direct, looped, atol=1e-12 * max(1.0, abs(looped).max()))
 
 
-def test_normalize_makes_one_eigendecomposition(monkeypatch):
-    # ρ, the gap and the transfer spectrum come off the eigenvalues of the
-    # real matrix of T in Hermitian coordinates; B and B̂ off a bordered
-    # solve, with no eigenvector computed
+def test_normalize_makes_no_eigendecomposition(monkeypatch):
+    # ρ comes from a lazy power iteration and Newton steps on the real
+    # matrix of T in Hermitian coordinates, B and B̂ from bordered solves,
+    # and the Perron gap from one inverse of side Σn² in the frame where
+    # B = I; the only other inverses are the Collatz–Wielandt bracket's,
+    # of side Σn
     sys = generate.random_system(730, k=2, max_dim=3)
     calls = {name: _recorded(monkeypatch, name)
-             for name in ("eig", "eigvals")}
+             for name in ("eig", "eigvals", "inv")}
     assembled = []
     monkeypatch.setattr(systems, "transfer_matrix",
                         lambda s, _build=systems.transfer_matrix:
                         assembled.append(s) or _build(s))
     normalize(sys)
-    assert calls["eig"] == []
-    assert len(calls["eigvals"]) == 1
-    (matrix, _), = calls["eigvals"]
+    assert calls["eig"] == [] and calls["eigvals"] == []
     side = sum(n * n for n in sys.dims)
-    assert matrix.dtype == np.float64 and matrix.shape == (side, side)
-    assert assembled == [sys]
+    shapes = [m.shape for m, _ in calls["inv"]]
+    assert shapes.count((side, side)) == 1
+    assert set(shapes) == {(side, side), (sum(sys.dims),) * 2}
+    # the system, then its copy in the frame where B = I
+    assert assembled[0] is sys and len(assembled) == 2
+    assert assembled[1].dims == sys.dims
+
+
+def test_systems_and_twin_call_no_eig_or_eigvals():
+    # the scan of test_spectral_calls_no_eig_or_eigvals, on the modules
+    # that normalize a system and build its twin
+    for module in (systems, twin_module):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert _linalg_calls(source, {"eig", "eigvals"}) == [], module
 
 
 # the eigenvalue-1 pool, and the wide benchmark systems (letter dims up
@@ -428,16 +445,53 @@ def _adjoint_perron_forms(sys):
     return tuple(S[c ^ 1] for c in sys.alphabet.letters)
 
 
+def _dense_radius_and_gap(sys):
+    """The oracle's transfer radius ``ρ = max|λ|`` of ``sys`` and its
+    relative Perron gap, the distance to ``ρ`` of the nearest other
+    eigenvalue over ``ρ``, from a dense eigensolve."""
+    vals = np.linalg.eigvals(transfer_matrix(sys))
+    rho = np.max(np.abs(vals))
+    return rho, np.partition(np.abs(vals - rho), 1)[1] / rho
+
+
 @pytest.mark.parametrize("name", _SPECTRUM_NAMES)
 def test_transfer_spectrum_is_the_spectrum_of_the_stored_system(name):
-    # the measurement behind rho_certificate, which is 1 by construction
+    # the stored system has transfer radius 1, which rho_certificate
+    # reads by construction, and its Perron gap is at least perron_gap,
+    # against a dense eigensolve of its transfer matrix
     nsys = _normalized(name)
-    dense = np.linalg.eigvals(transfer_matrix(nsys.system))
-    kept = nsys.transfer_spectrum
-    assert len(kept) == len(dense)
-    apart = np.abs(kept[:, None] - dense[None, :])
-    assert apart.min(axis=1).max() < 1e-12
-    assert apart.min(axis=0).max() < 1e-12
+    rho, gap = _dense_radius_and_gap(nsys.system)
+    assert nsys.rho_certificate == 1.0
+    assert abs(rho - 1.0) < 1e-12
+    assert nsys.perron_gap <= gap * (1 + 1e-12)
+
+
+_CLASS_NAMES = (["ai-%d" % s for s in range(1, 6)]
+                + ["bi-%d" % s for s in range(1, 6)]
+                + ["aii-%d" % s for s in range(1, 4)] + ["s0"])
+
+
+def _class_system(name):
+    if name == "s0":
+        return generate.s0_system()
+    kind, seed = name.split("-")
+    return getattr(generate, kind + "_instance")(int(seed))
+
+
+@pytest.mark.parametrize("name", _SPECTRUM_NAMES + _CLASS_NAMES)
+def test_perron_root_and_certificate_are_sound(name):
+    # against a dense eigensolve of the input's transfer matrix: ρ, read
+    # off the scaling of the blocks, to 1e-13, and the certified gap
+    # between the decision threshold 10δ and the true gap
+    sys = (_class_system(name) if name in _CLASS_NAMES
+           else _spectrum_system(name))
+    nsys = normalize(sys)
+    rho, gap = _dense_radius_and_gap(sys)
+    key = max(sys.blocks, key=lambda k: np.abs(sys.blocks[k]).max())
+    scale = sys.blocks[key].ravel() / nsys.system.blocks[key].ravel()
+    found = np.abs(scale[np.argmax(np.abs(sys.blocks[key]))]) ** 2
+    assert abs(found - rho) <= 1e-13 * rho
+    assert GAP_FACTOR * DELTA <= nsys.perron_gap <= gap * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("name", _SPECTRUM_NAMES)
@@ -491,9 +545,10 @@ def test_hermitian_coordinates_match_dense_basis(name):
 
 
 def test_singular_bordered_matrix_reads_as_reducible(monkeypatch):
-    # no input reaches this branch: a non-simple root is caught first
-    # (doubled-s0 above), and on a simple one both Perron vectors are
-    # semidefinite forms of positive trace
+    # an exactly singular Newton or bordered matrix leaves the gap
+    # undefined; on a simple root of a positive map both Perron vectors
+    # are semidefinite forms of positive trace, so no irreducible input
+    # reaches this branch
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
