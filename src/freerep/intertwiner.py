@@ -6,11 +6,16 @@ family of intertwiners, splits the equivalent-twin case into the ±1
 eigenspaces of the associated involution, and bounds the rank of the
 cross-cone compressions that drive the realization count.
 
-The checks work on dense charts of the depth-N subspaces W_N.  The chart
-of a pair operator comes from one pass of matrix-valued messages over the
-ball, shared by all of its columns; a translation's columns are local and
-are walked one by one.  The finite-rank profile takes one walk per letter
-pair, with the transfer products of each depth stacked by last letter.
+The checks work on dense charts of the depth-N subspaces W_N.  A system's
+charts (the coordinates and form of W_N, the inclusion W_N → W_{N+1} and
+the translations by a letter) are built once, on first use, and kept on
+the normalized system.  Every walk over the tree goes one radius at a
+time, with the blocks of that radius padded to the largest letter
+dimension and stacked in lexicographic order, so a step is one stacked
+product: the chart of a pair operator passes matrix-valued messages down
+the ball, the word identities extend the transfer products of each
+length, and the finite-rank profile walks once from each start letter
+for every target.
 """
 
 import dataclasses
@@ -18,16 +23,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freegroup import multiply
-from .functions import MuSummand, _spread, canonicalize
-from .twin import e_lookup, e_maps
+from .functions import MuSummand, canonicalize
+from .twin import e_maps
 
 # Hard cap on the dimension of any materialized W_N coordinate space.
 W_DIM_LIMIT = 30000
 
 
 # ---------------------------------------------------------------------------
-# coordinates of the depth-N subspaces
+# charts of the depth-N subspaces, built once per system
+
+
+def _charted(nsys, key, build):
+    """``build()``, computed on first use and kept in ``nsys.charts`` under
+    ``key``; a kept array is read-only, since every caller shares it."""
+    charts = nsys.charts
+    if key not in charts:
+        chart = build()
+        if isinstance(chart, np.ndarray):
+            chart.flags.writeable = False
+        charts[key] = chart
+    return charts[key]
+
+
+def _place(M, rows, cols, block):
+    """Add ``block`` (or ``block[i]``) into ``M`` with its corner at
+    ``(rows[i], cols[i])``, for every ``i`` at once."""
+    r = rows[:, None, None] + np.arange(block.shape[-2])[:, None]
+    c = cols[:, None, None] + np.arange(block.shape[-1])
+    M[r, c] += block
 
 
 @dataclass(frozen=True)
@@ -35,53 +59,118 @@ class WLayout:
     """Coordinate chart of the depth-``n`` subspace W_n.
 
     One contiguous block per forward edge ``(x, b)``, ordered sphere
-    first, letter second; the block carries the ``V_b`` coefficient.
+    first, letter second, which is the lexicographic order of the words
+    ``xb``; the block carries the ``V_b`` coefficient.  ``starts[i]`` is
+    the first coordinate of key ``i`` (``starts[-1]`` is ``dim``) and
+    ``letters[i]`` its letter.  Every key has ``2k − 1`` forward edges one
+    radius out, consecutive: key ``i`` has the keys ``(2k − 1)i + p`` of
+    W_{n+1}, ``p`` counting the letters after ``b`` in order.
     """
 
-    nsys: object
     n: int
     keys: tuple
     offsets: dict
     dim: int
+    starts: np.ndarray
+    letters: np.ndarray
 
 
 def w_layout(nsys, n):
-    keys = []
-    offsets = {}
-    pos = 0
-    for x in nsys.alphabet.sphere(n):
-        for b in nsys.alphabet.letters:
-            if x and b == x[-1] ^ 1:
-                continue
-            keys.append((x, b))
-            offsets[(x, b)] = pos
-            pos += nsys.dims[b]
-    if pos > W_DIM_LIMIT:
-        raise ValueError("W_%d dimension %d exceeds the memory budget" % (n, pos))
-    return WLayout(nsys=nsys, n=n, keys=tuple(keys), offsets=offsets, dim=pos)
+    """The chart of W_n, built once per system and depth."""
+    return _charted(nsys, ("layout", n), lambda: _layout(nsys, n))
 
 
-def _form_diag(layout):
-    """Gram matrix of the canonical basis: block diagonal of the forms."""
-    G = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for x, b in layout.keys:
-        o = layout.offsets[(x, b)]
-        d = layout.nsys.dims[b]
-        G[o : o + d, o : o + d] = layout.nsys.B[b]
+def _layout(nsys, n):
+    keys = [(x, b) for x in nsys.alphabet.sphere(n)
+            for b in nsys.alphabet.letters if not x or b != x[-1] ^ 1]
+    letters = np.array([b for _, b in keys])
+    starts = np.concatenate(([0], np.cumsum(np.take(nsys.dims, letters))))
+    dim = int(starts[-1])
+    if dim > W_DIM_LIMIT:
+        raise ValueError("W_%d dimension %d exceeds the memory budget" % (n, dim))
+    return WLayout(n=n, keys=tuple(keys),
+                   offsets=dict(zip(keys, starts[:-1].tolist())), dim=dim,
+                   starts=starts, letters=letters)
+
+
+def _form_diag(nsys, n):
+    """Gram matrix of the canonical basis of W_n, the block diagonal of the
+    forms; built once per system and depth."""
+    return _charted(nsys, ("form", n), lambda: _gram(nsys, n))
+
+
+def _gram(nsys, n):
+    lay = w_layout(nsys, n)
+    G = np.zeros((lay.dim, lay.dim), dtype=complex)
+    for b in nsys.alphabet.letters:
+        at = lay.starts[:-1][lay.letters == b]
+        _place(G, at, at, nsys.B[b])
     return G
 
 
-def _add_summand(layout, col, s):
-    """Add the chart coefficients of the summand ``s`` into ``col``.
+def _inclusion(nsys, n):
+    """Chart of the inclusion W_n → W_{n+1}: the block ``H[c|b]`` from
+    ``(x, b)`` to ``(xb, c)``; built once per system and depth."""
+    return _charted(nsys, ("inclusion", n), lambda: _step_chart(nsys, n))
 
-    The forward edges of W_n are the words of the sphere of radius
-    ``n + 1``, so the values of ``s`` there are its coefficients.  Added
-    to a zero column they give, bit for bit, the coefficients
-    :func:`canonicalize` gives (it also adds each value to zero).
+
+def _step_chart(nsys, n):
+    lin, lout = w_layout(nsys, n), w_layout(nsys, n + 1)
+    letters = nsys.alphabet.letters
+    P = np.zeros((lout.dim, lin.dim), dtype=complex)
+    for b in letters:
+        keys = np.flatnonzero(lin.letters == b)
+        for p, c in enumerate(c for c in letters if c != b ^ 1):
+            _place(P, lout.starts[(len(letters) - 1) * keys + p],
+                   lin.starts[keys], nsys.h(c, b))
+    return P
+
+
+def translation_matrix(nsys, y, n):
+    """Chart matrix of ``π(y)`` from W_n into W_{n+1}, for ``|y| ≤ 1``: the
+    basis column at the edge ``(x, xb)`` is the summand on ``(yx, yxb)``.
+    Built once per system, word and depth.
+
+    Raises
+    ------
+    ValueError
+        when ``|y| ≥ 2``: some column's summand then lies beyond W_{n+1}.
     """
-    for y, val in _spread(layout.nsys, s, layout.n + 1).items():
-        o = layout.offsets[(y[:-1], y[-1])]
-        col[o : o + len(val)] += val
+    nsys.alphabet.check_word(y)
+    if len(y) > 1:
+        raise ValueError("translation target depth too small")
+    return _charted(nsys, ("translation", tuple(y), n),
+                    lambda: _translation(nsys, tuple(y), n))
+
+
+def _translation(nsys, y, n):
+    step = _inclusion(nsys, n)
+    if not y:
+        return step
+    lin, lout = w_layout(nsys, n), w_layout(nsys, n + 1)
+    kids = nsys.alphabet.size - 1
+
+    def span(lay, c):
+        # the coordinates of the keys whose word starts with c
+        per = kids ** lay.n
+        return slice(lay.starts[c * per], lay.starts[(c + 1) * per])
+
+    def outside(lay, c):
+        cut = span(lay, c)
+        return np.r_[0:cut.start, cut.stop:lay.dim]
+
+    a = y[0]
+    T = np.zeros_like(step)
+    # the column at a word w = xb not starting with a⁻¹ is the unit
+    # summand on the edge aw of W_{n+1}; those edges fill the span of a,
+    # in the order of w
+    T[np.arange(lout.dim)[span(lout, a)], outside(lin, a ^ 1)] = 1.0
+    # the column at w = a⁻¹w' is the summand on w', two steps short of
+    # W_{n+1}: the inclusion's column at w, its rows a⁻¹v read as the edges
+    # v of W_n, is the summand at w' one step out
+    back = span(lin, a ^ 1)
+    T[:, back] += step[:, outside(lin, a)] @ step[span(lout, a ^ 1), back]
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +194,32 @@ def _apply_edge_operator(f, out_nsys, same, flip):
     return canonicalize(out_nsys, summands, f.depth)
 
 
+def _padded(mats, rows, cols):
+    """The matrices ``mats`` stacked, each padded with zeros to ``rows ×
+    cols``."""
+    out = np.zeros((len(mats), rows, cols), dtype=complex)
+    for i, m in enumerate(mats):
+        out[i, : m.shape[0], : m.shape[1]] = m
+    return out
+
+
+def _padded_blocks(nsys):
+    """``H[c|l]`` for all letters, zero at ``c = l⁻¹``, padded to the
+    largest letter dimension ``D``: shape ``(2k, 2k, D, D)``."""
+    letters = nsys.alphabet.letters
+    D = max(nsys.dims)
+    blocks = [nsys.h(c, l) if c != l ^ 1 else np.zeros((0, 0))
+              for c in letters for l in letters]
+    return _padded(blocks, D, D).reshape(
+        len(letters), len(letters), D, D)
+
+
+def _successors(size):
+    """Row ``l``: the letters that may follow ``l`` in a reduced word."""
+    return np.array([[c for c in range(size) if c != l ^ 1]
+                     for l in range(size)])
+
+
 def _pair_operator_matrix(nsys_in, nsys_out, n, same, flip):
     """Chart matrix of an edge-pair operator on W_n.
 
@@ -116,108 +231,68 @@ def _pair_operator_matrix(nsys_in, nsys_out, n, same, flip):
     index; the columns reach a vertex along one path each, so every
     entry is still the single product of blocks along its geodesic.
 
-    Up: the message a vertex sends to its parent depends only on its
-    radius and last letter, and covers the consecutive columns of the
-    heads below it, so one message per letter and radius serves the
-    whole sphere.  Down, depth first: the message from ``z`` to a child
-    ``zc`` is ``H[c|z_last]`` times the message from the parent, plus
-    the up messages of the other children, stepped to ``c``; at radius
-    ``n`` it is the chart block of the forward edge ``(z, c)``.
+    Rows and columns are padded to the largest letter dimension, so the
+    heads behind each vertex of radius ``r`` fill one chunk of columns of
+    a common width.  Up: the message a vertex sends on depends only on
+    its radius and letters, so ``msgs[r][l, e]`` (for a vertex ending in
+    ``l``) holds the messages of its children, each stepped on to the
+    neighbour ``e``, side by side.  Down, breadth first: the messages on
+    the edges of radius ``r``, stacked in the order of the W_r chart, go
+    a radius out by one stacked product with the blocks ``H[c|z_last]``,
+    and each vertex's children take the siblings' messages on its own
+    chunk.  At radius ``n``, with ``same`` added on the diagonal and the
+    padding dropped, they are the chart.
     """
-    lin = w_layout(nsys_in, n)
-    lout = w_layout(nsys_out, n)
-    letters = nsys_out.alphabet.letters
-    h = nsys_out.h
-    M = np.zeros((lout.dim, lin.dim), dtype=complex)
-    # below[r][d]: the message a vertex of radius r holds from its child
-    # along d, over the columns of the heads behind that child (on the
-    # sphere of radius n the child is the reversed edge itself);
-    # side[r][c, d]: that message stepped on to the neighbour along c
-    below = [None] * n + [dict(enumerate(flip))]
-    side = [None] * (n + 1)
-    for r in range(n, -1, -1):
-        side[r] = {
-            (c, d): h(c, d ^ 1) @ below[r][d]
-            for c in letters
-            for d in letters
-            if c != d
-        }
-        if r:
-            below[r - 1] = {
-                l: np.hstack([side[r][l ^ 1, d] for d in letters if d != l ^ 1])
-                for l in letters
-            }
-
-    def down(z, last, lo, msg):
-        # lo: first column of the heads behind z; msg: the message from
-        # the parent of z (None at the identity)
-        r = len(z)
-        kids = [d for d in letters if not z or d != last ^ 1]
-        for c in kids:
-            if msg is None:
-                m = np.zeros((nsys_out.dims[c], lin.dim), dtype=complex)
-            else:
-                m = h(c, last) @ msg
-            pos = lo
-            for d in kids:
-                width = below[r][d].shape[1]
-                if d == c:
-                    child_lo = pos
-                else:
-                    m[:, pos : pos + width] += side[r][c, d]
-                pos += width
-            if r == n:
-                o = lout.offsets[(z, c)]
-                M[o : o + nsys_out.dims[c]] += m
-            else:
-                down(z + (c,), c, child_lo, m)
-
-    down((), None, 0, None)
-    # added to the zero slot like every other entry, so a -0.0 in same
-    # comes out as 0.0, as it does from a product with a unit vector
-    for x, b in lin.keys:
-        i = lin.offsets[(x, b)]
-        o = lout.offsets[(x, b)]
-        M[o : o + nsys_out.dims[b], i : i + nsys_in.dims[b]] += same[b]
-    return M
+    letters = np.arange(nsys_out.alphabet.size)
+    kids = len(letters) - 1
+    D, Din = max(nsys_out.dims), max(nsys_in.dims)
+    H = _charted(nsys_out, ("padded",), lambda: _padded_blocks(nsys_out))
+    after = _successors(len(letters))
+    # block (e, d) is H[e|d⁻¹], which steps a message from d on to e
+    turn = H[:, letters ^ 1]
+    # below[d]: the message a vertex holds from its child along d, over
+    # the heads behind that child (on the sphere of radius n the child is
+    # the reversed edge itself)
+    below = _padded(flip, D, Din)
+    msgs = [None] * (n + 1)
+    for r in range(n, 0, -1):
+        side = (turn @ below)[:, after]
+        msgs[r] = side.transpose(1, 0, 3, 2, 4).reshape(
+            len(letters), len(letters), D, -1)
+        below = msgs[r][letters, letters ^ 1]
+    # the layers are contiguous, so their reshapes below are views
+    layer = (turn @ below).transpose(0, 2, 1, 3).reshape(len(letters), D, -1)
+    up = letters
+    for r in range(1, n + 1):
+        # each edge's children at once: blocks (edge, child), messages
+        # broadcast over the children
+        j = np.arange(len(up))
+        layer = (H[after[up], up[:, None]] @ layer[:, None]).reshape(
+            len(up) * kids, D, -1)
+        layer.reshape(len(up), kids, D, len(up), -1)[j, :, :, j] += msgs[r][
+            up[:, None], after[up]]
+        up = after[up].ravel()
+    j = np.arange(len(up))
+    layer.reshape(len(up), D, len(up), Din)[j, :, j] += _padded(same, D, Din)[up]
+    rows = (np.arange(D) < np.take(nsys_out.dims, up)[:, None]).ravel()
+    cols = (np.arange(Din) < np.take(nsys_in.dims, up)[:, None]).ravel()
+    M = layer.reshape(rows.size, cols.size)
+    return M if rows.all() and cols.all() else M[np.ix_(rows, cols)]
 
 
-def translation_matrix(nsys, y, n):
-    """Chart matrix of ``π(y)`` from W_n into W_{n+1}: the basis column
-    at the edge ``(x, xb)`` is the summand on ``(yx, yxb)``."""
-    nsys.alphabet.check_word(y)
-    lin = w_layout(nsys, n)
-    lout = w_layout(nsys, n + 1)
-    M = np.zeros((lout.dim, lin.dim), dtype=complex)
-    for x, b in lin.keys:
-        col0 = lin.offsets[(x, b)]
-        yx = multiply(y, x)
-        for i in range(nsys.dims[b]):
-            e = np.zeros(nsys.dims[b], dtype=complex)
-            e[i] = 1.0
-            s = MuSummand(x=yx, letter=b, v=e)
-            if s.native_depth > n + 1:
-                raise ValueError("translation target depth too small")
-            _add_summand(lout, M[:, col0 + i], s)
-    return M
-
-
-def _commutation_residual(nsys, nsys_hat, d, op, op_next, gram_next):
+def _commutation_residual(nsys, nsys_hat, d, op, op_next):
     """Largest function norm, over the generators ``y`` and the W_d basis
     columns, of the defect ``op_{d+1}·T_y − T̂_y·op_d``.
 
     ``op`` and ``op_next`` are the chart matrices of one operator on W_d
-    and W_{d+1}; ``gram_next`` is the form of its target chart on
-    W_{d+1}.
+    and W_{d+1}, measured in the form of ``nsys_hat`` on W_{d+1}.
     """
+    gram = _form_diag(nsys_hat, d + 1)
     worst = 0.0
     for y in nsys.alphabet.generators:
-        ty = translation_matrix(nsys, (y,), d)
-        tyhat = ty
-        if nsys_hat is not nsys:
-            tyhat = translation_matrix(nsys_hat, (y,), d)
-        defect = op_next @ ty - tyhat @ op
-        sq = (defect.conj() * (gram_next @ defect)).sum(0)
+        defect = (op_next @ translation_matrix(nsys, (y,), d)
+                  - translation_matrix(nsys_hat, (y,), d) @ op)
+        sq = (defect.conj() * (gram @ defect)).sum(0)
         worst = max(worst, float(np.sqrt(max(sq.real.max(), 0.0))))
     return worst
 
@@ -256,48 +331,28 @@ def _assemble(pkg, Q, B):
     Valid for any antisymmetric tuple ``Q_a† = −Q_{a⁻¹}`` and positive
     ``B``; the inverse blocks then invert the forward blocks exactly.
     """
-    nsys = pkg.original
-    tw = pkg.twin
+    nsys, tw = pkg.original, pkg.twin
     size = nsys.alphabet.size
     Binv = tuple(np.linalg.inv(m) for m in B)
-    Bhat = tuple(
-        np.linalg.inv(B[c ^ 1] + Q[c] @ Binv[c] @ Q[c].conj().T)
-        for c in range(size)
-    )
+    Bhat = tuple(np.linalg.inv(B[c ^ 1] + Q[c] @ Binv[c] @ Q[c].conj().T)
+                 for c in range(size))
     Qhat = tuple(Binv[c] @ Q[c].conj().T @ Bhat[c] for c in range(size))
-    scale = sum(np.trace(m).real for m in Bhat) / sum(
-        np.trace(m).real for m in tw.B
-    )
-    resid = max(
-        float(np.linalg.norm(Bhat[c] - scale * tw.B[c]) / np.linalg.norm(Bhat[c]))
-        for c in range(size)
-    )
-    blocks = {}
-    inv_blocks = {}
-    for a in nsys.alphabet.generators:
-        blocks[a] = np.block([[-Q[a], B[a ^ 1]], [B[a], -Q[a ^ 1]]])
-        inv_blocks[a] = np.block(
-            [[-Qhat[a], Bhat[a ^ 1]], [Bhat[a], -Qhat[a ^ 1]]]
-        )
+    scale = (sum(np.trace(m).real for m in Bhat)
+             / sum(np.trace(m).real for m in tw.B))
+    resid = max(float(np.linalg.norm(Bhat[c] - scale * tw.B[c])
+                      / np.linalg.norm(Bhat[c])) for c in range(size))
+    blocks = {a: np.block([[-Q[a], B[a ^ 1]], [B[a], -Q[a ^ 1]]])
+              for a in nsys.alphabet.generators}
+    inv_blocks = {a: np.block([[-Qhat[a], Bhat[a ^ 1]],
+                               [Bhat[a], -Qhat[a ^ 1]]])
+                  for a in nsys.alphabet.generators}
     Ehat = e_maps(dataclasses.replace(tw, B=Bhat))
-    J = Intertwiner(
-        pkg=pkg,
-        Q=Q,
-        Qhat=Qhat,
-        Bhat=Bhat,
-        Ehat=Ehat,
-        blocks=blocks,
-        inv_blocks=inv_blocks,
-        bhat_scale=float(scale),
-        bhat_residual=resid,
-        unitary_scale=1.0,
-    )
-    lin = w_layout(nsys, 1)
-    lout = w_layout(tw, 1)
     J1 = _pair_operator_matrix(nsys, tw, 1, tuple(-m for m in Q), B)
-    pulled = J1.conj().T @ _form_diag(lout) @ J1
-    t = float(np.sqrt(np.trace(_form_diag(lin)).real / np.trace(pulled).real))
-    return dataclasses.replace(J, unitary_scale=t)
+    pulled = J1.conj().T @ _form_diag(tw, 1) @ J1
+    t = float(np.sqrt(np.trace(_form_diag(nsys, 1)).real
+                      / np.trace(pulled).real))
+    return Intertwiner(pkg, Q, Qhat, Bhat, Ehat, blocks, inv_blocks,
+                       float(scale), resid, t)
 
 
 def build_J(report, pkg=None):
@@ -322,18 +377,16 @@ def apply_J(J, f):
     """Image of a canonical family over the original system."""
     if f.system is not J.pkg.original:
         raise ValueError("system mismatch")
-    return _apply_edge_operator(
-        f, J.pkg.twin, tuple(-m for m in J.Q), J.pkg.original.B
-    )
+    return _apply_edge_operator(f, J.pkg.twin, tuple(-m for m in J.Q),
+                                J.pkg.original.B)
 
 
 def apply_J_inverse(J, f):
     """Image of a canonical family over the twin under the closed inverse."""
     if f.system is not J.pkg.twin:
         raise ValueError("system mismatch")
-    return _apply_edge_operator(
-        f, J.pkg.original, tuple(-m for m in J.Qhat), J.Bhat
-    )
+    return _apply_edge_operator(f, J.pkg.original,
+                                tuple(-m for m in J.Qhat), J.Bhat)
 
 
 def closed_inverse_residual(J):
@@ -341,10 +394,8 @@ def closed_inverse_residual(J):
     worst = 0.0
     for a, blk in J.blocks.items():
         num = np.linalg.inv(blk)
-        worst = max(
-            worst,
-            float(np.linalg.norm(J.inv_blocks[a] - num) / np.linalg.norm(num)),
-        )
+        worst = max(worst, float(np.linalg.norm(J.inv_blocks[a] - num)
+                                 / np.linalg.norm(num)))
     return worst
 
 
@@ -372,23 +423,16 @@ class InverseRelations:
 
 def verify_inverse_relations(J):
     B = J.pkg.original.B
-    r_id = []
-    r_left = []
-    r_right = []
-    for a in J.pkg.original.alphabet.letters:
-        eye = np.eye(J.pkg.original.dims[a])
-        r_id.append(
-            float(np.linalg.norm(J.Qhat[a] @ J.Q[a] + J.Bhat[a ^ 1] @ B[a] - eye))
-        )
-        r_left.append(
-            float(np.linalg.norm(J.Bhat[a] @ J.Q[a] + J.Qhat[a ^ 1] @ B[a]))
-        )
-        r_right.append(
-            float(np.linalg.norm(J.Q[a ^ 1] @ J.Bhat[a] + B[a] @ J.Qhat[a]))
-        )
+    letters = J.pkg.original.alphabet.letters
+    eye = [np.eye(n) for n in J.pkg.original.dims]
     return InverseRelations(
-        identity=tuple(r_id), mixed_left=tuple(r_left), mixed_right=tuple(r_right)
-    )
+        identity=tuple(float(np.linalg.norm(
+            J.Qhat[a] @ J.Q[a] + J.Bhat[a ^ 1] @ B[a] - eye[a]))
+            for a in letters),
+        mixed_left=tuple(float(np.linalg.norm(
+            J.Bhat[a] @ J.Q[a] + J.Qhat[a ^ 1] @ B[a])) for a in letters),
+        mixed_right=tuple(float(np.linalg.norm(
+            J.Q[a ^ 1] @ J.Bhat[a] + B[a] @ J.Qhat[a])) for a in letters))
 
 
 def fin_residual(J, word_max=5):
@@ -396,38 +440,37 @@ def fin_residual(J, word_max=5):
 
     Checks, for every reduced word of length 2..``word_max``, that the
     transfer product conjugating Q̂ between the endpoints differs from
-    the twin-side product by exactly the accumulated Ê corrections.
-    Shares prefixes, so the cost is one matrix product per tree node.
+    the twin-side product by exactly the accumulated Ê corrections.  The
+    words of each length are stacked in lexicographic order, padded to
+    the largest letter dimension, each with three matrices: its chain
+    times Q̂ of its first letter, its twin chain and the accumulated
+    corrections.  A step is one stacked product, and each word's gap is
+    normed on its own.
     """
-    nsys = J.pkg.original
-    tw = J.pkg.twin
+    nsys, tw = J.pkg.original, J.pkg.twin
+    size, D = nsys.alphabet.size, max(nsys.dims)
+    H = _charted(nsys, ("padded",), lambda: _padded_blocks(nsys))
+    Hhat = _charted(tw, ("padded",), lambda: _padded_blocks(tw))
+    E = _padded([J.Ehat.get((c, l), np.zeros((0, 0))) for c in range(size)
+                 for l in range(size)], D, D).reshape(size, size, D, D)
+    Qhat = _padded(J.Qhat, D, D)
+    after = _successors(size)
+    chq, hat = Qhat, _padded([np.eye(m) for m in tw.dims], D, D)
+    acc = np.zeros_like(Qhat)
+    lasts = np.arange(size)
     worst = 0.0
-
-    def extend(first, last, fullh, fullhat, acc, length):
-        nonlocal worst
-        for c in nsys.alphabet.letters:
-            if c == last ^ 1:
-                continue
-            nh = nsys.h(c, last) @ fullh
-            nhat = tw.h(c, last) @ fullhat
-            nacc = (
-                nsys.h(c, last) @ acc
-                + e_lookup(J.Ehat, tw.dims, c, last) @ fullhat
-            )
-            gap = nh @ J.Qhat[first] - J.Qhat[c] @ nhat + nacc
-            worst = max(worst, float(np.linalg.norm(gap)))
-            if length + 1 < word_max:
-                extend(first, c, nh, nhat, nacc, length + 1)
-
-    for a in nsys.alphabet.letters:
-        extend(
-            a,
-            a,
-            np.eye(nsys.dims[a], dtype=complex),
-            np.eye(tw.dims[a], dtype=complex),
-            np.zeros((nsys.dims[a], tw.dims[a]), dtype=complex),
-            1,
-        )
+    for _ in range(word_max - 1):
+        # each word's children at once: blocks (word, child), stacks
+        # broadcast over the children
+        step = (after[lasts], lasts[:, None])
+        acc = H[step] @ acc[:, None] + E[step] @ hat[:, None]
+        chq = H[step] @ chq[:, None]
+        hat = Hhat[step] @ hat[:, None]
+        acc, chq, hat = (m.reshape(-1, D, D) for m in (acc, chq, hat))
+        lasts = after[lasts].ravel()
+        gap = chq - Qhat[lasts] @ hat + acc
+        sq = (gap.real**2 + gap.imag**2).sum((1, 2))
+        worst = max(worst, float(np.sqrt(sq.max())))
     return worst
 
 
@@ -457,19 +500,16 @@ def verify_isometry_and_intertwining(J, depth=3, word_max=5):
     grams = []
     dims = []
     mats = {}
-    ghat = {}
     for n in range(1, depth + 1):
-        lin = w_layout(nsys, n)
-        lout = w_layout(tw, n)
-        dims.append(lin.dim)
+        dims.append(w_layout(nsys, n).dim)
         mats[n] = _pair_operator_matrix(nsys, tw, n, same, flip)
-        ghat[n] = _form_diag(lout)
-        gap = t2 * (mats[n].conj().T @ ghat[n] @ mats[n]) - _form_diag(lin)
+        gap = (t2 * (mats[n].conj().T @ _form_diag(tw, n) @ mats[n])
+               - _form_diag(nsys, n))
         grams.append(float(np.abs(gap).max()))
     return IsometryReport(
         gram_residuals=tuple(grams),
         intertwine_residual=_commutation_residual(
-            nsys, tw, depth - 1, mats[depth - 1], mats[depth], ghat[depth]
+            nsys, tw, depth - 1, mats[depth - 1], mats[depth]
         ),
         fin_residual=fin_residual(J, word_max),
         w_dims=tuple(dims),
@@ -505,15 +545,9 @@ def general_intertwiner_family(J, lam, c):
     nsys = pkg.original
     tw = pkg.twin
     same = tuple(-m for m in Q)
-    residual = _commutation_residual(
-        nsys,
-        tw,
-        2,
-        _pair_operator_matrix(nsys, tw, 2, same, B),
-        _pair_operator_matrix(nsys, tw, 3, same, B),
-        _form_diag(w_layout(tw, 3)),
-    )
-    return member, residual
+    return member, _commutation_residual(
+        nsys, tw, 2, _pair_operator_matrix(nsys, tw, 2, same, B),
+        _pair_operator_matrix(nsys, tw, 3, same, B))
 
 
 # ---------------------------------------------------------------------------
@@ -620,54 +654,39 @@ def split(J, K=None):
         diagnostics.append("c not real (imaginary part %.2e)" % abs(cval.imag))
     c = float(cval.real)
     quad = 0.0
-    for a in nsys.alphabet.generators:
-        m = mmat[a]
-        quad = max(
-            quad,
-            float(np.linalg.norm(m @ m + 1j * c * m - np.eye(m.shape[0]))),
-        )
+    for m in mmat.values():
+        quad = max(quad, float(np.linalg.norm(m @ m + 1j * c * m
+                                              - np.eye(m.shape[0]))))
+    reached = dict(c=c, lambda_plus=lam_p, lambda_minus=lam_m,
+                   quad_residual=quad, eig_spread=spread,
+                   unimodularity=unimod, diagnostics=diagnostics)
     if abs(c) >= 2:
         diagnostics.append("|c| = %.6f >= 2: discriminant not positive" % abs(c))
-        return SplitReport(
-            c=c,
-            lambda_plus=lam_p,
-            lambda_minus=lam_m,
-            quad_residual=quad,
-            eig_spread=spread,
-            unimodularity=unimod,
-            diagnostics=diagnostics,
-        )
+        return SplitReport(**reached)
     rescale = 2.0 / np.sqrt(4.0 - c * c)
     p_plus = {}
     p_minus = {}
     subspace_dims = {}
     idem = orth = compl = invol = formh = 0.0
-    cal = {}
     for a in nsys.alphabet.generators:
         # the shift (ic/2)𝒦 completes M to an involution: with the
         # quadratic M² + icM = Id, (M + ic/2)² = (1 − c²/4) Id
         jtilde = rescale * (t * J.blocks[a] + (1j * c / 2.0) * kblk[a])
         calj = np.linalg.solve(kblk[a], jtilde)
-        cal[a] = calj
         eye = np.eye(calj.shape[0])
         pp = (eye + calj) / 2.0
         pm = (eye - calj) / 2.0
         p_plus[a] = pp
         p_minus[a] = pm
         invol = max(invol, float(np.linalg.norm(calj @ calj - eye)))
-        idem = max(
-            idem,
-            float(np.linalg.norm(pp @ pp - pp)),
-            float(np.linalg.norm(pm @ pm - pm)),
-        )
+        idem = max(idem, float(np.linalg.norm(pp @ pp - pp)),
+                   float(np.linalg.norm(pm @ pm - pm)))
         orth = max(orth, float(np.linalg.norm(pp @ pm)))
         compl = max(compl, float(np.linalg.norm(pp + pm - eye)))
         gram = _blkdiag([nsys.B[a], nsys.B[a ^ 1]])
-        formh = max(
-            formh,
-            float(np.linalg.norm(gram @ pp - pp.conj().T @ gram)),
-            float(np.linalg.norm(gram @ pm - pm.conj().T @ gram)),
-        )
+        formh = max(formh,
+                    float(np.linalg.norm(gram @ pp - pp.conj().T @ gram)),
+                    float(np.linalg.norm(gram @ pm - pm.conj().T @ gram)))
         rp = int(round(np.trace(pp).real))
         rm = int(round(np.trace(pm).real))
         total = nsys.dims[a] + nsys.dims[a ^ 1]
@@ -681,31 +700,13 @@ def split(J, K=None):
     # commutes exactly when P_+ does
     same, flip = _pair_parts(nsys, p_plus)
     comm = _commutation_residual(
-        nsys,
-        nsys,
-        2,
-        _pair_operator_matrix(nsys, nsys, 2, same, flip),
-        _pair_operator_matrix(nsys, nsys, 3, same, flip),
-        _form_diag(w_layout(nsys, 3)),
-    )
-    return SplitReport(
-        c=c,
-        lambda_plus=lam_p,
-        lambda_minus=lam_m,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        subspace_dims=subspace_dims,
-        quad_residual=quad,
-        eig_spread=spread,
-        unimodularity=unimod,
-        idempotency=idem,
-        orthogonality=orth,
-        completeness=compl,
-        involution_residual=invol,
-        form_hermiticity=formh,
-        commutation_residual=comm,
-        diagnostics=diagnostics,
-    )
+        nsys, nsys, 2, _pair_operator_matrix(nsys, nsys, 2, same, flip),
+        _pair_operator_matrix(nsys, nsys, 3, same, flip))
+    return SplitReport(**reached, p_plus=p_plus, p_minus=p_minus,
+                       subspace_dims=subspace_dims, idempotency=idem,
+                       orthogonality=orth, completeness=compl,
+                       involution_residual=invol, form_hermiticity=formh,
+                       commutation_residual=comm)
 
 
 # ---------------------------------------------------------------------------
@@ -723,58 +724,57 @@ class FiniteRankReport:
     cap: int
 
 
-def _rank_of(mat):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.count_nonzero(sv > 1e-9 * sv[0]))
-
-
 def finite_rank_check(J, a, b, nmax=6):
     """Rank profile of the compressed operator 1_b J 1_a over W_1..W_nmax.
 
     The compression of the W_n basis block at the edge ``(x, xd)``, with
     ``x`` in the cone of ``a``, is a root-edge family on ``b`` with the
     vector ``H[b|a⁻¹]·chain(xd)·B_d``, where ``chain`` is the transfer
-    product along the word.  One walk to depth ``nmax + 1`` keeps the
-    chains of each depth stacked by last letter and extends every stack
-    by one batched product per letter transition; the blocks of depth
-    ``n`` and their Hilbert-Schmidt traces come straight from the stacks
-    of depth ``n + 1``.
+    product along the word; it involves neither Q nor the unitary scale,
+    so the profile is one of the system.  One walk from ``a`` to depth
+    ``nmax + 1``, made once per system and kept on it, serves every
+    target ``b``: it keeps the chains of each depth stacked, padded to the
+    largest letter dimension, and extends them by one stacked product.
     """
     if a == b:
         raise ValueError("letters must differ")
-    nsys = J.pkg.original
-    tw = J.pkg.twin
-    letters = nsys.alphabet.letters
-    pre = tw.h(b, a ^ 1)
-    bb = tw.B[b]
-    binv = tuple(np.linalg.inv(m) for m in nsys.B)
-    # chains of the words of the current length that start with a,
-    # stacked by last letter
-    chains = {a: np.eye(tw.dims[a ^ 1], dtype=complex)[None]}
-    ranks = []
-    hs = []
+    return _charted(J.pkg.original, ("finite rank", a, nmax),
+                    lambda: _rank_walk(J.pkg, a, nmax))[b]
+
+
+def _rank_walk(pkg, a, nmax):
+    """The finite-rank reports of the start letter ``a``, for every target
+    ``b``: at each depth, the ranks of the blocks ``pre_b·C``, with ``C``
+    every ``chain·B_d`` side by side, from one stacked SVD (a rank counts
+    the singular values above ``1e-9`` times the largest), and their norms
+    ``tr(pre_b† B̂_b pre_b·G)``, with the Gram ``G = Σ chain·B_d·chain†``
+    shared by the targets."""
+    nsys, tw = pkg.original, pkg.twin
+    letters = np.arange(nsys.alphabet.size)
+    D, width = max(tw.dims), tw.dims[a ^ 1]
+    H = _charted(tw, ("padded",), lambda: _padded_blocks(tw))
+    after = _successors(len(letters))
+    targets = letters[letters != a]
+    pre = _padded([tw.h(b, a ^ 1) for b in targets], D, width)
+    weight = (pre.conj().transpose(0, 2, 1)
+              @ _padded([tw.B[b] for b in targets], D, D) @ pre)
+    forms = _padded(nsys.B, D, D)
+    # the chains of the words of the current length that start with a,
+    # in lexicographic order, and their last letters
+    chains = _padded([np.eye(width)], width, D)
+    lasts = np.array([a])
+    ranks, hs = [], []
     for _ in range(nmax):
-        grown = {}
-        for last, stack in chains.items():
-            for c in letters:
-                if c != last ^ 1:
-                    grown.setdefault(c, []).append(
-                        stack @ tw.h(last ^ 1, c ^ 1))
-        chains = {c: np.concatenate(parts) for c, parts in grown.items()}
-        cols = []
-        hs2 = 0.0
-        for d, stack in chains.items():
-            blk = pre @ stack @ nsys.B[d]
-            hs2 += float(np.vdot(blk, bb @ blk @ binv[d]).real)
-            cols.append(blk.transpose(1, 0, 2).reshape(blk.shape[1], -1))
-        ranks.append(_rank_of(np.hstack(cols)))
-        hs.append(float(np.sqrt(max(hs2, 0.0))))
-    return FiniteRankReport(
-        a=a,
-        b=b,
-        ranks=tuple(ranks),
-        hs_norms=tuple(hs),
-        cap=J.pkg.twin.dims[b],
-    )
+        chains = (chains[:, None] @ H[lasts[:, None] ^ 1, after[lasts] ^ 1]
+                  ).reshape(-1, width, D)
+        lasts = after[lasts].ravel()
+        cols, plain = (m.transpose(1, 0, 2).reshape(width, -1)
+                       for m in (chains @ forms[lasts], chains))
+        sv = np.linalg.svd(pre @ cols, compute_uv=False)
+        ranks.append(np.count_nonzero(sv > 1e-9 * sv[:, :1], axis=1))
+        hs2 = (weight * (cols @ plain.conj().T).T).sum((1, 2)).real
+        hs.append(np.sqrt(np.maximum(hs2, 0.0)))
+    return {int(b): FiniteRankReport(
+        a=a, b=int(b), ranks=tuple(int(r[i]) for r in ranks),
+        hs_norms=tuple(float(h[i]) for h in hs), cap=tw.dims[b])
+        for i, b in enumerate(targets)}

@@ -242,14 +242,15 @@ def kron(p, q):
 
 
 def spectral_radius_T(sys):
-    """Spectral radius of the transfer operator: its Perron root, found by
-    :func:`_perron_root` as in :func:`normalize`.  ``T`` is a positive map,
-    so its largest eigenvalue modulus is itself an eigenvalue."""
+    """Spectral radius of the transfer operator: its Perron root, found and
+    refined by :func:`_perron_frame` as in :func:`normalize`.  ``T`` is a
+    positive map, so its largest eigenvalue modulus is itself an
+    eigenvalue."""
     if not any(np.any(m) for m in sys.blocks.values()):
         raise ValueError("degenerate system: all blocks zero")
     basis = _hermitian_basis(sys.dims)
-    rho, _ = _perron_root(_hermitian_matrix(transfer_matrix(sys), basis),
-                          sys.dims, basis)
+    rho, _ = _perron_frame(sys, _hermitian_matrix(transfer_matrix(sys), basis),
+                           basis)
     return float(rho)
 
 
@@ -478,6 +479,41 @@ def _perron_certificate(t_w, y, u):
         return 0.0
 
 
+def _perron_frame(sys, t_h, basis):
+    """The Perron root ``ρ`` of ``T``, refined in the frame where Newton's
+    vector is the identity, with that frame.
+
+    :func:`_perron_root` gives ``ρ`` and its right vector ``B₀`` from
+    ``t_h``, the matrix of ``T`` in Hermitian coordinates.  The gauge ``g_a
+    = B₀^{1/2}`` takes the system, divided by ``√ρ``, to the frame where
+    ``B₀ = I``, and its matrix ``T_w`` there is assembled once.  The
+    bordered solves of ``T_w`` at root 1 and of its transpose give the
+    right and left vectors ``x`` and ``y`` there, and the two-sided
+    Rayleigh quotient ``1 − μ/yᵀx`` refines ``ρ``: in that well-conditioned
+    frame it is at the rounding even where Newton's root in the input's
+    basis is not.  Returns ``ρ`` and ``(roots, T_w/root, x, y)``, with
+    ``roots`` the ``(g_a, g_a⁻¹)`` of :func:`_form_roots` and ``T_w/root``
+    of root 1.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        when a Newton or bordered matrix is exactly singular.
+    """
+    rho, x = _perron_root(t_h, sys.dims, basis)
+    roots = _form_roots(_hermitian_tuple(x, sys.dims, basis))
+    t_w = _hermitian_matrix(transfer_matrix(MatrixSystem(
+        sys.alphabet, sys.dims,
+        {(b, a): roots[b][0] @ m @ roots[a][1] / np.sqrt(rho)
+         for (b, a), m in sys.blocks.items()})), basis)
+    u = basis[3].astype(float)
+    right, mu = _bordered_solve(t_w, 1.0, u)
+    left, _ = _bordered_solve(t_w.T, 1.0, u)
+    # the two-sided Rayleigh quotient 1 + yᵀ(T_w − I)x/yᵀx
+    root = 1.0 - mu / (left @ right)
+    return rho * root, (roots, t_w / root, right, left)
+
+
 def _fix_residual(sys, t):
     image = transfer_apply(sys, t)
     return frob_tuple(tuple(i - m for i, m in zip(image, t))) / frob_tuple(t)
@@ -552,6 +588,13 @@ class NormalizedSystem:
         return e_maps(self)
 
     @cached_property
+    def charts(self):
+        """The charts of the depth subspaces that ``intertwiner`` reads off
+        this system, keyed by kind and arguments: each is built once, on
+        first use, and lives as long as the system."""
+        return {}
+
+    @cached_property
     def moment_operator(self):
         """The sphere-sum step's :func:`~freerep.series.moment_operator`,
         built once and shared with the operator ``D`` of ``spectral``."""
@@ -592,12 +635,13 @@ def normalize(sys):
     positive trace, so ``A`` is nonsingular exactly when ``ρ`` is simple:
     unlike ``T − ρI``, it is not singular at the root it solves for.
 
-    The gauge ``g_a = B₀^{1/2}`` takes the system, divided by ``√ρ``, to
-    the frame where ``B₀ = I``, and its matrix ``T_w`` there is assembled
-    once.  ``A`` of ``T_w`` at root 1 and its transpose give ``x`` and
-    ``y``, from which the two-sided Rayleigh quotient ``1 − μ/yᵀx``
-    refines ``ρ``, and ``B = g x g`` has a residual at the rounding of
-    that well-conditioned frame even where the input's basis is not.
+    :func:`_perron_frame`, which :func:`spectral_radius_T` shares, takes
+    the system, divided by ``√ρ``, to the frame where ``B₀ = I`` by the
+    gauge ``g_a = B₀^{1/2}``; there ``A`` of ``T_w`` at root 1 and its
+    transpose give ``x`` and ``y``, from which the two-sided Rayleigh
+    quotient ``1 − μ/yᵀx`` refines ``ρ``, and ``B = g x g`` has a residual
+    at the rounding of that well-conditioned frame even where the input's
+    basis is not.
     ``S``, the left vector, is solved with ``T_hᵀ`` at the refined ``ρ``,
     which keeps its residual small in the input's basis.
     The twin's transfer operator is the Hilbert–Schmidt adjoint ``T†``
@@ -650,21 +694,12 @@ def normalize(sys):
     u = basis[3].astype(float)
     t_h = _hermitian_matrix(transfer_matrix(sys), basis)
     try:
-        rho, x = _perron_root(t_h, sys.dims, basis)
-        roots = _form_roots(_hermitian_tuple(x, sys.dims, basis))
-        t_w = _hermitian_matrix(transfer_matrix(MatrixSystem(
-            sys.alphabet, sys.dims,
-            {(b, a): roots[b][0] @ m @ roots[a][1] / np.sqrt(rho)
-             for (b, a), m in sys.blocks.items()})), basis)
-        right, mu = _bordered_solve(t_w, 1.0, u)
-        left, _ = _bordered_solve(t_w.T, 1.0, u)
-        # the two-sided Rayleigh quotient 1 + yᵀ(T_w − I)x/yᵀx
-        root = 1.0 - mu / (left @ right)
-        rho *= root
+        rho, frame = _perron_frame(sys, t_h, basis)
         left_raw, _ = _bordered_solve(t_h.T, rho, u)
     except np.linalg.LinAlgError:
         raise _not_irreducible(np.nan) from None
-    gap = _perron_certificate(t_w / root, left, u)
+    roots, t_w, right, left = frame
+    gap = _perron_certificate(t_w, left, u)
     B = tuple(g @ m @ g for (g, _), m in
               zip(roots, _hermitian_tuple(right, sys.dims, basis)))
     B = _unit_trace(tuple((m + m.conj().T) / 2 for m in B))

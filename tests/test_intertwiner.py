@@ -3,14 +3,18 @@ intertwining verification, the one-parameter family, spectral splitting,
 and finite-rank compressions."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from freerep import generate
+from freerep import functions, generate, intertwiner
+from freerep.cli import classification_report
+from freerep.freegroup import multiply
 from freerep.functions import (
     MultiplicativeFunction,
     MuSummand,
+    _spread,
     act,
     act_indicator,
     canonicalize,
@@ -18,13 +22,12 @@ from freerep.functions import (
     norm,
 )
 from freerep.intertwiner import (
-    _add_summand,
     _apply_edge_operator,
+    _assemble,
     _commutation_residual,
     _form_diag,
     _pair_operator_matrix,
     _pair_parts,
-    _rank_of,
     build_J,
     apply_J,
     apply_J_inverse,
@@ -39,7 +42,9 @@ from freerep.intertwiner import (
     w_layout,
 )
 from freerep.spectral import classify
+from freerep.sysio import SystemDocument
 from freerep.systems import MatrixSystem, normalize
+from freerep.twin import e_lookup, twin_package
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +89,20 @@ def matrix_letters():
     return nsys
 
 
+@pytest.fixture(scope="module")
+def matrix_J(matrix_letters):
+    # pair blocks from a random antisymmetric Q on matrix letters: not an
+    # intertwiner, so its word identities and profiles are of order one
+    nsys = matrix_letters
+    rng = np.random.default_rng(5)
+    Q = [None] * nsys.alphabet.size
+    for a in nsys.alphabet.generators:
+        shape = (nsys.dims[a ^ 1], nsys.dims[a])
+        Q[a] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        Q[a ^ 1] = -Q[a].conj().T
+    return _assemble(twin_package(nsys), tuple(Q), nsys.B)
+
+
 def random_function(nsys, seed=11, depth=2):
     rng = np.random.default_rng(seed)
     summands = []
@@ -107,6 +126,96 @@ def _embed(layout, f):
     return vec
 
 
+def _add_summand(nsys, layout, col, s):
+    """Add the chart coefficients of the summand ``s`` into ``col``.
+
+    The forward edges of W_n are the words of the sphere of radius
+    ``n + 1``, so the values of ``s`` there are its coefficients.  Added
+    to a zero column they give, bit for bit, the coefficients
+    :func:`canonicalize` gives (it also adds each value to zero).
+    """
+    for y, val in _spread(nsys, s, layout.n + 1).items():
+        o = layout.offsets[(y[:-1], y[-1])]
+        col[o : o + len(val)] += val
+
+
+def _translation_oracle(nsys, y, n):
+    """Reference for the chart of ``π(y)``: each basis column's summand on
+    ``(yx, yxb)`` walked over its own half-tree into a zero column."""
+    lin = w_layout(nsys, n)
+    lout = w_layout(nsys, n + 1)
+    M = np.zeros((lout.dim, lin.dim), dtype=complex)
+    for x, b in lin.keys:
+        col0 = lin.offsets[(x, b)]
+        yx = multiply(y, x)
+        for i in range(nsys.dims[b]):
+            e = np.zeros(nsys.dims[b], dtype=complex)
+            e[i] = 1.0
+            s = MuSummand(x=yx, letter=b, v=e)
+            assert s.native_depth <= n + 1
+            _add_summand(nsys, lout, M[:, col0 + i], s)
+    return M
+
+
+def _fin_residual_oracle(J, word_max):
+    """Reference for the word identities: the recursion over the tree,
+    one product per node, with each word's gap normed on its own."""
+    nsys = J.pkg.original
+    tw = J.pkg.twin
+    worst = 0.0
+
+    def extend(first, last, fullh, fullhat, acc, length):
+        nonlocal worst
+        for c in nsys.alphabet.letters:
+            if c == last ^ 1:
+                continue
+            nh = nsys.h(c, last) @ fullh
+            nhat = tw.h(c, last) @ fullhat
+            nacc = (nsys.h(c, last) @ acc
+                    + e_lookup(J.Ehat, tw.dims, c, last) @ fullhat)
+            gap = nh @ J.Qhat[first] - J.Qhat[c] @ nhat + nacc
+            worst = max(worst, float(np.linalg.norm(gap)))
+            if length + 1 < word_max:
+                extend(first, c, nh, nhat, nacc, length + 1)
+
+    for a in nsys.alphabet.letters:
+        extend(a, a, np.eye(nsys.dims[a], dtype=complex),
+               np.eye(tw.dims[a], dtype=complex),
+               np.zeros((nsys.dims[a], tw.dims[a]), dtype=complex), 1)
+    return worst
+
+
+def _rank_oracle(J, a, b, nmax):
+    """Reference for one finite-rank profile: a fresh walk for the pair,
+    the blocks ``H[b|a⁻¹]·chain·B_d`` of each depth and their norms
+    ``Σ ⟨blk, B̂_b·blk·B_d⁻¹⟩``."""
+    nsys = J.pkg.original
+    tw = J.pkg.twin
+    letters = nsys.alphabet.letters
+    pre = tw.h(b, a ^ 1)
+    chains = {a: np.eye(tw.dims[a ^ 1], dtype=complex)[None]}
+    ranks = []
+    hs = []
+    for _ in range(nmax):
+        grown = {}
+        for last, stack in chains.items():
+            for c in letters:
+                if c != last ^ 1:
+                    grown.setdefault(c, []).append(
+                        stack @ tw.h(last ^ 1, c ^ 1))
+        chains = {c: np.concatenate(parts) for c, parts in grown.items()}
+        cols = []
+        hs2 = 0.0
+        for d, stack in chains.items():
+            blk = pre @ stack @ nsys.B[d]
+            hs2 += float(np.vdot(
+                blk, tw.B[b] @ blk @ np.linalg.inv(nsys.B[d])).real)
+            cols.append(blk.transpose(1, 0, 2).reshape(blk.shape[1], -1))
+        ranks.append(_rank_of(np.hstack(cols)))
+        hs.append(float(np.sqrt(max(hs2, 0.0))))
+    return tuple(ranks), tuple(hs)
+
+
 def _pair_operator_oracle(nsys_in, nsys_out, n, same, flip):
     """Reference for the chart of a pair operator: one column at a time,
     the same part in its slot and the reversed summand walked over its
@@ -126,8 +235,15 @@ def _pair_operator_oracle(nsys_in, nsys_out, n, same, flip):
             fv = flip[b] @ e
             if np.linalg.norm(fv):
                 flipped = MuSummand(x=x + (b,), letter=b ^ 1, v=fv)
-                _add_summand(lout, col, flipped)
+                _add_summand(nsys_out, lout, col, flipped)
     return M
+
+
+def _rank_of(mat):
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0:
+        return 0
+    return int(np.count_nonzero(sv > 1e-9 * sv[0]))
 
 
 def _rank_engine(J, a, b, n):
@@ -137,7 +253,7 @@ def _rank_engine(J, a, b, n):
     nsys = J.pkg.original
     tw = J.pkg.twin
     lout = w_layout(tw, n)
-    ghat = _form_diag(lout)
+    ghat = _form_diag(tw, n)
     cols = []
     hs2 = 0.0
     for x in nsys.alphabet.sphere(n):
@@ -276,7 +392,7 @@ class TestIsometryIntertwining:
         lay = w_layout(bi_J.pkg.twin, 1)
         vec = _embed(lay, image)
         # rescaled twin norm: t^2 (Jf)* Ghat (Jf) must equal |f|^2
-        gram = _form_diag(lay)
+        gram = _form_diag(bi_J.pkg.twin, 1)
         val = bi_J.unitary_scale ** 2 * float(
             np.real(vec.conj() @ (gram @ vec)))
         assert val == pytest.approx(f_norm ** 2, rel=1e-10)
@@ -285,7 +401,6 @@ class TestIsometryIntertwining:
         # length-two words: H Qhat - Qhat Hhat + Ehat = 0
         nsys = ai_J.pkg.original
         tw = ai_J.pkg.twin
-        from freerep.twin import e_lookup
         for a2 in nsys.alphabet.letters:
             for a1 in nsys.alphabet.letters:
                 if a2 == a1 ^ 1:
@@ -300,6 +415,22 @@ class TestIsometryIntertwining:
         J = request.getfixturevalue(fix)
         assert fin_residual(J, word_max=5) < 1e-10
 
+    @pytest.mark.parametrize("word_max", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "fix", ["ai_J", "bi_J", "e0_J", "gauged_ai_J", "matrix_J"])
+    def test_fin_residual_matches_recursion(self, fix, word_max, request):
+        # the stacks multiply chain·Q̂ in another order than the recursion;
+        # Q̂ is perturbed so that the identities fail by order one
+        J = request.getfixturevalue(fix)
+        rng = np.random.default_rng(word_max)
+        Qhat = tuple(q + 0.1 * (rng.normal(size=q.shape)
+                                + 1j * rng.normal(size=q.shape))
+                     for q in J.Qhat)
+        for K in (J, dataclasses.replace(J, Qhat=Qhat)):
+            ref = _fin_residual_oracle(K, word_max)
+            assert abs(fin_residual(K, word_max) - ref) <= 1e-13 * max(ref, 1.0)
+        assert ref > 1e-2
+
     @pytest.mark.parametrize("fix", ["gauged_ai_J", "bi_J"])
     def test_commutation_residual_matches_einsum_form(self, fix, request):
         # random chart matrices, so the defect is of order one, measured
@@ -311,14 +442,14 @@ class TestIsometryIntertwining:
         for n in (2, 3):
             shape = (w_layout(tw, n).dim, w_layout(nsys, n).dim)
             ops[n] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        gram = _form_diag(w_layout(tw, 3))
+        gram = _form_diag(tw, 3)
         want = 0.0
         for y in nsys.alphabet.generators:
             defect = (ops[3] @ translation_matrix(nsys, (y,), 2)
                       - translation_matrix(tw, (y,), 2) @ ops[2])
             sq = np.einsum("ij,ik,kj->j", defect.conj(), gram, defect)
             want = max(want, float(np.sqrt(max(sq.real.max(), 0.0))))
-        got = _commutation_residual(nsys, tw, 2, ops[2], ops[3], gram)
+        got = _commutation_residual(nsys, tw, 2, ops[2], ops[3])
         assert want > 1.0
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -443,6 +574,23 @@ class TestFiniteRank:
                         assert r_eng == r
                         assert he == pytest.approx(hc, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "fix", ["ai_J", "bi_J", "e0_J", "gauged_ai_J", "matrix_J"])
+    def test_matches_per_pair_walk(self, fix, request):
+        # one walk per start letter serves every target: the same ranks
+        # as a walk of its own for each pair, the norms to the rounding
+        J = request.getfixturevalue(fix)
+        letters = J.pkg.original.alphabet.letters
+        for a in letters:
+            for b in letters:
+                if a == b:
+                    continue
+                got = finite_rank_check(J, a, b, nmax=4)
+                ranks, hs = _rank_oracle(J, a, b, 4)
+                assert got.ranks == ranks
+                assert got.cap == J.pkg.twin.dims[b]
+                assert np.allclose(got.hs_norms, hs, rtol=1e-13, atol=0)
+
     def test_hs_norms_stable_in_depth(self, ai_J):
         rep = finite_rank_check(ai_J, 0, 2, nmax=6)
         assert min(rep.hs_norms) > 0.1
@@ -533,7 +681,8 @@ class TestMatrixMachinery:
         blocks = {pair: nsys.h(*pair) for pair in nsys.system.pairs()}
         for c in letters:
             blocks[c ^ 1, c] = rand(nsys.dims[c ^ 1], nsys.dims[c])
-        noisy = MatrixSystem(nsys.alphabet, nsys.dims, blocks)
+        noisy = dataclasses.replace(
+            nsys, system=MatrixSystem(nsys.alphabet, nsys.dims, blocks))
         ref = _pair_operator_oracle(nsys, nsys, n, same, flip)
         assert np.array_equal(
             _pair_operator_oracle(nsys, noisy, n, same, flip), ref)
@@ -552,6 +701,36 @@ class TestMatrixMachinery:
             rhs = _embed(lay, act((y,), f))
             assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fix", ["ai_J", "bi_J", "e0_J"])
+    def test_translation_matches_oracle(self, fix, n, request):
+        # scalar letters: the inclusion and the unit columns are the
+        # per-column walk's own numbers; a column two steps short of
+        # W_{n+1} is a product H[d|c]·H[c|b] taken inside a dense product,
+        # held to the rounding
+        J = request.getfixturevalue(fix)
+        for nsys in (J.pkg.original, J.pkg.twin):
+            ref = _translation_oracle(nsys, (), n)
+            assert translation_matrix(nsys, (), n).tobytes() == ref.tobytes()
+            lin = w_layout(nsys, n)
+            for y in nsys.alphabet.letters:
+                new = translation_matrix(nsys, (y,), n)
+                ref = _translation_oracle(nsys, (y,), n)
+                unit = [lin.offsets[x, b] for x, b in lin.keys
+                        if (x + (b,))[0] != y ^ 1]
+                assert new[:, unit].tobytes() == ref[:, unit].tobytes()
+                assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_translation_matches_oracle_on_matrix_letters(
+            self, matrix_letters, gauged_ai_J, n):
+        for nsys in (matrix_letters, gauged_ai_J.pkg.original,
+                     gauged_ai_J.pkg.twin):
+            for y in ((),) + tuple((c,) for c in nsys.alphabet.letters):
+                new = translation_matrix(nsys, y, n)
+                ref = _translation_oracle(nsys, y, n)
+                assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_layout_guard(self, s0_norm):
         with pytest.raises(ValueError, match="memory budget"):
             w_layout(s0_norm, 9)
@@ -560,3 +739,49 @@ class TestMatrixMachinery:
         nsys = ai_J.pkg.original
         with pytest.raises(ValueError, match="translation target depth"):
             translation_matrix(nsys, (0, 2), 1)
+
+
+class TestCharts:
+    def test_each_chart_built_once_per_report(self, monkeypatch):
+        # one classification report of a BI system builds each layout,
+        # form and inclusion once per (system, depth) and each translation
+        # once per (system, generator, depth); the finite-rank profile
+        # walks once per start letter, and no summand is walked column by
+        # column
+        built = Counter()
+
+        def counted(name):
+            build = getattr(intertwiner, name)
+
+            def wrapper(nsys, *args):
+                built[name, id(nsys), args] += 1
+                return build(nsys, *args)
+
+            monkeypatch.setattr(intertwiner, name, wrapper)
+
+        for name in ("_layout", "_gram", "_step_chart", "_translation"):
+            counted(name)
+        walks = []
+        walk = intertwiner._rank_walk
+
+        def counted_walk(pkg, a, nmax):
+            walks.append(a)
+            return walk(pkg, a, nmax)
+
+        def refused(*args):
+            raise AssertionError("per-column spread")
+
+        monkeypatch.setattr(intertwiner, "_rank_walk", counted_walk)
+        assert not hasattr(intertwiner, "_spread")
+        monkeypatch.setattr(functions, "_spread", refused)
+        system = generate.bi_instance(1)
+        report, code = classification_report(
+            SystemDocument(system=system, B=None, label="bi-1"), 1e-9, 16)
+        assert (report["class"], code) == ("BI", 0)
+        assert built and set(built.values()) == {1}
+        translations = sorted(key[2] for key in built
+                              if key[0] == "_translation")
+        # both generators at depth 2, on the system and on its twin: the
+        # split reuses the system's
+        assert translations == [((0,), 2)] * 2 + [((2,), 2)] * 2
+        assert sorted(walks) == list(system.alphabet.letters)

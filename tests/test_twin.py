@@ -71,8 +71,10 @@ def test_twin_forms_match_independent_normalization(k, seed):
     tw = twin(ns)
     alone = normalize(twin_system(ns.system))
     assert frob_tuple(tuple(x - y for x, y in zip(tw.B, alone.B))) < 1e-12
+    # spectral_radius_T refines its root in the B₀ = I frame, as
+    # normalize does: at most 1.8e-15 off on these eight
     assert abs(tw.rho_certificate
-               - spectral_radius_T(twin_system(ns.system))) < 1e-12
+               - spectral_radius_T(twin_system(ns.system))) < 1e-14
     assert tw.fix_residual < 1e-12
     assert tw.b_min_eig > 0
 
