@@ -42,13 +42,23 @@ print("unitarizing scale t (t^2 = scale): %.6f" % J.unitary_scale)
 rel = verify_inverse_relations(J)
 print("inverse relations, worst residual: %.2e" % rel.max)
 
-# isometry on the depth subspaces W_1..W_3 and commutation with the
-# generator action, then the telescoped word identity up to length 5
+# the certificate: isometry on W_1, commutation with the generator action
+# from W_0 to W_1 and the telescoped word identity up to length 5; with
+# the Q residual they bound the residuals at every depth by
+# 2 (q_residual + W_1 Gram residual)
+cert = verify_isometry_and_intertwining(J, depth=1, word_max=5)
+bound = 2.0 * (rep.Q.residual + cert.gram_residuals[0])
+print("W_1 isometry residual: %.2e, commutation W_0 -> W_1: %.2e"
+      % (cert.gram_residuals[0], cert.intertwine_residual))
+print("word identity residual: %.2e" % fin_residual(J, word_max=4))
+
+# the same checks on W_1..W_3, with commutation from W_2 to W_3, stay
+# within that bound
 iso = verify_isometry_and_intertwining(J, depth=3, word_max=5)
 print("W dimensions:", iso.w_dims)
 print("isometry residuals:", ["%.1e" % g for g in iso.gram_residuals])
-print("intertwining residual: %.2e" % iso.intertwine_residual)
-print("word identity residual: %.2e" % fin_residual(J, word_max=4))
+print("intertwining residual W_2 -> W_3: %.2e (bound %.2e plus rounding)"
+      % (iso.intertwine_residual, bound))
 
 # ---------------------------------------------------------------- split
 sp = split(J)
@@ -59,7 +69,8 @@ print("eigenvalues %s and %s, both unimodular within %.1e"
 print("projector defects: idempotency %.1e, orthogonality %.1e, "
       "completeness %.1e" % (sp.idempotency, sp.orthogonality,
                              sp.completeness))
-print("commutation with the action on W_2: %.2e" % sp.commutation_residual)
+print("commutation with the action, W_0 -> W_1: %.2e"
+      % sp.commutation_residual)
 print("eigenspace dimensions:", sp.subspace_dims)
 
 # J is one point of a two-parameter family; off-center members split

@@ -23,7 +23,6 @@ from .intertwiner import (
     split,
     verify_inverse_relations,
     verify_isometry_and_intertwining,
-    w_layout,
 )
 from .series import exponent_fit, haagerup_violations, sphere_sums
 from .spectral import classify
@@ -46,9 +45,6 @@ NMAX_LIMIT = 4096
 # needs it long (at 128 the fits of the seeded classes and the wide
 # random systems land within 0.08 of the prediction)
 DEFAULT_NMAX = 128
-# largest matrix-space dimension of W_n that the dense congruence checks
-# of classify take on
-CHECK_DIM_LIMIT = 1500
 
 _NORMALIZATION = ("rho_T = 1; B Hermitian positive definite; "
                   "sum_a tr(B_a) = sum_a n_a")
@@ -82,19 +78,6 @@ def _entry(value, tolerance, **extra):
     return out
 
 
-def _checking_depth(nsys):
-    """Largest matrix-space depth (at most 3) whose dimension stays within
-    :data:`CHECK_DIM_LIMIT`."""
-    for depth in (3, 2, 1):
-        try:
-            lay = w_layout(nsys, depth)
-        except ValueError:
-            continue
-        if lay.dim <= CHECK_DIM_LIMIT:
-            return depth
-    return 1
-
-
 def _first_edge_vector(nsys):
     """Unit-norm first-shell family on the edge from the identity along
     the first generator: ``e_0`` scaled by ``B_0[0, 0]^{−1/2}``."""
@@ -109,6 +92,11 @@ def classification_report(sysdoc, tol, nmax, seed=None):
     Returns ``(report, exit_code)``.  The report always validates against
     the bundled schema; any residual at or above its declared tolerance
     demotes the verdict to ``undecided``.
+
+    For ``AI`` and ``BI`` it certifies ``J`` at depth 1: the Q equation,
+    the inverse relations, the word identities, the W_1 Gram and, also
+    for ``P_+`` of ``BI``, commutation W_0 → W_1.  These bound every
+    depth (:func:`~freerep.intertwiner.verify_isometry_and_intertwining`).
     """
     nsys = normalize(sysdoc.system)
     rep = classify(nsys)
@@ -136,13 +124,12 @@ def classification_report(sysdoc, tol, nmax, seed=None):
         J = build_J(rep)
         residuals["inverse_relations"]["value"] = float(
             verify_inverse_relations(J).max)
-        depth = _checking_depth(nsys)
-        iso = verify_isometry_and_intertwining(J, depth=depth, word_max=4)
+        iso = verify_isometry_and_intertwining(J, depth=1, word_max=4)
         residuals["word_identity"]["value"] = float(iso.fin_residual)
         residuals["isometry"] = _entry(float(max(iso.gram_residuals)),
-                                       10.0 * tol, depth=depth)
+                                       10.0 * tol, depth=1)
         residuals["intertwining"] = _entry(float(iso.intertwine_residual),
-                                           10.0 * tol, depth=depth)
+                                           10.0 * tol, depth=1)
         if rep.class_label == "BI":
             sp = split(J)
             diagnostics.extend(sp.diagnostics)

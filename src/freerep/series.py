@@ -59,12 +59,13 @@ def _first_shell_vectors(f):
 
 def moment_operator(nsys):
     """The matrix ``M†`` whose block ``(c, l)`` is ``T_{l→c}†``, the pair
-    block ``X_cl``, its adjoint ``M``, and the mask of its diagonal blocks.
+    block ``X_cl``, its adjoint ``M``, the mask of its diagonal blocks,
+    and that mask as a complex 0/1 matrix, for masking by a product.
 
     The state of letter ``c`` occupies ``d_c + d_{c⁻¹}`` consecutive
     coordinates, ``α`` then ``δ``; the block is zero for ``l = c⁻¹``,
     where no reduced word continues.  A normalized system holds the
-    three as ``nsys.moment_operator``, built once.
+    four as ``nsys.moment_operator``, built once.
     """
     letters = nsys.alphabet.letters
     dims = nsys.dims
@@ -77,15 +78,17 @@ def moment_operator(nsys):
         for l in letters:
             if l != c ^ 1:
                 Mh[rows, off[l]:off[l + 1]] = pair_block(nsys, nsys.E, c, l)
-    return Mh, Mh.conj().T, diagonal
+    return Mh, Mh.conj().T, diagonal, diagonal.astype(complex)
 
 
 def moment_step(nsys, S):
     """One step of the recursion on the block-diagonal moment matrix
     ``S`` (block ``c``: ``S_c``): the diagonal blocks of ``M† S M``,
     which are ``Σ_{l≠c⁻¹} X_cl S_l X_cl†``."""
-    Mh, M, diagonal = nsys.moment_operator
-    return np.where(diagonal, Mh @ S @ M, 0)
+    Mh, M, _, keep = nsys.moment_operator
+    out = Mh @ S @ M
+    out *= keep
+    return out
 
 
 def _ends(v, w):
@@ -123,7 +126,9 @@ def sphere_sums(v, w, nmax):
 
     The recursion steps the block-diagonal moment matrix ``S`` by
     :func:`moment_step`; it starts from ``S_c = x_c† x_c`` and reads
-    ``s_n = out† S out`` (see :func:`_ends`).
+    ``s_n = out† S out`` (see :func:`_ends`) as one dot product of ``S``
+    with the diagonal blocks of ``conj(out) outᵀ``.  Only the current
+    ``S`` is kept: a stack of them would take ``nmax`` times its memory.
     """
     if v.system is not w.system:
         raise ValueError("system mismatch")
@@ -131,13 +136,14 @@ def sphere_sums(v, w, nmax):
         raise ValueError("sphere sums require depth-0 canonical families")
     s0, x, out = _ends(v, w)
     nsys = v.system
-    outh = out.conj()
-    S = np.where(nsys.moment_operator[2], np.outer(x.conj(), x), 0)
+    diagonal = nsys.moment_operator[2]
+    S = np.where(diagonal, np.outer(x.conj(), x), 0)
+    weight = np.where(diagonal, np.outer(out.conj(), out), 0).ravel()
     sums = []
     for n in range(1, nmax + 1):
         if n > 1:
             S = moment_step(nsys, S)
-        sums.append(float((outh @ S @ out).real))
+        sums.append(float((weight @ S.ravel()).real))
     return CoefficientSeries(
         s=(s0,) + tuple(sums),
         v_norm=f_norm(v),

@@ -16,6 +16,9 @@ from freerep import generate
 from freerep.cli import DEFAULT_NMAX
 from freerep.functions import first_shell, norm
 from freerep.intertwiner import (
+    _commutation_residual,
+    _pair_operator_matrix,
+    _pair_parts,
     build_J,
     closed_inverse_residual,
     finite_rank_check,
@@ -222,7 +225,12 @@ def test_criterion_07_splitting_suite(bi_suite):
         worst_uni = max(worst_uni, sp.unimodularity)
         worst_proj = max(worst_proj, sp.idempotency, sp.orthogonality,
                          sp.completeness)
-        worst_comm = max(worst_comm, sp.commutation_residual)
+        # split certifies W_0 → W_1; W_2 → W_3 is the oracle
+        nsys = J.pkg.original
+        same, flip = _pair_parts(nsys, sp.p_plus)
+        deep = _commutation_residual(nsys, nsys, 2, *(
+            _pair_operator_matrix(nsys, nsys, n, same, flip) for n in (2, 3)))
+        worst_comm = max(worst_comm, sp.commutation_residual, deep)
     print("criterion 7: unimodular %.2e, projections %.2e, commutation %.2e"
           % (worst_uni, worst_proj, worst_comm))
     assert worst_uni < 1e-9

@@ -41,7 +41,7 @@ from freerep.intertwiner import (
     verify_isometry_and_intertwining,
     w_layout,
 )
-from freerep.spectral import classify
+from freerep.spectral import classify, q_residual
 from freerep.sysio import SystemDocument
 from freerep.systems import MatrixSystem, normalize
 from freerep.twin import e_lookup, twin_package
@@ -108,7 +108,7 @@ def random_function(nsys, seed=11, depth=2):
     summands = []
     for x in nsys.alphabet.sphere(depth):
         for b in nsys.alphabet.letters:
-            if x[-1] == b ^ 1:
+            if x and x[-1] == b ^ 1:
                 continue
             v = rng.normal(size=nsys.dims[b]) + 1j * rng.normal(size=nsys.dims[b])
             summands.append(MuSummand(x=x, letter=b, v=v))
@@ -453,6 +453,78 @@ class TestIsometryIntertwining:
         assert want > 1.0
         assert got == pytest.approx(want, rel=1e-13)
 
+    def test_depth_one_measures_from_W0(self, ai_J):
+        # commutation W_0 → W_1 needs the pair operator's chart on W_0;
+        # the loop that built the charts from W_1 raised KeyError: 0
+        rep = verify_isometry_and_intertwining(ai_J, depth=1)
+        values = rep.gram_residuals + (rep.intertwine_residual,
+                                       rep.fin_residual)
+        assert rep.w_dims == (12,)
+        assert len(rep.gram_residuals) == 1
+        assert np.all(np.isfinite(values))
+        assert max(values) < 1e-12
+
+
+# The constant C of the bound stated in verify_isometry_and_intertwining,
+# and the rounding of the depth-3 charts that it allows for.
+BOUND_C = 2.0
+CHART_ROUNDING = 1e-14
+
+
+def _perturbed(J, eps, seed=0):
+    """J assembled from ``Q + εP``, for an antisymmetric ``P`` of unit
+    normal entries: the inverse relations still hold in closed form, and
+    ``Q`` misses the Q equation by order ``ε``."""
+    rng = np.random.default_rng(seed)
+    P = [None] * len(J.Q)
+    for a in J.pkg.original.alphabet.generators:
+        shape = J.Q[a].shape
+        P[a] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        P[a ^ 1] = -P[a].conj().T
+    Q = tuple(q + eps * p for q, p in zip(J.Q, P))
+    return _assemble(J.pkg, Q, J.pkg.original.B)
+
+
+def _instance_J(name):
+    kind, seed = name.rsplit("-", 1)
+    build = {"ai": generate.ai_instance, "bi": generate.bi_instance,
+             "bi_e0": generate.bi_e0_system}[kind]
+    rep = classify(normalize(build(int(seed))))
+    assert rep.class_label == ("AI" if kind == "ai" else "BI")
+    return build_J(rep)
+
+
+class TestDepthOneBound:
+    """The depth-3 checks as an oracle for the certified depth-1 set."""
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize(
+        "name", ["ai-%d" % s for s in range(1, 6)]
+        + ["bi-%d" % s for s in (1, 2, 3, 4, 5, 7)]
+        + ["bi_e0-%d" % s for s in range(3)])
+    def test_bound_on_perturbed_instances(self, name, eps):
+        J = _perturbed(_instance_J(name), eps)
+        self._check(J, lambda q: 0.1 * eps < q < 10 * eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-4])
+    @pytest.mark.parametrize("fix", ["gauged_ai_J", "matrix_J"])
+    def test_bound_on_fixtures(self, fix, eps, request):
+        # matrix_J is no intertwiner: its residuals are of order one
+        J = _perturbed(request.getfixturevalue(fix), eps)
+        self._check(J, lambda q: q > 0)
+
+    @staticmethod
+    def _check(J, q_plausible):
+        q = q_residual(J.pkg, J.Q)
+        assert q_plausible(q)
+        cert = verify_isometry_and_intertwining(J, depth=1, word_max=4)
+        deep = verify_isometry_and_intertwining(J, depth=3, word_max=4)
+        bound = BOUND_C * (q + cert.gram_residuals[0]) + CHART_ROUNDING
+        assert deep.gram_residuals[0] == cert.gram_residuals[0]
+        assert max(deep.gram_residuals) <= bound
+        assert deep.intertwine_residual <= bound
+        assert cert.intertwine_residual <= bound
+
 
 class TestFamily:
     def test_identity_member(self, ai_J):
@@ -498,6 +570,23 @@ class TestSplit:
         assert sp.involution_residual < 1e-12
         assert sp.form_hermiticity < 1e-12
         assert sp.commutation_residual < 1e-8
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    def test_commutation_bounds_depth_three(self, bi_J, eps):
+        # split checks P_+ on W_0 → W_1; W_2 → W_3 is the oracle, within
+        # the bound of verify_isometry_and_intertwining, also with Q off
+        # its solution
+        J = _perturbed(bi_J, eps)
+        sp = split(J)
+        nsys = J.pkg.original
+        same, flip = _pair_parts(nsys, sp.p_plus)
+        deep = _commutation_residual(nsys, nsys, 2, *(
+            _pair_operator_matrix(nsys, nsys, n, same, flip) for n in (2, 3)))
+        cert = verify_isometry_and_intertwining(J)
+        bound = (BOUND_C * (q_residual(J.pkg, J.Q) + cert.gram_residuals[0])
+                 + CHART_ROUNDING)
+        assert sp.commutation_residual <= bound
+        assert deep <= bound
 
     def test_direct_split_dims(self, bi_J):
         sp = split(bi_J)
@@ -623,7 +712,7 @@ class TestMatrixMachinery:
         rhs = _embed(w_layout(tw, 2), apply_J(ai_J, f))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_pair_operator_matches_apply_on_matrix_letters(
             self, matrix_letters, n):
         nsys = matrix_letters
@@ -645,7 +734,7 @@ class TestMatrixMachinery:
             rhs = _embed(lay, _apply_edge_operator(f, nsys, same, flip))
             assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("fix", ["ai_J", "bi_J", "e0_J"])
     def test_pair_operator_matches_oracle_bitwise(self, fix, n, request):
         # scalar letters: every chart entry is the same product of
@@ -661,7 +750,7 @@ class TestMatrixMachinery:
             ref = _pair_operator_oracle(nsys, out, n, same, flip)
             assert new.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_pair_operator_matches_oracle_on_matrix_letters(
             self, matrix_letters, n):
         nsys = matrix_letters
@@ -745,10 +834,19 @@ class TestCharts:
     def test_each_chart_built_once_per_report(self, monkeypatch):
         # one classification report of a BI system builds each layout,
         # form and inclusion once per (system, depth) and each translation
-        # once per (system, generator, depth); the finite-rank profile
-        # walks once per start letter, and no summand is walked column by
-        # column
+        # once per (system, generator, depth), none of them nor any pair
+        # operator chart beyond W_1; the finite-rank profile walks once
+        # per start letter, and no summand is walked column by column
         built = Counter()
+        pair_depths = []
+        pair = intertwiner._pair_operator_matrix
+
+        def counted_pair(nsys_in, nsys_out, n, same, flip):
+            pair_depths.append(n)
+            return pair(nsys_in, nsys_out, n, same, flip)
+
+        monkeypatch.setattr(intertwiner, "_pair_operator_matrix",
+                            counted_pair)
 
         def counted(name):
             build = getattr(intertwiner, name)
@@ -779,9 +877,11 @@ class TestCharts:
             SystemDocument(system=system, B=None, label="bi-1"), 1e-9, 16)
         assert (report["class"], code) == ("BI", 0)
         assert built and set(built.values()) == {1}
+        assert max(key[2][-1] for key in built) == 1
+        assert pair_depths and max(pair_depths) == 1
         translations = sorted(key[2] for key in built
                               if key[0] == "_translation")
-        # both generators at depth 2, on the system and on its twin: the
+        # both generators from W_0, on the system and on its twin: the
         # split reuses the system's
-        assert translations == [((0,), 2)] * 2 + [((2,), 2)] * 2
+        assert translations == [((0,), 0)] * 2 + [((2,), 0)] * 2
         assert sorted(walks) == list(system.alphabet.letters)
