@@ -17,7 +17,6 @@ from freerep import (
     build_J,
     classify,
     finite_rank_check,
-    fin_residual,
     general_intertwiner_family,
     generate,
     normalize,
@@ -35,6 +34,7 @@ print("Q residual: %.2e, antisymmetry: %.2e"
 # ------------------------------------------------------------- build J
 J = build_J(rep)
 print("\npair-block scale relating the twin forms: %.6f" % J.bhat_scale)
+# t is a ratio of form traces: t^2 = sum tr(Bhat) / sum tr(B) = scale
 print("unitarizing scale t (t^2 = scale): %.6f" % J.unitary_scale)
 
 # the inverse comes in closed form; the three inverse relations tie the
@@ -43,14 +43,14 @@ rel = verify_inverse_relations(J)
 print("inverse relations, worst residual: %.2e" % rel.max)
 
 # the certificate: isometry on W_1, commutation with the generator action
-# from W_0 to W_1 and the telescoped word identity up to length 5; with
-# the Q residual they bound the residuals at every depth by
-# 2 (q_residual + W_1 Gram residual)
-cert = verify_isometry_and_intertwining(J, depth=1, word_max=5)
+# from W_0 to W_1 and the telescoped word identity up to length 4, as
+# `freerep classify` checks it; with the Q residual they bound the
+# residuals at every depth by 2 (q_residual + W_1 Gram residual)
+cert = verify_isometry_and_intertwining(J, depth=1, word_max=4)
 bound = 2.0 * (rep.Q.residual + cert.gram_residuals[0])
 print("W_1 isometry residual: %.2e, commutation W_0 -> W_1: %.2e"
       % (cert.gram_residuals[0], cert.intertwine_residual))
-print("word identity residual: %.2e" % fin_residual(J, word_max=4))
+print("word identity residual: %.2e" % cert.fin_residual)
 
 # the same checks on W_1..W_3, with commutation from W_2 to W_3, stay
 # within that bound

@@ -56,7 +56,8 @@ def _err(msg):
 
 
 def _load_or_fail(path):
-    """Parse a system file; returns ``(doc, None)`` or ``(None, message)``."""
+    """Parse a system file, not validated (``normalize`` validates);
+    returns ``(doc, None)`` or ``(None, message)``."""
     try:
         doc = load_system(path)
     except json.JSONDecodeError as exc:
@@ -66,9 +67,6 @@ def _load_or_fail(path):
         return None, "cannot read %s: %s" % (path, exc.strerror or exc)
     except ValueError as exc:
         return None, "%s: %s" % (path, exc)
-    violations = validate(doc.system)
-    if violations:
-        return None, "%s: %s" % (path, "; ".join(violations))
     return doc, None
 
 
@@ -241,7 +239,10 @@ def cmd_validate(args):
     worst = EXIT_OK
     for path in args.paths:
         doc, msg = _load_or_fail(path)
-        if doc is None:
+        violations = [] if doc is None else validate(doc.system)
+        if violations:
+            msg = "%s: %s" % (path, "; ".join(violations))
+        if msg:
             _err(msg)
             worst = EXIT_INVALID
             continue
@@ -259,7 +260,7 @@ def cmd_normalize(args):
     try:
         nsys = normalize(doc.system)
     except ValueError as exc:
-        _err(str(exc))
+        _err("%s: %s" % (args.path, exc))
         return EXIT_INVALID
     except (UndecidedError, RuntimeError) as exc:
         _err("normalization undecided: %s" % exc)
@@ -380,7 +381,7 @@ def cmd_series(args):
         nsys = normalize(doc.system)
         f = _parse_edge(nsys, args.vector)
     except ValueError as exc:
-        _err(str(exc))
+        _err("%s: %s" % (args.path, exc))
         return EXIT_INVALID
     except (UndecidedError, RuntimeError) as exc:
         _err("normalization undecided: %s" % exc)

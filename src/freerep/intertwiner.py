@@ -306,7 +306,7 @@ class Intertwiner:
     inverse-side tuples, ``Ehat`` the pairing maps of the twin weighted
     by ``Bhat``.  ``bhat_scale`` relates ``Bhat`` to the twin's
     trace-normalized form, and ``unitary_scale`` is the positive scalar
-    making the operator an isometry, fixed on W_1.
+    making the operator an isometry, ``t² = Σ_c tr B̂_c / Σ_c tr B_c``.
     """
 
     pkg: object
@@ -326,6 +326,10 @@ def _assemble(pkg, Q, B):
 
     Valid for any antisymmetric tuple ``Q_a† = −Q_{a⁻¹}`` and positive
     ``B``; the inverse blocks then invert the forward blocks exactly.
+    ``tJ`` is an isometry when the closed inverse is ``t²J*``; for ``B =
+    λ·(the system's form)`` (``λ = 1`` in :func:`build_J`) the reversed
+    blocks of ``J*`` are ``λ``, and ``B̂`` is ``bhat_scale``, times the
+    twin's form, so ``t² = bhat_scale/λ = Σ_c tr B̂_c / Σ_c tr B_c``.
     """
     nsys, tw = pkg.original, pkg.twin
     size = nsys.alphabet.size
@@ -333,8 +337,8 @@ def _assemble(pkg, Q, B):
     Bhat = tuple(np.linalg.inv(B[c ^ 1] + Q[c] @ Binv[c] @ Q[c].conj().T)
                  for c in range(size))
     Qhat = tuple(Binv[c] @ Q[c].conj().T @ Bhat[c] for c in range(size))
-    scale = (sum(np.trace(m).real for m in Bhat)
-             / sum(np.trace(m).real for m in tw.B))
+    bhat_trace = sum(np.trace(m).real for m in Bhat)
+    scale = bhat_trace / sum(np.trace(m).real for m in tw.B)
     resid = max(float(np.linalg.norm(Bhat[c] - scale * tw.B[c])
                       / np.linalg.norm(Bhat[c])) for c in range(size))
     blocks = {a: np.block([[-Q[a], B[a ^ 1]], [B[a], -Q[a ^ 1]]])
@@ -343,15 +347,12 @@ def _assemble(pkg, Q, B):
                                [Bhat[a], -Qhat[a ^ 1]]])
                   for a in nsys.alphabet.generators}
     Ehat = e_maps(dataclasses.replace(tw, B=Bhat))
-    J1 = _pair_operator_matrix(nsys, tw, 1, tuple(-m for m in Q), B)
-    pulled = J1.conj().T @ _form_diag(tw, 1) @ J1
-    t = float(np.sqrt(np.trace(_form_diag(nsys, 1)).real
-                      / np.trace(pulled).real))
+    t = float(np.sqrt(bhat_trace / sum(np.trace(m).real for m in B)))
     return Intertwiner(pkg, Q, Qhat, Bhat, Ehat, blocks, inv_blocks,
                        float(scale), resid, t)
 
 
-def build_J(report, pkg=None):
+def build_J(report):
     """Assemble J from a classification report that carries a Q tuple.
 
     Raises
@@ -359,8 +360,7 @@ def build_J(report, pkg=None):
     ValueError
         when the report's class admits no intertwiner.
     """
-    if pkg is None:
-        pkg = report.package
+    pkg = report.package
     if report.Q is None:
         raise ValueError(
             "Q missing: class %s admits no intertwiner" % report.class_label
@@ -538,8 +538,9 @@ def verify_isometry_and_intertwining(J, depth=1, word_max=5):
 
 
 def general_intertwiner_family(J, lam, c):
-    """Member (λ, c) of the family of all intertwiners, with its W_2
-    commutation residual.
+    """Member (λ, c) of the family of all intertwiners, with its W_0 →
+    W_1 commutation residual (the bound of
+    :func:`verify_isometry_and_intertwining` covers every depth).
 
     The diagonal entries are −λQ_a + icK_a and the off-diagonal ones
     λB_a; without an equivalence tuple only the λ line exists.
@@ -559,12 +560,11 @@ def general_intertwiner_family(J, lam, c):
         Q = tuple(lam * J.Q[a] for a in range(size))
     B = tuple(lam * m for m in pkg.original.B)
     member = _assemble(pkg, Q, B)
-    nsys = pkg.original
-    tw = pkg.twin
+    nsys, tw = pkg.original, pkg.twin
     same = tuple(-m for m in Q)
     return member, _commutation_residual(
-        nsys, tw, 2, _pair_operator_matrix(nsys, tw, 2, same, B),
-        _pair_operator_matrix(nsys, tw, 3, same, B))
+        nsys, tw, 0, _pair_operator_matrix(nsys, tw, 0, same, B),
+        _pair_operator_matrix(nsys, tw, 1, same, B))
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +633,12 @@ def split(J, K=None):
     if K is None:
         raise ValueError("splitting requires equivalent twins")
     nsys = pkg.original
-    t = J.unitary_scale
     diagnostics = []
-    kblk = {}
     mmat = {}
     eigs = []
     for a in nsys.alphabet.generators:
-        kblk[a] = _blkdiag(K[a], K[a ^ 1])
-        mmat[a] = np.linalg.solve(kblk[a], t * J.blocks[a])
+        mmat[a] = np.linalg.solve(_blkdiag(K[a], K[a ^ 1]),
+                                  J.unitary_scale * J.blocks[a])
         eigs.extend(np.linalg.eigvals(mmat[a]))
     eigs = np.asarray(eigs)
     unimod = float(np.abs(np.abs(eigs) - 1.0).max())
@@ -681,10 +679,10 @@ def split(J, K=None):
     idem = orth = compl = invol = formh = 0.0
     for a in nsys.alphabet.generators:
         # the shift (ic/2)𝒦 completes M to an involution: with the
-        # quadratic M² + icM = Id, (M + ic/2)² = (1 − c²/4) Id
-        jtilde = rescale * (t * J.blocks[a] + (1j * c / 2.0) * kblk[a])
-        calj = np.linalg.solve(kblk[a], jtilde)
-        eye = np.eye(calj.shape[0])
+        # quadratic M² + icM = Id, (M + ic/2)² = (1 − c²/4) Id, so
+        # 𝒦⁻¹J̃ for J̃ = rescale·(tJ + (ic/2)𝒦) is read off M
+        eye = np.eye(mmat[a].shape[0])
+        calj = rescale * (mmat[a] + (1j * c / 2.0) * eye)
         pp = (eye + calj) / 2.0
         pm = (eye - calj) / 2.0
         p_plus[a] = pp
@@ -743,10 +741,11 @@ def finite_rank_check(J, a, b, nmax=6):
     ``x`` in the cone of ``a``, is a root-edge family on ``b`` with the
     vector ``H[b|a⁻¹]·chain(xd)·B_d``, where ``chain`` is the transfer
     product along the word; it involves neither Q nor the unitary scale,
-    so the profile is one of the system.  One walk from ``a`` to depth
-    ``nmax + 1``, made once per system and kept on it, serves every
-    target ``b``: it keeps the chains of each depth stacked, padded to the
-    largest letter dimension, and extends them by one stacked product.
+    so the profile is one of the system, and ``rank ≤ cap = n_b`` holds
+    by construction.  One walk from ``a`` to depth ``nmax + 1``, made once
+    per system and kept on it, serves every target ``b``: it keeps the
+    chains of each depth stacked, padded to the largest letter dimension,
+    and extends them by one stacked product.
     """
     if a == b:
         raise ValueError("letters must differ")

@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .series import moment_step
-from .systems import UndecidedError, frob_tuple
+from .systems import UndecidedError, frob_tuple, kron
 from .twin import _unvec_tuple, twin_package
 
 # Eigenvalue-1 cluster radius and the required relative spectral gap.
@@ -188,9 +188,7 @@ def _dense_block(pkg):
                 p = roots[a][0] @ nsys.h(a, b) @ roots[b][1]
                 q = (roots[a ^ 1][1] @ pkg.hhat(a, b)
                      @ roots[b ^ 1][0]).conj()
-                out[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = (
-                    p[:, None, :, None] * q[None, :, None, :]).reshape(
-                        sizes[a], sizes[b])
+                out[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = kron(p, q)
     return out
 
 

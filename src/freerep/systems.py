@@ -317,12 +317,6 @@ def _hermitian_tuple(x, dims, basis):
                  for c, n in enumerate(dims))
 
 
-def _spectrum_ends(t):
-    """Smallest and largest eigenvalue over a tuple of Hermitian matrices."""
-    ends = [np.linalg.eigvalsh(m)[[0, -1]] for m in t]
-    return float(min(e[0] for e in ends)), float(max(e[1] for e in ends))
-
-
 def _block_index(dims):
     """Flat positions of the entries of each letter's ``n_a × n_a`` block,
     row-major, in a block-diagonal matrix of side ``Σ_a n_a``."""
@@ -418,20 +412,23 @@ def _perron_root(t_h, dims, basis):
 
 
 def _form_roots(t):
-    """``(t_a^{1/2}, t_a^{-1/2})`` for each letter, one ``eigh`` each.
+    """``(t_a^{1/2}, t_a^{-1/2})`` for each letter, one ``eigh`` each, and
+    ``(λ_min, λ_max)`` over the letters from those ``eigh``.
 
-    Eigenvalues below ``TOL_PD·‖t‖_F`` are raised to it, which changes
-    only a form that fails the positivity test of :func:`normalize`: its
-    frame is then near that of the form, and the certificate stays sound
-    (:func:`_perron_certificate`)."""
+    Eigenvalues below ``TOL_PD·‖t‖_F`` are raised to it in the roots,
+    which changes only a form that fails the positivity test of
+    :func:`normalize`: its frame is then near that of the form, and the
+    certificate stays sound (:func:`_perron_certificate`)."""
     floor = TOL_PD * frob_tuple(t)
     roots = []
+    lo, hi = np.inf, -np.inf
     for m in t:
         vals, vecs = np.linalg.eigh(m)
+        lo, hi = min(lo, vals[0]), max(hi, vals[-1])
         vals = np.sqrt(np.maximum(vals, floor))
         roots.append(((vecs * vals) @ vecs.conj().T,
                       (vecs / vals) @ vecs.conj().T))
-    return tuple(roots)
+    return tuple(roots), (float(lo), float(hi))
 
 
 def _unit_trace(t):
@@ -501,7 +498,7 @@ def _perron_frame(sys, t_h, basis):
         when a Newton or bordered matrix is exactly singular.
     """
     rho, x = _perron_root(t_h, sys.dims, basis)
-    roots = _form_roots(_hermitian_tuple(x, sys.dims, basis))
+    roots, _ = _form_roots(_hermitian_tuple(x, sys.dims, basis))
     t_w = _hermitian_matrix(transfer_matrix(MatrixSystem(
         sys.alphabet, sys.dims,
         {(b, a): roots[b][0] @ m @ roots[a][1] / np.sqrt(rho)
@@ -559,8 +556,9 @@ class NormalizedSystem:
     def from_forms(cls, system, B, B_hat, perron_gap):
         """Normalized system with known forms and Perron gap; measures the
         residual, the smallest eigenvalue and the roots of ``B``."""
+        roots, (lo, _) = _form_roots(B)
         return cls(system, B, B_hat, perron_gap, _fix_residual(system, B),
-                   _spectrum_ends(B)[0], _form_roots(B))
+                   lo, roots)
 
     @property
     def rho_certificate(self):
@@ -605,7 +603,7 @@ class NormalizedSystem:
 def _not_irreducible(gap, ends=None):
     """The error of a system that fails the Perron test: its relative
     Perron gap and, where the forms exist, the ratios ``λ_min/λ_max``
-    of both (``ends`` from :func:`_spectrum_ends`)."""
+    of both (``ends`` from :func:`_form_roots`)."""
     ratios = ("%.2e (B) and %.2e (twin)" % tuple(lo / hi for lo, hi in ends)
               if ends else "undefined (no unique Perron vectors)")
     return ValueError(
@@ -707,13 +705,13 @@ def normalize(sys):
     B_hat = tuple(S[c ^ 1] for c in sys.alphabet.letters)
     if not gap > TOL_SIMPLE:
         raise _not_irreducible(gap)
-    ends = [_spectrum_ends(t) for t in (B, B_hat)]
+    (B_roots, ends), (_, ends_hat) = _form_roots(B), _form_roots(B_hat)
     if not all(lo > TOL_PD * frob_tuple(t)
-               for (lo, _), t in zip(ends, (B, B_hat))):
-        raise _not_irreducible(gap, ends)
-    nsys = NormalizedSystem.from_forms(sys.scaled(1.0 / np.sqrt(rho)),
-                                       B, B_hat, gap)
-    if nsys.fix_residual > TOL_FIX:
+               for (lo, _), t in ((ends, B), (ends_hat, B_hat))):
+        raise _not_irreducible(gap, (ends, ends_hat))
+    scaled = sys.scaled(1.0 / np.sqrt(rho))
+    residual = _fix_residual(scaled, B)
+    if residual > TOL_FIX:
         raise RuntimeError("fixed-point residual %.2e of B exceeds %.0e"
-                           % (nsys.fix_residual, TOL_FIX))
-    return nsys
+                           % (residual, TOL_FIX))
+    return NormalizedSystem(scaled, B, B_hat, gap, residual, ends[0], B_roots)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from freerep import cli, generate, intertwiner, series, spectral, twin
+from freerep import (cli, generate, intertwiner, series, spectral,
+                     systems, twin)
 from freerep.cli import (
     NMAX_LIMIT,
     build_parser,
@@ -524,6 +525,42 @@ class TestUnusablePaths:
         code = main(["classify", str(s0_file), "--out-dir", str(taken)])
         assert code == 1
         assert "cannot create --out-dir" in self._one_error(capsys).err
+
+
+# each command that reads one system file, with the flags after the path
+_ONE_INPUT = [("validate",), ("normalize",), ("classify", "--nmax", "6"),
+              ("series", "--vector", "e|a")]
+
+
+@pytest.mark.parametrize("argv", _ONE_INPUT, ids=lambda argv: argv[0])
+def test_invalid_system_names_the_path(argv, tmp_path, capsys):
+    # the file parses, but validate refuses it: validate reports it
+    # itself, the other commands through normalize
+    system = generate.s0_system()
+    blocks = dict(system.blocks)
+    blocks[0, 0] = 0 * blocks[0, 0]
+    path = tmp_path / "zero.json"
+    path.write_text(dump_json(system_to_doc(type(system)(
+        system.alphabet, system.dims, blocks))), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % path), err
+    assert "zero block at (a, a)" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", _ONE_INPUT, ids=lambda argv: argv[0])
+def test_each_command_validates_once(argv, s0_file, monkeypatch, capsys):
+    calls = []
+    validate = systems.validate
+
+    def counted(system):
+        calls.append(system)
+        return validate(system)
+
+    monkeypatch.setattr(systems, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    assert main([argv[0], str(s0_file), *argv[1:]]) == 0
+    assert len(calls) == 1
 
 
 def test_readme_commands_parse():

@@ -310,6 +310,30 @@ class TestBuild:
             assert J.unitary_scale ** 2 == pytest.approx(J.bhat_scale,
                                                          rel=1e-8)
 
+    @pytest.mark.parametrize("name, seed", [
+        (name, seed) for name in ("ai", "bi") for seed in range(1, 6)])
+    def test_unitary_scale_is_the_trace_ratio(self, name, seed):
+        # the oracle fits t on W_1: t² tr(J*ĜJ) = tr G for the chart Grams
+        # G and Ĝ of the system and of its twin
+        make = {"ai": generate.ai_instance, "bi": generate.bi_instance}
+        J = build_J(classify(normalize(make[name](seed))))
+        nsys, tw = J.pkg.original, J.pkg.twin
+        members = [(J, 1.0)]
+        for lam in (0.3, 1.0, 1.7, 2.5):
+            for c in (0.0, 0.4, 0.7, -1.2) if name == "bi" else (0.0,):
+                members.append((general_intertwiner_family(J, lam, c)[0],
+                                lam))
+        for member, lam in members:
+            J1 = _pair_operator_matrix(nsys, tw, 1,
+                                       tuple(-m for m in member.Q),
+                                       tuple(lam * m for m in nsys.B))
+            pulled = J1.conj().T @ _form_diag(tw, 1) @ J1
+            fit = np.sqrt(np.trace(_form_diag(nsys, 1)).real
+                          / np.trace(pulled).real)
+            assert member.unitary_scale == pytest.approx(fit, rel=1e-13)
+            assert member.unitary_scale ** 2 == pytest.approx(
+                member.bhat_scale / lam, rel=1e-13)
+
     def test_zero_Q_gives_off_diagonal_blocks(self, e0_J):
         nsys = e0_J.pkg.original
         for a in nsys.alphabet.generators:
@@ -555,6 +579,24 @@ class TestFamily:
         assert closed_inverse_residual(fam) < 1e-12
         assert fin_residual(fam, word_max=4) < 1e-10
 
+    @pytest.mark.parametrize("fix, lam, c", [("ai_J", 2.5, 0.0),
+                                             ("bi_J", 1.0, 0.7)])
+    def test_commutation_bounds_depth_three(self, fix, lam, c, request):
+        # the family measures W_0 → W_1; W_2 → W_3 is the oracle, within
+        # the bound of verify_isometry_and_intertwining
+        J = request.getfixturevalue(fix)
+        fam, resid = general_intertwiner_family(J, lam, c)
+        nsys, tw = J.pkg.original, J.pkg.twin
+        same = tuple(-m for m in fam.Q)
+        B = tuple(lam * m for m in nsys.B)
+        deep = _commutation_residual(nsys, tw, 2, *(
+            _pair_operator_matrix(nsys, tw, n, same, B) for n in (2, 3)))
+        cert = verify_isometry_and_intertwining(J)
+        bound = (BOUND_C * (q_residual(J.pkg, J.Q) + cert.gram_residuals[0])
+                 + CHART_ROUNDING)
+        assert resid <= bound
+        assert deep <= bound
+
 
 class TestSplit:
     def test_direct_split_clean(self, bi_J):
@@ -587,6 +629,29 @@ class TestSplit:
                  + CHART_ROUNDING)
         assert sp.commutation_residual <= bound
         assert deep <= bound
+
+    def test_one_solve_per_generator(self, bi_J, monkeypatch):
+        # the involution 𝒦⁻¹J̃ is read off M = 𝒦⁻¹tJ; the oracle solves
+        # 𝒦⁻¹J̃ for J̃ = rescale·(tJ + (ic/2)𝒦) again
+        fam, _ = general_intertwiner_family(bi_J, 1.0, 0.7)
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        for J in (bi_J, fam):
+            calls.clear()
+            sp = split(J)
+            nsys = J.pkg.original
+            assert len(calls) == len(nsys.alphabet.generators)
+            rescale = 2.0 / np.sqrt(4.0 - sp.c ** 2)
+            for a in nsys.alphabet.generators:
+                K = J.pkg.K
+                z = np.zeros((len(K[a]), len(K[a ^ 1])))
+                kblk = np.block([[K[a], z], [z.T, K[a ^ 1]]])
+                jtilde = rescale * (J.unitary_scale * J.blocks[a]
+                                    + (1j * sp.c / 2.0) * kblk)
+                calj = sp.p_plus[a] - sp.p_minus[a]
+                assert np.abs(calj - solve(kblk, jtilde)).max() < 1e-14
 
     def test_direct_split_dims(self, bi_J):
         sp = split(bi_J)
@@ -878,7 +943,9 @@ class TestCharts:
         assert (report["class"], code) == ("BI", 0)
         assert built and set(built.values()) == {1}
         assert max(key[2][-1] for key in built) == 1
-        assert pair_depths and max(pair_depths) == 1
+        # build_J charts nothing: the pair operators are J's and P_+'s,
+        # each on W_0 and W_1
+        assert pair_depths == [0, 1, 0, 1]
         translations = sorted(key[2] for key in built
                               if key[0] == "_translation")
         # both generators from W_0, on the system and on its twin: the

@@ -389,10 +389,11 @@ def test_normalize_makes_no_eigendecomposition(monkeypatch):
     # matrix of T in Hermitian coordinates, B and B̂ from bordered solves,
     # and the Perron gap from one inverse of side Σn² in the frame where
     # B = I; the only other inverses are the Collatz–Wielandt bracket's,
-    # of side Σn
+    # of side Σn; one eigh per letter for each of B₀, B and B̂ gives the
+    # roots and the extreme eigenvalues, and eigvalsh is the bracket's
     sys = generate.random_system(730, k=2, max_dim=3)
     calls = {name: _recorded(monkeypatch, name)
-             for name in ("eig", "eigvals", "inv")}
+             for name in ("eig", "eigvals", "inv", "eigh", "eigvalsh")}
     assembled = []
     monkeypatch.setattr(systems, "transfer_matrix",
                         lambda s, _build=systems.transfer_matrix:
@@ -403,6 +404,9 @@ def test_normalize_makes_no_eigendecomposition(monkeypatch):
     shapes = [m.shape for m, _ in calls["inv"]]
     assert shapes.count((side, side)) == 1
     assert set(shapes) == {(side, side), (sum(sys.dims),) * 2}
+    assert len(calls["eigh"]) == 3 * sys.alphabet.size
+    assert calls["eigvalsh"]
+    assert {m.shape for m, _ in calls["eigvalsh"]} == {(sum(sys.dims),) * 2}
     # the system, then its copy in the frame where B = I
     assert assembled[0] is sys and len(assembled) == 2
     assert assembled[1].dims == sys.dims
@@ -414,6 +418,17 @@ def test_systems_and_twin_call_no_eig_or_eigvals():
     for module in (systems, twin_module):
         source = Path(module.__file__).read_text(encoding="utf-8")
         assert _linalg_calls(source, {"eig", "eigvals"}) == [], module
+
+
+def test_systems_calls_eigvalsh_only_in_the_bracket():
+    # the extreme eigenvalues of the forms come from the eigh of
+    # _form_roots; eigvalsh is left to the Collatz–Wielandt bracket
+    source = Path(systems.__file__).read_text(encoding="utf-8")
+    bracket, = [node for node in ast.parse(source).body
+                if getattr(node, "name", None) == "_collatz_wielandt"]
+    lines = _linalg_calls(source, {"eigvalsh"})
+    assert lines
+    assert all(bracket.lineno <= n <= bracket.end_lineno for n in lines)
 
 
 # the eigenvalue-1 pool, and the wide benchmark systems (letter dims up
