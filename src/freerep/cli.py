@@ -2,11 +2,15 @@
 classification pipeline into machine-readable reports, export
 coefficient series, and run bundled demos.
 
-Exit codes: 0 success, 1 validation failure, 2 undecided verdict.
-Several ``classify`` inputs run one after the other, in the order given.
+Exit codes: 0 success, 1 validation failure, 2 undecided verdict or
+undecided normalization.  A failing input ends in one ``error:`` line
+that names it (its label, for ``demo``).  ``validate`` and ``classify``
+run their inputs in the order given and go on past a failing one; then
+any invalid input gives 1, else any undecided one gives 2.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -51,23 +55,57 @@ _NORMALIZATION = ("rho_T = 1; B Hermitian positive definite; "
 _DEMOS = ("endpoint-f2", "random-ai", "random-bi")
 
 
-def _err(msg):
-    print("error: %s" % msg, file=sys.stderr)
+class CliError(Exception):
+    """A failure that ends a command, or one of its inputs, in one
+    ``error:`` line and the exit code ``code``."""
+
+    def __init__(self, msg, code=EXIT_INVALID):
+        super().__init__(msg)
+        self.code = code
 
 
-def _load_or_fail(path):
-    """Parse a system file, not validated (``normalize`` validates);
-    returns ``(doc, None)`` or ``(None, message)``."""
+@contextlib.contextmanager
+def _naming(name):
+    """Turn the pipeline's ``ValueError`` (invalid input, exit 1) and
+    ``UndecidedError`` (exit 2) into a :class:`CliError` naming ``name``,
+    the input path or the demo label."""
     try:
-        doc = load_system(path)
-    except json.JSONDecodeError as exc:
-        return None, ("malformed JSON in %s: line %d column %d (%s)"
-                      % (path, exc.lineno, exc.colno, exc.msg))
-    except OSError as exc:
-        return None, "cannot read %s: %s" % (path, exc.strerror or exc)
+        yield
     except ValueError as exc:
-        return None, "%s: %s" % (path, exc)
-    return doc, None
+        raise CliError("%s: %s" % (name, exc)) from None
+    except UndecidedError as exc:
+        raise CliError("%s: normalization undecided: %s" % (name, exc),
+                       EXIT_UNDECIDED) from None
+
+
+def _load(path):
+    """Parse a system file, not validated (``normalize`` validates).  A
+    schema violation raises ``ValueError``, for :func:`_naming`."""
+    try:
+        return load_system(path)
+    except json.JSONDecodeError as exc:
+        raise CliError("malformed JSON in %s: line %d column %d (%s)"
+                       % (path, exc.lineno, exc.colno, exc.msg)) from None
+    except OSError as exc:
+        raise CliError("cannot read %s: %s"
+                       % (path, exc.strerror or exc)) from None
+
+
+def _each(paths, run):
+    """Call ``run(path)``, which returns an exit code, on every input;
+    a failing input prints its line and the rest still run.  Any invalid
+    input gives 1, else any undecided one gives 2."""
+    codes = set()
+    for path in paths:
+        try:
+            codes.add(run(path))
+        except CliError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            codes.add(exc.code)
+    for code in (EXIT_INVALID, EXIT_UNDECIDED):
+        if code in codes:
+            return code
+    return EXIT_OK
 
 
 def _entry(value, tolerance, **extra):
@@ -95,6 +133,10 @@ def classification_report(sysdoc, tol, nmax, seed=None):
     the inverse relations, the word identities, the W_1 Gram and, also
     for ``P_+`` of ``BI``, commutation W_0 → W_1.  These bound every
     depth (:func:`~freerep.intertwiner.verify_isometry_and_intertwining`).
+
+    Raises ``ValueError`` where :func:`normalize` finds the system invalid
+    or not irreducible, and ``UndecidedError`` where it cannot certify the
+    fixed point of ``B``.
     """
     nsys = normalize(sysdoc.system)
     rep = classify(nsys)
@@ -222,123 +264,83 @@ def classification_report(sysdoc, tol, nmax, seed=None):
 
 
 def _write_or_print(text, out):
-    """Print ``text`` or write it to ``out``; ``False`` after an error line
-    when ``out`` cannot be written."""
+    """Print ``text`` or write it to ``out``."""
     if out is not None:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            _err("cannot write %s: %s" % (out, exc.strerror or exc))
-            return False
+            raise CliError("cannot write %s: %s"
+                           % (out, exc.strerror or exc)) from None
         text = "wrote: %s\n" % out
     sys.stdout.write(text)
-    return True
 
 
 def cmd_validate(args):
-    worst = EXIT_OK
-    for path in args.paths:
-        doc, msg = _load_or_fail(path)
-        violations = [] if doc is None else validate(doc.system)
+    def run(path):
+        with _naming(path):
+            doc = _load(path)
+        violations = validate(doc.system)
         if violations:
-            msg = "%s: %s" % (path, "; ".join(violations))
-        if msg:
-            _err(msg)
-            worst = EXIT_INVALID
-            continue
-        alphabet = doc.system.alphabet
+            raise CliError("%s: %s" % (path, "; ".join(violations)))
         print("ok: %s (k=%d, dims=%s)"
-              % (path, alphabet.k, list(doc.system.dims)))
-    return worst
+              % (path, doc.system.alphabet.k, list(doc.system.dims)))
+        return EXIT_OK
+
+    return _each(args.paths, run)
 
 
 def cmd_normalize(args):
-    doc, msg = _load_or_fail(args.path)
-    if doc is None:
-        _err(msg)
-        return EXIT_INVALID
-    try:
+    with _naming(args.path):
+        doc = _load(args.path)
         nsys = normalize(doc.system)
-    except ValueError as exc:
-        _err("%s: %s" % (args.path, exc))
-        return EXIT_INVALID
-    except (UndecidedError, RuntimeError) as exc:
-        _err("normalization undecided: %s" % exc)
-        return EXIT_UNDECIDED
     out_doc = system_to_doc(nsys.system, B=nsys.B, label=doc.label)
-    written = _write_or_print(dump_json(out_doc), args.out)
-    return EXIT_OK if written else EXIT_INVALID
+    _write_or_print(dump_json(out_doc), args.out)
+    return EXIT_OK
 
 
-def _flag_errors(args):
+def _check_flags(args):
     tol = getattr(args, "tol", None)
     if tol is not None and not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-        return "tol must lie in [%g, %g]" % TOL_RANGE
+        raise CliError("tol must lie in [%g, %g]" % TOL_RANGE)
     nmax = getattr(args, "nmax", None)
     if nmax is not None and not 0 <= nmax <= NMAX_LIMIT:
-        return "nmax must lie in [0, %d]" % NMAX_LIMIT
+        raise CliError("nmax must lie in [0, %d]" % NMAX_LIMIT)
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
-        return "seed must be non-negative"
-    return None
-
-
-def _classify_one(path, args):
-    doc, msg = _load_or_fail(path)
-    if doc is None:
-        return None, msg, EXIT_INVALID
-    try:
-        report, code = classification_report(doc, args.tol, args.nmax,
-                                             args.seed)
-    except ValueError as exc:
-        return None, "%s: %s" % (path, exc), EXIT_INVALID
-    except (UndecidedError, RuntimeError) as exc:
-        return None, "%s: normalization undecided: %s" % (path, exc), \
-            EXIT_UNDECIDED
-    return report, None, code
+        raise CliError("seed must be non-negative")
 
 
 def cmd_classify(args):
-    msg = _flag_errors(args)
-    if msg:
-        _err(msg)
-        return EXIT_INVALID
+    _check_flags(args)
     if len(args.paths) > 1 and args.out is not None:
-        _err("--out needs a single input; use --out-dir for several")
-        return EXIT_INVALID
+        raise CliError("--out needs a single input; use --out-dir for "
+                       "several")
     if args.out is not None and args.out_dir is not None:
-        _err("--out and --out-dir exclude each other")
-        return EXIT_INVALID
-    targets = [args.out] * len(args.paths)
+        raise CliError("--out and --out-dir exclude each other")
+    targets = {path: args.out for path in args.paths}
     if args.out_dir is not None:
-        targets = [Path(args.out_dir) / (Path(path).stem + ".report.json")
-                   for path in args.paths]
-        clashes = sorted({str(t) for t in targets if targets.count(t) > 1})
+        names = [Path(args.out_dir) / (Path(path).stem + ".report.json")
+                 for path in args.paths]
+        clashes = sorted({str(t) for t in names if names.count(t) > 1})
         if clashes:
-            _err("--out-dir would write %s more than once; give the inputs "
-                 "distinct file names" % ", ".join(clashes))
-            return EXIT_INVALID
+            raise CliError("--out-dir would write %s more than once; give "
+                           "the inputs distinct file names"
+                           % ", ".join(clashes))
         try:
             Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            _err("cannot create --out-dir %s: %s"
-                 % (args.out_dir, exc.strerror or exc))
-            return EXIT_INVALID
-    invalid = False
-    undecided = False
-    for path, target in zip(args.paths, targets):
-        report, msg, code = _classify_one(path, args)
-        if report is None:
-            _err(msg)
-            invalid = True
-            continue
-        if not _write_or_print(dump_json(report), target):
-            invalid = True
-        elif code == EXIT_UNDECIDED:
-            undecided = True
-    if invalid:
-        return EXIT_INVALID
-    return EXIT_UNDECIDED if undecided else EXIT_OK
+            raise CliError("cannot create --out-dir %s: %s"
+                           % (args.out_dir, exc.strerror or exc)) from None
+        targets = dict(zip(args.paths, names))
+
+    def run(path):
+        with _naming(path):
+            report, code = classification_report(_load(path), args.tol,
+                                                 args.nmax, args.seed)
+        _write_or_print(dump_json(report), targets[path])
+        return code
+
+    return _each(args.paths, run)
 
 
 def _parse_edge(nsys, text):
@@ -369,34 +371,19 @@ def series_csv(series):
 
 
 def cmd_series(args):
-    msg = _flag_errors(args)
-    if msg:
-        _err(msg)
-        return EXIT_INVALID
-    doc, msg = _load_or_fail(args.path)
-    if doc is None:
-        _err(msg)
-        return EXIT_INVALID
-    try:
-        nsys = normalize(doc.system)
-        f = _parse_edge(nsys, args.vector)
-    except ValueError as exc:
-        _err("%s: %s" % (args.path, exc))
-        return EXIT_INVALID
-    except (UndecidedError, RuntimeError) as exc:
-        _err("normalization undecided: %s" % exc)
-        return EXIT_UNDECIDED
+    _check_flags(args)
+    with _naming(args.path):
+        doc = _load(args.path)
+        f = _parse_edge(normalize(doc.system), args.vector)
     mirror_path = None
     if args.out is not None:
         mirror_path = Path(args.out).with_suffix(".json")
         for path, what in ((args.path, "the input"), (args.out, "the CSV")):
             if mirror_path.resolve() == Path(path).resolve():
-                _err("JSON mirror %s would overwrite %s; choose "
-                     "another --out" % (mirror_path, what))
-                return EXIT_INVALID
+                raise CliError("JSON mirror %s would overwrite %s; choose "
+                               "another --out" % (mirror_path, what))
     series = sphere_sums(f, f, args.nmax)
-    if not _write_or_print(series_csv(series), args.out):
-        return EXIT_INVALID
+    _write_or_print(series_csv(series), args.out)
     if args.out is not None:
         mirror = {
             "label": doc.label,
@@ -406,16 +393,12 @@ def cmd_series(args):
             "v_norm": float(series.v_norm),
             "s": [float(sn) for sn in series.s],
         }
-        if not _write_or_print(dump_json(mirror), str(mirror_path)):
-            return EXIT_INVALID
+        _write_or_print(dump_json(mirror), str(mirror_path))
     return EXIT_OK
 
 
 def cmd_demo(args):
-    msg = _flag_errors(args)
-    if msg:
-        _err(msg)
-        return EXIT_INVALID
+    _check_flags(args)
     seed = 0 if args.seed is None else args.seed
     if args.name == "endpoint-f2":
         system, label = generate.s0_system(), "endpoint-f2"
@@ -424,14 +407,11 @@ def cmd_demo(args):
     else:
         system, label = generate.bi_instance(seed), "random-bi seed=%d" % seed
     sysdoc = SystemDocument(system=system, B=None, label=label)
-    try:
+    with _naming(label):
         report, code = classification_report(sysdoc, args.tol, args.nmax,
                                              seed)
-    except (UndecidedError, RuntimeError) as exc:
-        _err("normalization undecided: %s" % exc)
-        return EXIT_UNDECIDED
-    written = _write_or_print(dump_json(report), args.out)
-    return code if written else EXIT_INVALID
+    _write_or_print(dump_json(report), args.out)
+    return code
 
 
 def build_parser():
@@ -490,7 +470,11 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -682,41 +682,31 @@ def classify(nsys):
     trace_val, trace_scale = (0j, 0.0)
     if equivalent:
         trace_val, trace_scale = trace_condition(pkg)
+    undecided = ("undecided", 0, "undecided")
+    label, exponent, verdict = _CLASS_TABLE.get((equivalent, eig.dim_one),
+                                                undecided)
     if eig.ambiguous:
         diagnostics.append(
             "rank decision ambiguous near threshold; singular values of "
-            "N: %s, threshold %.1e" % (eig.sv_profile, eig.threshold)
-        )
-    key = (equivalent, eig.dim_one)
-    if key not in _CLASS_TABLE or diagnostics:
-        return SpectralReport(
-            rho_D=rho_d, mult_one=eig.mult_one, dim_one=eig.dim_one,
-            twins_equivalent=equivalent, class_label="undecided",
-            predicted_exponent=0, trace_condition_value=trace_val,
-            trace_condition_scale=trace_scale, Q=q,
-            realization_verdict="undecided", q_residual=ls_residual,
-            gap=eig.gap, diagnostics=diagnostics or ["no class for d=%d"
-                                                     % eig.dim_one],
-            sv_profile=eig.sv_profile, package=pkg,
-        )
-    label, exponent, verdict = _CLASS_TABLE[key]
-    # Q solvability must match the class: present for AI/BI, absent else
-    if label in ("AI", "BI") and q is None:
-        diagnostics.append("class %s requires a Q tuple but none found "
-                           "(residual %.2e)" % (label, ls_residual))
-    if label in ("AII", "BII") and q is not None:
-        diagnostics.append("class %s forbids a Q tuple but one was found"
-                           % label)
-    if equivalent:
-        rel = trace_ratio(trace_val, trace_scale)
-        vanishes = rel < 1e-6
-        if vanishes != (eig.dim_one >= 3):
-            diagnostics.append(
-                "trace condition (relative %.2e) inconsistent with d=%d"
-                % (rel, eig.dim_one)
-            )
+            "N: %s, threshold %.1e" % (eig.sv_profile, eig.threshold))
+    elif label == "undecided":
+        diagnostics.append("no class for d=%d" % eig.dim_one)
+    else:
+        # Q solvability must match the class: present for AI/BI only
+        if label in ("AI", "BI") and q is None:
+            diagnostics.append("class %s requires a Q tuple but none found "
+                               "(residual %.2e)" % (label, ls_residual))
+        if label in ("AII", "BII") and q is not None:
+            diagnostics.append("class %s forbids a Q tuple but one was "
+                               "found" % label)
+        if equivalent:
+            rel = trace_ratio(trace_val, trace_scale)
+            if (rel < 1e-6) != (eig.dim_one >= 3):
+                diagnostics.append(
+                    "trace condition (relative %.2e) inconsistent with d=%d"
+                    % (rel, eig.dim_one))
     if diagnostics:
-        label, exponent, verdict = "undecided", 0, "undecided"
+        label, exponent, verdict = undecided
     return SpectralReport(
         rho_D=rho_d, mult_one=eig.mult_one, dim_one=eig.dim_one,
         twins_equivalent=equivalent, class_label=label,

@@ -682,8 +682,9 @@ def normalize(sys):
         certified Perron gap (``nan`` where a Newton or bordered matrix is
         exactly singular) and the ratios ``λ_min/λ_max`` of both forms
         (undefined when the gap fails).
-    RuntimeError
-        The fixed-point residual of ``B`` exceeds ``TOL_FIX``.
+    UndecidedError
+        The fixed-point residual of ``B`` exceeds ``TOL_FIX``, so the
+        radius of ``T/ρ`` is not certified.
     """
     violations = validate(sys)
     if violations:
@@ -712,6 +713,6 @@ def normalize(sys):
     scaled = sys.scaled(1.0 / np.sqrt(rho))
     residual = _fix_residual(scaled, B)
     if residual > TOL_FIX:
-        raise RuntimeError("fixed-point residual %.2e of B exceeds %.0e"
-                           % (residual, TOL_FIX))
+        raise UndecidedError("fixed-point residual %.2e of B exceeds %.0e"
+                             % (residual, TOL_FIX))
     return NormalizedSystem(scaled, B, B_hat, gap, residual, ends[0], B_roots)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file outputs, report contents."""
 
+import ast
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freerep import (cli, generate, intertwiner, series, spectral,
@@ -19,7 +21,9 @@ from freerep.cli import (
     classification_report,
     main,
 )
-from freerep.sysio import SystemDocument, dump_json, system_to_doc, validate_report
+from freerep.sysio import (SystemDocument, dump_json, load_system,
+                           system_to_doc, validate_report)
+from test_spectral import _conditioned_gauge, _gauged
 
 
 @pytest.fixture(scope="module")
@@ -561,6 +565,95 @@ def test_each_command_validates_once(argv, s0_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "validate", counted)
     assert main([argv[0], str(s0_file), *argv[1:]]) == 0
     assert len(calls) == 1
+
+
+def _undecided_system():
+    """Gauge copy of condition 1e4 of ``self_twin_system(0, k=2, dim=3)``
+    whose fixed-point residual of ``B`` exceeds ``TOL_FIX``."""
+    base = generate.self_twin_system(0, k=2, dim=3)
+    return _gauged(base, _conditioned_gauge(np.random.default_rng(0),
+                                            base.dims, 1e4))
+
+
+@pytest.fixture(scope="module")
+def undecided_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sys") / "cond.json"
+    doc = system_to_doc(_undecided_system(), label="cond")
+    path.write_text(dump_json(doc), encoding="utf-8")
+    return path
+
+
+class TestUndecidedNormalization:
+    """An undecided normalization exits 2 on every command, in one
+    ``error:`` line that names the input; an invalid input still wins."""
+
+    UNDECIDED = ("normalization undecided: fixed-point residual "
+                 r"\S+ of B exceeds 1e-10\n")
+
+    def _one_line(self, capsys, name):
+        err = capsys.readouterr().err
+        assert re.fullmatch("error: %s: %s" % (re.escape(str(name)),
+                                               self.UNDECIDED), err), err
+
+    def test_normalize_raises_undecided(self, undecided_file):
+        with pytest.raises(systems.UndecidedError,
+                           match="fixed-point residual .* exceeds 1e-10"):
+            systems.normalize(load_system(undecided_file).system)
+
+    @pytest.mark.parametrize("argv", _ONE_INPUT[1:],
+                             ids=lambda argv: argv[0])
+    def test_exits_2(self, argv, undecided_file, capsys):
+        assert main([argv[0], str(undecided_file), *argv[1:]]) == 2
+        self._one_line(capsys, undecided_file)
+
+    def test_demo_names_its_label(self, monkeypatch, capsys):
+        monkeypatch.setattr(generate, "s0_system", _undecided_system)
+        assert main(["demo", "endpoint-f2", "--nmax", "6"]) == 2
+        self._one_line(capsys, "endpoint-f2")
+
+    def test_out_dir_batch_runs_on(self, undecided_file, s0_file, tmp_path,
+                                   capsys):
+        out_dir = tmp_path / "reports"
+        code = main(["classify", str(undecided_file), str(s0_file),
+                     "--out-dir", str(out_dir), "--nmax", "6"])
+        assert code == 2
+        self._one_line(capsys, undecided_file)
+        validate_report(json.loads(
+            (out_dir / "s0.report.json").read_text(encoding="utf-8")))
+
+    def test_invalid_input_wins(self, undecided_file, s0_file, tmp_path,
+                                capsys):
+        gone = tmp_path / "gone.json"
+        code = main(["classify", str(undecided_file), str(s0_file),
+                     str(gone), "--out-dir", str(tmp_path / "reports"),
+                     "--nmax", "6"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("error: %s: normalization undecided"
+                                 % undecided_file)
+        assert err[1].startswith("error: cannot read %s" % gone)
+
+
+def _names(node):
+    """Names of the exception classes a handler or raise refers to."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_undecided_reaches_the_cli_as_one_type():
+    # normalize fails with UndecidedError, and the CLI catches that, so a
+    # RuntimeError from a bug is a traceback, not an "undecided" exit 2
+    def parsed(module):
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    caught = [_names(h.type) for h in ast.walk(parsed(cli))
+              if isinstance(h, ast.ExceptHandler) and h.type is not None]
+    assert {"UndecidedError"} in caught
+    assert not [n for n in caught if "RuntimeError" in n]
+    raised = [_names(r.exc) for r in ast.walk(parsed(systems))
+              if isinstance(r, ast.Raise) and r.exc is not None]
+    assert any("UndecidedError" in n for n in raised)
+    assert not [n for n in raised if "RuntimeError" in n]
 
 
 def test_readme_commands_parse():

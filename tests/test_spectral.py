@@ -945,6 +945,45 @@ class TestClassify:
         assert "threshold 1.0e-02" in diag
         assert 0.001 < report.sv_profile[1] < 0.1
 
+    @pytest.mark.parametrize("instance, change, want", [
+        ("ai", {"dim_one": 3}, ["no class for d=3"]),
+        ("ai", {"ambiguous": True}, ["ambiguous"]),
+        ("ai", {"dim_one": 1}, ["forbids"]),
+        ("bi", {"dim_one": 2}, ["forbids", "trace"]),
+        ("bi", {"dim_one": 3}, ["forbids"]),
+    ], ids=["ai-d3", "ai-ambiguous", "ai-d1", "bi-d2", "bi-d3"])
+    def test_undecided_diagnostics(self, instance, change, want,
+                                   monkeypatch):
+        # an ambiguous rank or a d with no class is the only diagnostic;
+        # the Q and trace cross-checks run on a tabled class only
+        draw = {"ai": generate.ai_instance, "bi": generate.bi_instance}
+        nsys = normalize(draw[instance](1))
+        seen = []
+
+        def changed(d):
+            seen.append(dataclasses.replace(eigen_one(d), **change))
+            return seen[-1]
+
+        monkeypatch.setattr(spectral, "eigen_one", changed)
+        report = classify(nsys)
+        [eig] = seen
+        assert report.class_label == "undecided"
+        assert report.realization_verdict == "undecided"
+        assert report.predicted_exponent == 0
+        label = {"ai": "AII", "bi": "BII"}[instance]
+        lines = {
+            "ambiguous": "rank decision ambiguous near threshold; singular "
+                         "values of N: %s, threshold %.1e"
+                         % (eig.sv_profile, eig.threshold),
+            "forbids": "class %s forbids a Q tuple but one was found"
+                       % label,
+            "trace": "trace condition (relative %.2e) inconsistent with d=%d"
+                     % (trace_ratio(report.trace_condition_value,
+                                    report.trace_condition_scale),
+                        eig.dim_one),
+        }
+        assert report.diagnostics == [lines.get(w, w) for w in want]
+
 
 class TestBlockSpectra:
     """``D`` is block upper triangular; its diagonal blocks are the
