@@ -33,22 +33,35 @@ def encode_matrix(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _is_pair(entry):
+    """Whether ``entry`` is an ``[re, im]`` pair of numbers, bools not
+    counted as numbers."""
+    return (isinstance(entry, list) and len(entry) == 2
+            and all(_is_real(type(t)) for t in entry))
+
+
+def _is_real(kind):
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
 def decode_matrix(obj, shape, where):
-    """Inverse of :func:`encode_matrix`, shape-checked."""
+    """Inverse of :func:`encode_matrix`, shape-checked.
+
+    A row is checked at once: its entries are pairs and the types of their
+    numbers are real, else the first entry that is no ``[re, im]`` pair is
+    named.  The checked block is converted at once, each pair read as one
+    complex number."""
     if not isinstance(obj, list) or len(obj) != shape[0]:
         _fail("%s: expected %d rows" % (where, shape[0]))
-    out = np.zeros(shape, dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != shape[1]:
             _fail("%s: row %d must have %d entries" % (where, i, shape[1]))
-        for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(t, (int, float))
-                               and not isinstance(t, bool) for t in entry)):
-                _fail("%s: entry (%d, %d) must be an [re, im] pair"
-                      % (where, i, j))
-            out[i, j] = complex(entry[0], entry[1])
-    return out
+        if not (all(isinstance(e, list) and len(e) == 2 for e in row)
+                and all(map(_is_real, {type(t) for e in row for t in e}))):
+            j = next(j for j, e in enumerate(row) if not _is_pair(e))
+            _fail("%s: entry (%d, %d) must be an [re, im] pair"
+                  % (where, i, j))
+    return np.array(obj, dtype=float).view(complex).reshape(shape)
 
 
 @dataclass(frozen=True)

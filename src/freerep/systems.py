@@ -123,15 +123,30 @@ def validate(sys):
     return violations
 
 
-def _span_basis(rows, extra):
-    """Orthonormal row basis of span(rows ∪ extra); rows may be empty."""
-    stack = [r for r in (rows, extra) if len(r)]
-    mat = np.vstack(stack)
-    # SVD keeps the dimension count robust against near-dependent products.
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, mat.shape[1]), dtype=complex)
-    return vh[s > TOL_SPAN * s[0]]
+def _new_rows(rows, cand):
+    """Orthonormal rows spanning what the rows of ``cand`` add to the span
+    of the orthonormal ``rows``.
+
+    ``cand`` is projected off ``rows`` twice (classical Gram–Schmidt with
+    reorthogonalization), and the new rows are the right singular vectors
+    of what is left whose singular value exceeds ``TOL_SPAN·max(1, σ)``,
+    with ``σ`` the largest singular value of ``cand`` (``σ`` alone while
+    ``rows`` is empty).  That is the scale of the stacked ``[rows; cand]``,
+    whose largest singular value lies between ``max(1, σ)`` and ``√2``
+    times it.  ``‖cand‖_F/√rank ≤ σ ≤ ‖cand‖_F`` brackets ``σ``, which is
+    computed only when a singular value falls inside the bracket."""
+    floor = 1.0 if len(rows) else 0.0
+    left = cand
+    for _ in range(2):
+        left = left - (left @ rows.conj().T) @ rows
+    _, s, vh = np.linalg.svd(left, full_matrices=False)
+    norm = np.linalg.norm(cand)
+    lo, cut = (TOL_SPAN * max(floor, x)
+               for x in (norm / np.sqrt(min(cand.shape)), norm))
+    if np.any((s > lo) & (s <= cut)):
+        cut = TOL_SPAN * max(floor, np.linalg.norm(cand, 2))
+    return vh[s > cut]
+
 
 def is_irreducible(sys):
     """Decide irreducibility via the path-span density criterion.
@@ -139,10 +154,24 @@ def is_irreducible(sys):
     For every ordered letter pair ``(a, b)`` the span of all path products
     from ``V_a`` to ``V_b`` (seeded with the identity on diagonal pairs) is
     grown until it stabilizes; the system is irreducible iff every span
-    fills the whole ``n_b·n_a``-dimensional space of maps.  :func:`normalize`
-    reaches the same decision from the Perron data of the transfer operator;
-    this criterion stays as the independent check, and the random generators
-    sample with it.
+    fills the whole ``n_b·n_a``-dimensional space of maps.  By Burnside's
+    theorem that holds exactly when the blocks leave no proper tuple of
+    subspaces invariant.  :func:`normalize` reaches the same decision from
+    the Perron data of the transfer operator; this criterion stays as the
+    independent check, and the random generators sample with it.
+
+    A round visits the pairs in order and takes the span of ``(b, a)`` to
+    its sum with ``H[b|c]·span(c, a)`` over the letters ``c``, each span as
+    it stands when the pair is visited.  Each span is kept as orthonormal
+    rows, in the order they were found, and only the rows of ``span(c,
+    a)`` that ``(b, a)`` has not yet carried, its frontier, are multiplied:
+    the products of the older rows are already in the span of ``(b, a)``.
+    So every round ends with the spans that multiplying all rows of every
+    span would give (the oracle of the tests does that), at a fraction of
+    the products and decompositions.  The new rows come from
+    :func:`_new_rows`.  A span that fills its space can grow no further,
+    so it is final: it is skipped.  The test returns ``True`` once every
+    span is full and ``False`` after a round that adds no row.
 
     Raises
     ------
@@ -151,43 +180,45 @@ def is_irreducible(sys):
     """
     size = sys.alphabet.size
     dims = sys.dims
-    # span[b][a]: orthonormal rows spanning vec'd maps V_a -> V_b.
-    span = [[None] * size for _ in range(size)]
+    # into[b]: the nonzero blocks H[b|c], which carry span(c, a) into (b, a)
+    into = [[(c, sys.blocks[(b, c)]) for c in range(size)
+             if b != c ^ 1 and np.any(sys.blocks.get((b, c)))]
+            for b in range(size)]
+    # span[b][a]: orthonormal rows spanning vec'd maps V_a -> V_b
+    span = [[np.zeros((0, dims[b] * dims[a]), dtype=complex)
+             for a in range(size)] for b in range(size)]
     for a in range(size):
-        for b in range(size):
-            seed = (
-                [np.eye(dims[a], dtype=complex).ravel()]
-                if a == b
-                else np.zeros((0, dims[b] * dims[a]), dtype=complex)
-            )
-            span[b][a] = _span_basis([], seed) if a == b else seed
-    l_max = sum(n * n for n in dims) + 2 * sys.alphabet.size
+        span[a][a] = np.eye(dims[a], dtype=complex).reshape(1, -1) / np.sqrt(
+            dims[a])
+    # carried[b, c, a]: the rows of span(c, a) already carried into (b, a)
+    carried = {}
+    growing = [(b, a) for a in range(size) for b in range(size)
+               if len(span[b][a]) < dims[b] * dims[a]]
+    l_max = sum(n * n for n in dims) + 2 * size
     for _ in range(l_max):
         grew = False
-        for a in range(size):
-            for b in range(size):
-                new_rows = []
-                for c in range(size):
-                    if b == c ^ 1 or not span[c][a].shape[0]:
-                        continue
-                    h = sys.blocks.get((b, c))
-                    if h is None or not np.any(h):
-                        continue
-                    basis = span[c][a].reshape(-1, dims[c], dims[a])
-                    new_rows.append(np.einsum("ij,rjk->rik", h, basis).reshape(
-                        -1, dims[b] * dims[a]))
-                if not new_rows:
-                    continue
-                before = span[b][a].shape[0]
-                span[b][a] = _span_basis(span[b][a], np.vstack(new_rows))
-                if span[b][a].shape[0] > before:
-                    grew = True
+        for b, a in growing:
+            cand = []
+            for c, h in into[b]:
+                rows = span[c][a]
+                start = carried.get((b, c, a), 0)
+                if len(rows) > start:
+                    cand.append(np.matmul(
+                        h, rows[start:].reshape(-1, dims[c], dims[a])
+                    ).reshape(-1, dims[b] * dims[a]))
+                    carried[b, c, a] = len(rows)
+            if not cand:
+                continue
+            new = _new_rows(span[b][a], np.vstack(cand))
+            if len(new):
+                span[b][a] = np.vstack([span[b][a], new])
+                grew = True
+        growing = [(b, a) for b, a in growing
+                   if len(span[b][a]) < dims[b] * dims[a]]
+        if not growing:
+            return True
         if not grew:
-            return all(
-                span[b][a].shape[0] == dims[b] * dims[a]
-                for a in range(size)
-                for b in range(size)
-            )
+            return False
     raise UndecidedError("irreducibility undecided: spans did not stabilize")
 
 
@@ -542,6 +573,9 @@ class NormalizedSystem:
     B_roots : tuple
         ``(B_a^{1/2}, B_a^{-1/2})`` for each letter: the gauge ``g_a =
         B_a^{1/2}`` to the frame where ``B = I``.
+    b_hat_min_eig, B_hat_roots
+        The same for ``B̂``, which are the twin's ``b_min_eig`` and
+        ``B_roots``.
     """
 
     system: MatrixSystem
@@ -551,14 +585,8 @@ class NormalizedSystem:
     fix_residual: float
     b_min_eig: float
     B_roots: tuple
-
-    @classmethod
-    def from_forms(cls, system, B, B_hat, perron_gap):
-        """Normalized system with known forms and Perron gap; measures the
-        residual, the smallest eigenvalue and the roots of ``B``."""
-        roots, (lo, _) = _form_roots(B)
-        return cls(system, B, B_hat, perron_gap, _fix_residual(system, B),
-                   lo, roots)
+    b_hat_min_eig: float
+    B_hat_roots: tuple
 
     @property
     def rho_certificate(self):
@@ -706,7 +734,8 @@ def normalize(sys):
     B_hat = tuple(S[c ^ 1] for c in sys.alphabet.letters)
     if not gap > TOL_SIMPLE:
         raise _not_irreducible(gap)
-    (B_roots, ends), (_, ends_hat) = _form_roots(B), _form_roots(B_hat)
+    (B_roots, ends), (B_hat_roots, ends_hat) = (_form_roots(B),
+                                                 _form_roots(B_hat))
     if not all(lo > TOL_PD * frob_tuple(t)
                for (lo, _), t in ((ends, B), (ends_hat, B_hat))):
         raise _not_irreducible(gap, (ends, ends_hat))
@@ -715,4 +744,5 @@ def normalize(sys):
     if residual > TOL_FIX:
         raise UndecidedError("fixed-point residual %.2e of B exceeds %.0e"
                              % (residual, TOL_FIX))
-    return NormalizedSystem(scaled, B, B_hat, gap, residual, ends[0], B_roots)
+    return NormalizedSystem(scaled, B, B_hat, gap, residual, ends[0], B_roots,
+                            ends_hat[0], B_hat_roots)

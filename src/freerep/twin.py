@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import MatrixSystem, NormalizedSystem, frob_tuple, kron
+from .systems import (MatrixSystem, NormalizedSystem, _fix_residual,
+                      frob_tuple, kron)
 
 # Relative singular-value threshold for nullspace rank decisions, and the
 # invertibility floor for equivalence tuples.
@@ -45,18 +46,23 @@ def twin_system(sys):
 
 
 def twin(nsys):
-    """Twin of a normalized system, with no eigensolve.
+    """Twin of a normalized system, with no eigensolve or decomposition.
 
     The twin's transfer matrix is ``T†`` with its letters relabelled, so
     its transfer spectrum is the conjugate of the system's: the twin
     already has unit transfer radius and shares the certified Perron gap
     (the deflated matrix of the certificate, transposed, is the twin's in
     the same frame).  Its forms are ``nsys.B_hat``, and its ``B_hat`` is
-    ``nsys.B``, so ``twin(twin(nsys))`` has the blocks, forms and Perron
+    ``nsys.B``; the roots and least eigenvalues of the two forms swap with
+    them.  Only the twin's fixed-point residual is measured.  So
+    ``twin(twin(nsys))`` has the blocks, forms, roots, residual and Perron
     gap of ``nsys``.
     """
-    return NormalizedSystem.from_forms(twin_system(nsys.system), nsys.B_hat,
-                                       nsys.B, nsys.perron_gap)
+    system = twin_system(nsys.system)
+    return NormalizedSystem(
+        system, nsys.B_hat, nsys.B, nsys.perron_gap,
+        _fix_residual(system, nsys.B_hat), nsys.b_hat_min_eig,
+        nsys.B_hat_roots, nsys.b_min_eig, nsys.B_roots)
 
 
 def e_maps(nsys):

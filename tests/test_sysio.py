@@ -46,6 +46,24 @@ class TestMatrixCodec:
         with pytest.raises(ValueError, match=r"\[re, im\] pair"):
             decode_matrix([[[True, False]]], (1, 1), "H")
 
+    @pytest.mark.parametrize("bad", (True, "1.0", None, [1.0]))
+    def test_first_bad_entry_named(self, bad):
+        rows = [[[1, 0.5], [2.0, -1]], [[0.0, 1.0], [0.0, 1.0]]]
+        rows[1][1] = [0.0, bad]
+        with pytest.raises(ValueError, match=r"^H: entry \(1, 1\) must be an "
+                           r"\[re, im\] pair$"):
+            decode_matrix(rows, (2, 2), "H")
+        rows[1][0] = "x"
+        with pytest.raises(ValueError, match=r"entry \(1, 0\)"):
+            decode_matrix(rows, (2, 2), "H")
+
+    def test_pairs_read_as_complex_numbers(self):
+        rows = [[[1, -0.0], [-0.0, 2]], [[3.5, -1e-300], [10**17 + 1, 0.1]]]
+        back = decode_matrix(rows, (2, 2), "H")
+        want = np.array([[complex(*e) for e in row] for row in rows])
+        assert back.dtype == complex and back.shape == (2, 2)
+        assert back.tobytes() == want.tobytes()
+
 
 class TestParseSystem:
     def test_s0_round_trip(self):

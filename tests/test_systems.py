@@ -22,6 +22,7 @@ from freerep.systems import (
     transfer_matrix,
     validate,
 )
+from test_acceptance import PORTFOLIO
 from test_spectral import _linalg_calls, _metamorphic_pool, _recorded
 
 a, ai, b, bi = 0, 1, 2, 3
@@ -317,16 +318,20 @@ def test_block_triangular_has_one_singular_form(seed):
     assert ratio_twin > 1e-3
 
 
-def test_normalize_accepts_periodic_peripheral_spectrum():
-    # blocks Z except one Y: every block anticommutes with X, so -ρ is an
-    # eigenvalue of T, while Y and Z generate all 2x2 matrices
+def periodic_peripheral_system():
+    """Blocks Z except one Y: every block anticommutes with X, so -ρ is an
+    eigenvalue of T, while Y and Z generate all 2x2 matrices."""
     alpha = Alphabet(2)
     z = np.diag([1.0, -1.0]).astype(complex)
     y = np.array([[0, -1j], [1j, 0]])
     blocks = {(p, q): z for p in alpha.letters for q in alpha.letters
               if p != q ^ 1}
     blocks[(a, a)] = y
-    sys = MatrixSystem(alpha, (2, 2, 2, 2), blocks)
+    return MatrixSystem(alpha, (2, 2, 2, 2), blocks)
+
+
+def test_normalize_accepts_periodic_peripheral_spectrum():
+    sys = periodic_peripheral_system()
     vals = np.linalg.eigvals(transfer_matrix(sys))
     assert np.min(np.abs(vals + 3.0)) < 1e-12
     assert is_irreducible(sys)
@@ -343,6 +348,119 @@ def test_normalize_agrees_with_span_oracle_on_random(k, seed):
     sys = generate.random_system(700 + seed, k=k, max_dim=3)
     assert is_irreducible(sys)
     normalize(sys)
+
+
+def _span_basis(rows, extra):
+    """Orthonormal row basis of span(rows ∪ extra); rows may be empty."""
+    stack = [r for r in (rows, extra) if len(r)]
+    mat = np.vstack(stack)
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((0, mat.shape[1]), dtype=complex)
+    return vh[s > systems.TOL_SPAN * s[0]]
+
+
+def span_oracle(sys):
+    """The path-span test grown from every row in every round: each span
+    is re-multiplied whole and re-decomposed with its products, full or
+    not.  :func:`~freerep.systems.is_irreducible` must reach its verdict."""
+    size = sys.alphabet.size
+    dims = sys.dims
+    span = [[np.zeros((0, dims[b] * dims[a]), dtype=complex)
+             for a in range(size)] for b in range(size)]
+    for a in range(size):
+        span[a][a] = _span_basis([], [np.eye(dims[a], dtype=complex).ravel()])
+    l_max = sum(n * n for n in dims) + 2 * size
+    for _ in range(l_max):
+        grew = False
+        for a in range(size):
+            for b in range(size):
+                new_rows = []
+                for c in range(size):
+                    if b == c ^ 1 or not span[c][a].shape[0]:
+                        continue
+                    h = sys.blocks.get((b, c))
+                    if h is None or not np.any(h):
+                        continue
+                    basis = span[c][a].reshape(-1, dims[c], dims[a])
+                    new_rows.append(np.einsum("ij,rjk->rik", h, basis).reshape(
+                        -1, dims[b] * dims[a]))
+                if not new_rows:
+                    continue
+                before = span[b][a].shape[0]
+                span[b][a] = _span_basis(span[b][a], np.vstack(new_rows))
+                if span[b][a].shape[0] > before:
+                    grew = True
+        if not grew:
+            return all(span[b][a].shape[0] == dims[b] * dims[a]
+                       for a in range(size) for b in range(size))
+    raise systems.UndecidedError("irreducibility undecided")
+
+
+def _doubled_random(seed, k, max_dim):
+    return generate.doubled_system(
+        generate.random_system(seed, k=k, max_dim=max_dim))
+
+
+_SPAN_SAMPLE = {
+    **{"random-k%d-d%d-%d" % (k, d, seed): functools.partial(
+        generate.random_system, seed, k=k, max_dim=d)
+       for k in (2, 3) for d in (2, 3, 8) for seed in range(3)},
+    **{"doubled-k%d-d%d-%d" % (k, d, seed): functools.partial(
+        _doubled_random, seed, k, d)
+       for k in (2, 3) for d in (2, 3) for seed in range(2)},
+    **REDUCIBLE,
+    **{"block-triangular-%d" % seed: functools.partial(
+        block_triangular_system, seed) for seed in range(5)},
+    **{"direct-sum-%d" % seed: functools.partial(direct_sum_system, seed)
+       for seed in (60, 61, 62)},
+    "periodic-peripheral": periodic_peripheral_system,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPAN_SAMPLE))
+def test_is_irreducible_agrees_with_span_oracle(name):
+    sys = _SPAN_SAMPLE[name]()
+    verdict = is_irreducible(sys)
+    assert verdict == span_oracle(sys)
+    assert verdict == name.startswith(("random", "periodic"))
+
+
+def _draws():
+    """The systems the benchmark and the acceptance tests draw: the
+    ``wide`` systems, then the acceptance portfolio, which holds the
+    benchmark's ``portfolio`` draws."""
+    return ([generate.random_system(seed, k=2, max_dim=8)
+             for seed in range(12)]
+            + [generate.random_system(seed, k=k, max_dim=3)
+               for seed, k in PORTFOLIO])
+
+
+def test_random_system_draws_the_same_blocks_under_the_span_oracle(
+        monkeypatch):
+    fast = _draws()
+    monkeypatch.setattr(generate, "is_irreducible", span_oracle)
+    slow = _draws()
+    assert len(fast) == len(slow) == 62
+    for x, y in zip(fast, slow):
+        assert x.dims == y.dims and x.blocks.keys() == y.blocks.keys()
+        assert all(np.array_equal(m, y.blocks[key])
+                   for key, m in x.blocks.items())
+
+
+def test_new_rows_scale_is_the_largest_singular_value():
+    # ‖cand‖_F ≈ √3 and rank 4 bracket σ_max = 1 by [√3/2, √3]: 1.5e-10
+    # falls inside TOL_SPAN times that, so the exact σ_max counts it
+    empty = np.zeros((0, 4), dtype=complex)
+    for last, count in ((1.5e-10, 4), (0.5e-10, 3)):
+        cand = np.diag([1.0, 1.0, 1.0, last]).astype(complex)
+        assert len(systems._new_rows(empty, cand)) == count
+    # a nonempty basis raises the scale to 1 for small candidates
+    rows = np.eye(4, dtype=complex)[:1]
+    cand = np.diag([0.0, 1e-3, 1e-3, 0.5e-10]).astype(complex)
+    new = systems._new_rows(rows, cand)
+    assert len(new) == 2
+    assert np.allclose(new @ rows.conj().T, 0.0, atol=1e-15)
 
 
 def _form_from_vector(vec, dims, target):

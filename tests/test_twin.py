@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from freerep import generate
+from freerep import generate, sysio
+from freerep.cli import classification_report
 from freerep.systems import (
     NormalizedSystem,
     frob_tuple,
@@ -113,12 +114,49 @@ def test_twin_of_twin_is_exact(seed):
         assert np.array_equal(back.system.blocks[key], m)
     for got, want in ((back.B, ns.B), (back.B_hat, ns.B_hat)):
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    for got, want in ((back.B_roots, ns.B_roots),
+                      (back.B_hat_roots, ns.B_hat_roots)):
+        assert all(np.array_equal(x, y) for pair in zip(got, want)
+                   for x, y in zip(*pair))
+    assert (back.b_min_eig, back.b_hat_min_eig, back.fix_residual,
+            back.perron_gap) == (ns.b_min_eig, ns.b_hat_min_eig,
+                                 ns.fix_residual, ns.perron_gap)
+
+
+def test_twin_swaps_the_form_roots():
+    ns = normalize(generate.random_system(655, k=2, max_dim=3))
+    tw = twin(ns)
+    assert tw.B_roots is ns.B_hat_roots and tw.B_hat_roots is ns.B_roots
+    assert (tw.b_min_eig, tw.b_hat_min_eig) == (ns.b_hat_min_eig,
+                                                ns.b_min_eig)
+    for (root, inv), form in zip(tw.B_roots, tw.B):
+        assert np.allclose(root @ root, form, atol=1e-12)
+        assert np.allclose(root @ inv, np.eye(len(form)), atol=1e-12)
+    assert tw.b_min_eig == pytest.approx(
+        min(np.linalg.eigvalsh(m)[0] for m in tw.B), abs=1e-12)
+
+
+def test_classification_report_decomposes_each_form_once(monkeypatch):
+    # normalize takes one eigh per letter for each of B₀, B and B̂; the
+    # twin reuses the roots of B̂ and B, so the report adds none
+    sys = generate.bi_instance(1)
+    doc = sysio.SystemDocument(sys, None, None)
+    calls = []
+
+    def recording(*args, _solve=np.linalg.eigh, **kwargs):
+        calls.append(args[0].shape)
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    report, code = classification_report(doc, 1e-9, 10)
+    assert code == 0 and report["class"] == "BI"
+    assert len(calls) == 3 * sys.alphabet.size == 12
 
 
 def test_twin_makes_no_eigensolve(monkeypatch):
     ns = normalize(generate.random_system(660, k=2, max_dim=3))
     calls = []
-    for name in ("eig", "eigvals", "svd"):
+    for name in ("eig", "eigvals", "eigh", "svd"):
         def recording(*args, _solve=getattr(np.linalg, name), _name=name,
                       **kwargs):
             calls.append(_name)
@@ -202,8 +240,9 @@ def test_doubled_system_solution_space_contradicts_irreducibility():
     # with its twin span a 4-dimensional space
     sys = generate.doubled_system(generate.s0_system())
     ident = identity_tuple(sys.dims)
-    # a reducible system has no Perron gap
-    ns = NormalizedSystem.from_forms(sys, ident, ident, 0.0)
+    roots = tuple((m, m) for m in ident)
+    # a reducible system has no Perron gap; the identity forms are fixed
+    ns = NormalizedSystem(sys, ident, ident, 0.0, 0.0, 1.0, roots, 1.0, roots)
     for other in (ns, twin(ns)):
         result = solve_equivalence(ns, other)
         assert result.status == "undecided"
